@@ -49,7 +49,6 @@ from .fields import (
     ControlConnection,
     ParameterPolynomial,
     TorusFourierField,
-    connection_as_observable,
     poisson_bracket,
 )
 from .lattice import (
@@ -119,7 +118,6 @@ __all__ = [
     "classical_action_transport",
     "classical_mode_transport",
     "concatenate",
-    "connection_as_observable",
     "delta_generator",
     "dirac_residual",
     "dynamic_propagator",

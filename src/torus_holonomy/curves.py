@@ -18,7 +18,12 @@ import numpy as np
 from .errors import DimensionMismatchError
 from .fields import ParameterPolynomial
 
+# Closure and joint gaps are compared relative to the curve's scale (at
+# least 1): rounding in a point grows with the coordinates it is built from,
+# so a one-turn circle of radius R closes only to about R * 1e-16.
 CLOSED_TOL = 1e-12
+JOIN_TOL = 1e-9
+_SCALE_SAMPLES = 9
 
 
 class ParameterCurve(abc.ABC):
@@ -35,9 +40,15 @@ class ParameterCurve(abc.ABC):
     def velocity(self, t: float) -> np.ndarray: ...
 
     @property
+    def scale(self) -> float:
+        """Largest norm of the curve's points, sampled on a uniform grid; at least 1."""
+        times = np.linspace(0.0, self.duration, _SCALE_SAMPLES)
+        return max(1.0, max(float(np.linalg.norm(self.point(float(t)))) for t in times))
+
+    @property
     def is_closed(self) -> bool:
         gap = np.linalg.norm(self.point(0.0) - self.point(self.duration))
-        return bool(gap <= CLOSED_TOL)
+        return bool(gap <= CLOSED_TOL * self.scale)
 
     def reverse(self) -> "ParameterCurve":
         return ReversedCurve(self)
@@ -193,7 +204,7 @@ class ChainedCurve(ParameterCurve):
         if self.first.dimension != self.second.dimension:
             raise DimensionMismatchError("cannot chain curves of different dimensions")
         gap = np.linalg.norm(self.first.point(self.first.duration) - self.second.point(0.0))
-        if gap > 1e-9:
+        if gap > JOIN_TOL * max(self.first.scale, self.second.scale):
             raise ValueError(f"curves do not connect (gap {gap:.3e})")
         t1 = self.first.duration
         object.__setattr__(self, "dimension", self.first.dimension)

@@ -487,13 +487,6 @@ class ControlConnection:
         return ControlConnection(len(axes), self.parameter_dim, comps)
 
 
-def connection_as_observable(
-    connection: ControlConnection, sigma: Sequence[float], velocity: Sequence[float]
-) -> AffineObservable:
-    """Module-level alias for :meth:`ControlConnection.as_observable`."""
-    return connection.as_observable(sigma, velocity)
-
-
 @dataclass(frozen=True)
 class ActionPolynomial:
     """Real polynomial in the m action variables, exponent tuple -> coefficient.

@@ -15,6 +15,12 @@ the element manifestly Hermitian for real fields, and the formula is locked
 against an independent torus-quadrature oracle in the test suite.  Shifts
 that leave the box are dropped; identities involving shift operators are
 therefore asserted on interior modes only.
+
+A control connection's velocity pairing is linear in the velocity and
+polynomial in sigma, so its quantization is a fixed set of shift matrices
+weighted by ``v_beta sigma^e``.  ``compile_connection`` builds those matrices
+once from the same element formula, for propagators that need the
+generator at many parameter points.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .errors import BandwidthError, DimensionMismatchError, SplitViolationError
-from .fields import ActionPolynomial, AffineObservable, poisson_bracket
+from .fields import ActionPolynomial, AffineObservable, ControlConnection, poisson_bracket
 from .lattice import TorusModel, interior_mask, mode_array
 
 
@@ -94,6 +100,22 @@ def hamiltonian_operator(
     return OperatorMatrix(model, np.diag(hamiltonian_spectrum(model, hamiltonian).astype(complex)))
 
 
+def _shift_scatter(
+    model: TorusModel, shift: Sequence[int]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Where the mode shift ``n -> n + c`` lands inside the box.
+
+    Returns ``(rows, cols, ok)``: ``ok`` masks the modes n whose target
+    n + c stays in the box, and ``rows``/``cols`` are the layout positions
+    of n + c and n for those modes.
+    """
+    N = model.truncation
+    target = mode_array(model) + np.asarray(shift, dtype=np.int64)
+    ok = np.all(np.abs(target) <= N, axis=1)
+    rows = np.ravel_multi_index((target[ok] + N).T, (model.axis_size,) * model.m)
+    return rows, np.flatnonzero(ok), ok
+
+
 def quantize_affine(model: TorusModel, observable: AffineObservable) -> OperatorMatrix:
     """Matrix of the quantized affine observable via the element formula above."""
     if observable.m != model.m:
@@ -105,15 +127,12 @@ def quantize_affine(model: TorusModel, observable: AffineObservable) -> Operator
     modes = mode_array(model)
     offsets = np.asarray(model.offsets)
     size = model.size
-    shape = (model.axis_size,) * model.m
     matrix = np.zeros((size, size), dtype=complex)
     shifts: set[tuple[int, ...]] = set(observable.scalar.coefficients)
     for fld in observable.action_coeffs:
         shifts.update(fld.coefficients)
     for c in sorted(shifts):
-        carr = np.asarray(c)
-        target = modes + carr
-        ok = np.all(np.abs(target) <= N, axis=1)
+        rows, cols, ok = _shift_scatter(model, c)
         if not ok.any():
             continue
         values = np.zeros(size, dtype=complex)
@@ -124,10 +143,102 @@ def quantize_affine(model: TorusModel, observable: AffineObservable) -> Operator
         B = observable.scalar.coefficients.get(c)
         if B:
             values += B
-        rows = np.ravel_multi_index((target[ok] + N).T, shape)
-        cols = np.ravel_multi_index((modes[ok] + N).T, shape)
         matrix[rows, cols] += values[ok]
     return OperatorMatrix(model, matrix, bandwidth=C)
+
+
+@dataclass(frozen=True)
+class CompiledConnection:
+    """Quantized velocity pairing of a connection as fixed shift-basis terms.
+
+    There is one term K per (axis k, Fourier shift c) of the connection.
+    Its basis matrix holds ``n_k + c_k/2 - offset_k`` at ``(n + c, n)``, and
+    its weight at a parameter point is
+
+        w_K(sigma, v) = sum_{beta, e} table[K, beta, e] v_beta sigma^e,
+
+    with ``sigma^e`` the monomial of ``exponents[e]``.  The generator is
+    ``sum_K w_K basis_K``.  Only in-box entries are stored: ``support``
+    holds their flat positions in the (size, size) matrix and
+    ``basis[K]`` their values.  Different shifts never share a position.
+    """
+
+    size: int
+    support: np.ndarray  # (P,) flat matrix positions
+    basis: np.ndarray  # (K, P) element values
+    table: np.ndarray  # (K, d, E) sigma-polynomial coefficients
+    exponents: np.ndarray  # (E, d) monomial exponents
+
+    def weights(self, sigmas: np.ndarray, velocities: np.ndarray) -> np.ndarray:
+        """Term weights at S parameter points, shape (S, K).
+
+        ``sigmas`` and ``velocities`` are (S, d) arrays of points and
+        velocities.
+        """
+        sigmas = np.asarray(sigmas, dtype=float)
+        velocities = np.asarray(velocities, dtype=float)
+        monomials = np.prod(sigmas[:, None, :] ** self.exponents[None, :, :], axis=2)
+        return np.einsum("kbe,sb,se->sk", self.table, velocities, monomials)
+
+    def generator(self, weights: np.ndarray) -> np.ndarray:
+        """Dense generator for one row of term weights."""
+        flat = np.zeros(self.size * self.size, dtype=complex)
+        flat[self.support] = weights @ self.basis
+        return flat.reshape(self.size, self.size)
+
+
+def compile_connection(model: TorusModel, connection: ControlConnection) -> CompiledConnection:
+    """Compile the quantized velocity pairing of ``connection`` on ``model``.
+
+    At any (sigma, v) the compiled generator equals
+    ``quantize_affine(model, connection.as_observable(sigma, v))`` up to
+    rounding.  The connection must live on the model's own torus, as a
+    restricted connection on the controlled submodel does.
+    """
+    if connection.m != model.m:
+        raise DimensionMismatchError("connection dimension differs from model")
+    N = model.truncation
+    if connection.bandwidth > N:
+        raise BandwidthError(f"connection bandwidth {connection.bandwidth} exceeds truncation {N}")
+    modes = mode_array(model)
+    offsets = np.asarray(model.offsets)
+    axes_by_shift: dict[tuple[int, ...], set[int]] = {}
+    exponents: set[tuple[int, ...]] = set()
+    for (axis, _), fourier in connection.components.items():
+        for c, poly in fourier.items():
+            axes_by_shift.setdefault(c, set()).add(axis)
+            exponents.update(poly.coefficients)
+
+    terms: list[tuple[int, tuple[int, ...]]] = []
+    values: list[tuple[int, np.ndarray]] = []
+    support: list[np.ndarray] = []
+    width = 0
+    for c in sorted(axes_by_shift):
+        rows, cols, ok = _shift_scatter(model, c)
+        support.append(rows * model.size + cols)
+        for axis in sorted(axes_by_shift[c]):
+            terms.append((axis, c))
+            values.append((width, modes[ok, axis] + 0.5 * c[axis] - offsets[axis]))
+        width += rows.size
+    basis = np.zeros((len(terms), width))
+    for K, (start, vals) in enumerate(values):
+        basis[K, start : start + vals.size] = vals
+
+    term_index = {term: K for K, term in enumerate(terms)}
+    exponent_list = sorted(exponents)
+    exponent_index = {e: i for i, e in enumerate(exponent_list)}
+    table = np.zeros((len(terms), connection.parameter_dim, len(exponent_list)), dtype=complex)
+    for (axis, beta), fourier in connection.components.items():
+        for c, poly in fourier.items():
+            for e, coef in poly.coefficients.items():
+                table[term_index[(axis, c)], beta, exponent_index[e]] = coef
+    return CompiledConnection(
+        model.size,
+        np.concatenate(support) if support else np.zeros(0, dtype=np.intp),
+        basis,
+        table,
+        np.array(exponent_list, dtype=np.int64).reshape(len(exponent_list), connection.parameter_dim),
+    )
 
 
 def multiplication_operator(model: TorusModel, shift: Iterable[int]) -> OperatorMatrix:
@@ -138,15 +249,9 @@ def multiplication_operator(model: TorusModel, shift: Iterable[int]) -> Operator
     N = model.truncation
     if any(abs(x) > 2 * N for x in c):
         raise ValueError(f"shift {c} exceeds 2N={2 * N}; the truncated matrix would vanish")
-    modes = mode_array(model)
-    target = modes + np.asarray(c)
-    ok = np.all(np.abs(target) <= N, axis=1)
-    shape = (model.axis_size,) * model.m
+    rows, cols, _ = _shift_scatter(model, c)
     matrix = np.zeros((model.size, model.size), dtype=complex)
-    if ok.any():
-        rows = np.ravel_multi_index((target[ok] + N).T, shape)
-        cols = np.ravel_multi_index((modes[ok] + N).T, shape)
-        matrix[rows, cols] = 1.0
+    matrix[rows, cols] = 1.0
     return OperatorMatrix(model, matrix, bandwidth=max((abs(x) for x in c), default=0))
 
 
@@ -213,15 +318,9 @@ def lambda_shift_equivalence(
     base = hamiltonian_spectrum(model, hamiltonian)
     moved = hamiltonian_spectrum(shifted_model, hamiltonian)
     if np.all(shift == np.round(shift)):
-        z = shift.astype(int)
-        modes = mode_array(model)
-        target = modes + z
-        ok = np.all(np.abs(target) <= model.truncation, axis=1)
+        rows, cols, ok = _shift_scatter(model, shift.astype(int))
         if not ok.any():
             return SpectralComparison(0.0, 0, "reindex-empty-overlap")
-        shape = (model.axis_size,) * model.m
-        rows = np.ravel_multi_index((target[ok] + model.truncation).T, shape)
-        cols = np.flatnonzero(ok)
         dev = float(np.max(np.abs(base[cols] - moved[rows])))
         return SpectralComparison(dev, int(ok.sum()), "reindex")
     dev = float(np.max(np.abs(np.sort(base) - np.sort(moved))))

@@ -14,6 +14,17 @@ full lattice by a tensor identity when asked for.  That makes commutation
 with the dynamic Hamiltonian and preservation of its eigenspace blocks
 exact by construction.  Unitarity defects are measured and reported, never
 repaired.
+
+The ordered product compiles the connection once per call into one
+shift-basis matrix per (axis, Fourier shift) and a table of
+sigma-polynomial coefficients (``operators.compile_connection``).  The
+weights of all midpoints are evaluated as one small array, and each step's
+generator is the contraction of its weight row with the basis, followed by
+one ``expm`` and one matrix product.  Generators are built one step at a
+time, so memory does not grow with the step count.
+``delta_generator`` and the reference route of ``evolve_full`` stay on the
+independent ``quantize_affine(as_observable(...))`` assembly, so the
+reported route deviation also cross-checks the compiled kernel.
 """
 
 from __future__ import annotations
@@ -29,7 +40,12 @@ from .errors import DimensionMismatchError, OpenCurveError, SplitViolationError
 from .fields import ActionPolynomial, ControlConnection
 from .classical import require_split
 from .lattice import TorusModel, WaveFunction, sublattice_index
-from .operators import OperatorMatrix, hamiltonian_spectrum, quantize_affine
+from .operators import (
+    OperatorMatrix,
+    compile_connection,
+    hamiltonian_spectrum,
+    quantize_affine,
+)
 
 
 @dataclass(frozen=True)
@@ -106,15 +122,15 @@ def _control_block_product(
     if curve.dimension != connection.parameter_dim:
         raise DimensionMismatchError("curve dimension differs from connection parameter dimension")
     sub_model = controlled_submodel(model)
-    sub_conn = connection.restricted(model.controlled)
+    compiled = compile_connection(sub_model, connection.restricted(model.controlled))
     times = step_intervals(curve, steps)
+    mids = 0.5 * (times[:-1] + times[1:])
+    weights = compiled.weights(
+        [curve.point(t) for t in mids], [curve.velocity(t) for t in mids]
+    )
     U = np.eye(sub_model.size, dtype=complex)
-    for t0, t1 in zip(times[:-1], times[1:]):
-        dt = float(t1 - t0)
-        tm = 0.5 * float(t0 + t1)
-        obs = sub_conn.as_observable(curve.point(tm), curve.velocity(tm))
-        gen = quantize_affine(sub_model, obs).matrix
-        U = expm(-1j * dt * gen) @ U
+    for dt, w in zip(np.diff(times), weights):
+        U = expm(-1j * dt * compiled.generator(w)) @ U
     return U, len(times) - 1, sub_model
 
 

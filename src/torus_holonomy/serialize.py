@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
+import secrets
 from typing import Mapping
 
 import numpy as np
@@ -51,9 +51,15 @@ def trajectory_csv(trajectory: Trajectory) -> str:
 
 
 def atomic_write_text(path: str, text: str) -> None:
+    """Write through a fresh temp file in the target directory, then rename.
+
+    The temp file is created with mode 0666 less the umask, as a plain
+    ``open(path, "w")`` would create it.
+    """
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=os.path.basename(path))
+    tmp = os.path.join(directory, f".tmp-{secrets.token_hex(8)}{os.path.basename(path)}")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as handle:
             handle.write(text)

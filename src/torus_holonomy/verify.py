@@ -9,8 +9,6 @@ The battery is what the CLI ``verify`` subcommand runs.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import product
 from typing import Callable
@@ -163,15 +161,6 @@ class BatteryReport:
             "seed": self.seed,
             "checks": [c.to_dict() for c in self.checks],
         }
-
-
-def _worker_count(n_tasks: int) -> int:
-    raw = os.environ.get("TORUS_HOLONOMY_THREADS", "")
-    try:
-        cap = int(raw) if raw else 1
-    except ValueError:
-        cap = 1
-    return max(1, min(cap, n_tasks))
 
 
 # -- standard test fixtures used by several checks --------------------------
@@ -491,10 +480,5 @@ def run_battery(profile: str = "full", seed: int = DEFAULT_SEED) -> BatteryRepor
             return fn(seed=seed)
         return fn()
 
-    workers = _worker_count(len(selected))
-    if workers == 1:
-        results = [run_one(fn) for _, fn in selected]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run_one, [fn for _, fn in selected]))
+    results = [run_one(fn) for _, fn in selected]
     return BatteryReport(tuple(results), seed)

@@ -319,13 +319,13 @@ def test_operator_payload_roundtrip():
     assert np.allclose(np.diag(entries[..., 0]), [-1.25, -0.25, 0.75])
 
 
-def test_environment_thread_cap_respected(monkeypatch):
-    from torus_holonomy.verify import _worker_count
+def test_atomic_write_uses_umask_mode(tmp_path):
+    from torus_holonomy.serialize import atomic_write_text
 
-    monkeypatch.setenv("TORUS_HOLONOMY_THREADS", "3")
-    assert _worker_count(10) == 3
-    assert _worker_count(2) == 2
-    monkeypatch.setenv("TORUS_HOLONOMY_THREADS", "not-a-number")
-    assert _worker_count(10) == 1
-    monkeypatch.delenv("TORUS_HOLONOMY_THREADS")
-    assert _worker_count(10) == 1
+    previous = os.umask(0o027)
+    try:
+        atomic_write_text(str(tmp_path / "a.txt"), "x\n")
+    finally:
+        os.umask(previous)
+    assert (tmp_path / "a.txt").stat().st_mode & 0o777 == 0o640
+    assert [p.name for p in tmp_path.iterdir()] == ["a.txt"]

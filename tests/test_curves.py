@@ -35,6 +35,36 @@ def test_constant_loop():
     assert np.allclose(still.velocity(0.5), 0.0)
 
 
+@pytest.mark.parametrize("radius", [1e4, 1e6])
+def test_large_circle_closed(radius):
+    loop = CirclePath.circle((0.0, 0.0), radius, 1.0)
+    assert loop.is_closed
+    shifted = CirclePath.circle((radius, 0.0), radius, 1.0, turns=3, phase=np.pi)
+    assert shifted.is_closed
+    # a gap that is small in absolute terms but large against the scale stays open
+    almost = CirclePath.circle((0.0, 0.0), radius, 1.0, turns=1.0 - 1e-9)
+    assert not almost.is_closed
+
+
+def test_large_circle_holonomy_accepted():
+    from torus_holonomy import ControlConnection, TorusModel, holonomy
+
+    model = TorusModel(1, (0,), (0.25,), 2)
+    conn = ControlConnection(1, 2, {(0, 0): {(0,): ParameterPolynomial(2, {(0, 1): 1e-8})}})
+    rep = holonomy(model, conn, CirclePath.circle((0.0, 0.0), 1e4, 1.0), 50)
+    assert rep.unitarity_defect <= 1e-12
+
+
+def test_chained_curve_at_large_scale():
+    radius = 1e6
+    loop = CirclePath.circle((0.0, 0.0), radius, 1.0, turns=7)
+    back = WaypointPath(((radius, 0.0), (0.0, radius), (radius, 0.0)), 1.0)
+    both = concatenate(loop, back)
+    assert both.is_closed
+    with pytest.raises(ValueError):
+        concatenate(loop, WaypointPath(((radius, 1.0), (0.0, radius)), 1.0))
+
+
 def test_waypoints_basic():
     path = WaypointPath(((0.0, 0.0), (1.0, 0.0), (1.0, 2.0)), 2.0)
     assert path.breakpoints == (1.0,)

@@ -10,7 +10,6 @@ from torus_holonomy import (
     DimensionMismatchError,
     ParameterPolynomial,
     TorusFourierField,
-    connection_as_observable,
     poisson_bracket,
 )
 from torus_holonomy.verify import random_affine, random_real_field
@@ -189,7 +188,7 @@ def _kappa_connection(kappa: float) -> ControlConnection:
 
 def test_connection_zero_velocity():
     conn = _kappa_connection(0.8)
-    obs = connection_as_observable(conn, [0.0], [0.0])
+    obs = conn.as_observable([0.0], [0.0])
     assert obs.is_zero
 
 

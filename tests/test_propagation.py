@@ -11,7 +11,6 @@ from torus_holonomy import (
     TorusFourierField,
     TorusModel,
     WaveFunction,
-    connection_as_observable,
     delta_generator,
     evolve_control,
     evolve_dynamic,
@@ -22,8 +21,10 @@ from torus_holonomy import (
     quantize_affine,
     restrict_to_eigenspace,
 )
-from torus_holonomy import propagation
-from torus_holonomy.operators import commutator, hamiltonian_operator
+from scipy.linalg import expm
+
+from torus_holonomy import BandwidthError, propagation, step_intervals
+from torus_holonomy.operators import commutator, compile_connection, hamiltonian_operator
 from torus_holonomy.verify import (
     _abelian_connection,
     _demo_hamiltonian,
@@ -82,7 +83,7 @@ def test_delta_equals_quantized_pairing():
     conn = _nonabelian_connection(m=2)
     sigma, velocity = [0.3, -0.2], [1.1, 0.4]
     direct = delta_generator(model, conn, sigma, velocity).matrix
-    via_obs = quantize_affine(model, connection_as_observable(conn, sigma, velocity)).matrix
+    via_obs = quantize_affine(model, conn.as_observable(sigma, velocity)).matrix
     assert np.array_equal(direct, via_obs)
     assert np.max(np.abs(direct - direct.conj().T)) == 0.0
 
@@ -94,6 +95,114 @@ def test_delta_requires_split():
     )
     with pytest.raises(SplitViolationError):
         delta_generator(model, bad, [0.0], [1.0])
+
+
+# --- compiled connection -----------------------------------------------------
+
+
+def _random_split_connection(rng, model: TorusModel, d: int, bandwidth: int) -> ControlConnection:
+    """Seeded connection on the controlled axes: shifts up to ``bandwidth``, degree <= 2."""
+    controlled = model.controlled
+    half = {}
+    for axis in controlled:
+        for beta in range(d):
+            if rng.random() < 0.3:
+                continue  # leave some (axis, beta) components empty
+            fourier = {}
+            for _ in range(rng.integers(1, 4)):
+                shift = [0] * model.m
+                for a in controlled:
+                    shift[a] = int(rng.integers(-bandwidth, bandwidth + 1))
+                shift = tuple(shift)
+                if shift in fourier or tuple(-x for x in shift) in fourier:
+                    continue
+                zero = not any(shift)
+                poly = {}
+                for _ in range(rng.integers(1, 4)):
+                    exps = [0] * d
+                    for _ in range(rng.integers(0, 3)):
+                        exps[int(rng.integers(d))] += 1
+                    re, im = rng.uniform(-0.5, 0.5, size=2)
+                    poly[tuple(exps)] = re if zero else complex(re, im)
+                fourier[shift] = ParameterPolynomial(d, poly)
+            half[(axis, beta)] = fourier
+    return ControlConnection.from_half_spectrum(model.m, d, half)
+
+
+def _random_split_model(rng) -> TorusModel:
+    m = int(rng.integers(1, 4))
+    size = int(rng.integers(1, m + 1))
+    controlled = tuple(sorted(int(a) for a in rng.choice(m, size=size, replace=False)))
+    offsets = tuple(float(x) for x in rng.uniform(-1.0, 1.0, size=m))
+    return TorusModel(m, controlled, offsets, int(rng.integers(2, 4)) if m < 3 else 2)
+
+
+def test_compiled_generator_matches_quantized_pairing():
+    rng = np.random.default_rng(20260)
+    for _ in range(60):
+        model = _random_split_model(rng)
+        d = int(rng.integers(1, 4))
+        conn = _random_split_connection(rng, model, d, int(rng.integers(0, 3)))
+        sub_model = propagation.controlled_submodel(model)
+        sub_conn = conn.restricted(model.controlled)
+        compiled = compile_connection(sub_model, sub_conn)
+        sigmas = rng.uniform(-1.0, 1.0, size=(4, d))
+        velocities = rng.uniform(-1.0, 1.0, size=(4, d))
+        velocities[1, rng.integers(d)] = 0.0  # one zero-velocity component
+        velocities[2] = 0.0
+        weights = compiled.weights(sigmas, velocities)
+        for sigma, v, w in zip(sigmas, velocities, weights):
+            gen = compiled.generator(w)
+            direct = quantize_affine(sub_model, sub_conn.as_observable(sigma, v)).matrix
+            assert np.max(np.abs(gen - direct)) <= 1e-14
+            full = delta_generator(model, conn, sigma, v).matrix
+            assert np.max(np.abs(propagation._lift_controlled(model, gen) - full)) <= 1e-14
+        assert np.max(np.abs(compiled.generator(weights[2]))) == 0.0
+
+
+def test_compiled_empty_connection():
+    sub_model = TorusModel(2, (0, 1), (0.25, -0.5), 2)
+    compiled = compile_connection(sub_model, ControlConnection.empty(2, 3))
+    weights = compiled.weights(np.ones((5, 3)), np.ones((5, 3)))
+    assert weights.shape == (5, 0)
+    assert np.array_equal(compiled.generator(weights[0]), np.zeros((25, 25)))
+
+
+def test_compiled_rejects_bandwidth_over_truncation():
+    model = TorusModel(1, (0,), (0.0,), 1)
+    wide = ControlConnection.from_half_spectrum(
+        1, 2, {(0, 1): {(2,): ParameterPolynomial(2, {(0, 1): 0.5})}}
+    )
+    with pytest.raises(BandwidthError):
+        compile_connection(model, wide)
+    with pytest.raises(BandwidthError):
+        holonomy(model, wide, _unit_circle(), 10)
+
+
+def _per_step_block_product(model, conn, curve, steps):
+    """Midpoint ordered product assembled per step through quantize_affine."""
+    sub_model = propagation.controlled_submodel(model)
+    sub_conn = conn.restricted(model.controlled)
+    times = step_intervals(curve, steps)
+    u = np.eye(sub_model.size, dtype=complex)
+    for t0, t1 in zip(times[:-1], times[1:]):
+        tm = 0.5 * float(t0 + t1)
+        obs = sub_conn.as_observable(curve.point(tm), curve.velocity(tm))
+        u = expm(-1j * float(t1 - t0) * quantize_affine(sub_model, obs).matrix) @ u
+    return u
+
+
+def test_holonomy_matches_per_step_assembly():
+    rng = np.random.default_rng(7)
+    cases = [(_demo_model(4), _nonabelian_connection(m=2))]
+    for _ in range(4):
+        model = _random_split_model(rng)
+        cases.append((model, _random_split_connection(rng, model, 2, 2)))
+    loop = CirclePath.circle((0.1, -0.2), 0.8, 1.0)
+    for model, conn in cases:
+        compiled = holonomy(model, conn, loop, 200).operator.matrix
+        reference = _per_step_block_product(model, conn, loop, 200)
+        assert np.max(np.abs(compiled - reference)) <= 1e-13
 
 
 # --- dynamic evolution ----------------------------------------------------------

@@ -38,12 +38,6 @@ def test_battery_rejects_unknown_profile():
         run_battery("exhaustive")
 
 
-def test_battery_thread_pool_path(monkeypatch):
-    monkeypatch.setenv("TORUS_HOLONOMY_THREADS", "2")
-    report = run_battery("quick", seed=5)
-    assert report.passed
-
-
 def test_fault_injection_corrupted_offset_is_flagged():
     # a representation whose offset drifted by a non-integer amount is not
     # gauge-equivalent; the spectral comparison must say so loudly.
