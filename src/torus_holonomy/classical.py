@@ -13,6 +13,10 @@ block decouples; its angle equation is equivalent to a countable linear
 system for the mode values exp(i n . phi), solved here both directly and as
 an ordered product of midpoint exponentials so the two routes can be
 cross-checked.
+
+All of these read the connection through ``operators.compile_connection``,
+the coefficient table the quantum propagator uses; the frozen component
+fields (``ControlConnection.field``) stay independent as the tests' reference.
 """
 
 from __future__ import annotations
@@ -25,7 +29,8 @@ from scipy.linalg import expm
 from .curves import ParameterCurve, step_intervals
 from .errors import DimensionMismatchError, SplitViolationError
 from .fields import ActionPolynomial, ControlConnection
-from .lattice import ClassicalState, TorusModel, _mode_array
+from .lattice import ClassicalState, TorusModel, controlled_submodel, mode_array
+from .operators import CompiledConnection, ShiftBasis, compile_connection, shift_basis
 
 
 @dataclass(frozen=True)
@@ -69,23 +74,14 @@ def evolve_free(hamiltonian: ActionPolynomial, state: ClassicalState, t: float) 
     return ClassicalState(state.actions, state.angles + t * omega)
 
 
-def _perturbed_rhs(hamiltonian, connection, curve):
+def _perturbed_rhs(hamiltonian: ActionPolynomial, compiled: CompiledConnection, curve):
     m = hamiltonian.m
 
     def rhs(t: float, y: np.ndarray) -> np.ndarray:
         actions, angles = y[:m], y[m:]
-        sigma = curve.point(t)
-        vel = curve.velocity(t)
-        dI = np.zeros(m)
-        dphi = hamiltonian.gradient(actions)
-        for (axis, beta), _ in sorted(connection.components.items()):
-            v = vel[beta]
-            if v == 0.0:
-                continue
-            fld = connection.field(axis, beta, sigma)
-            dphi[axis] += fld.evaluate_real(angles) * v
-            for k in fld.angle_axes():
-                dI[k] -= fld.derivative(k).evaluate_real(angles) * actions[axis] * v
+        w = compiled.weights([curve.point(t)], [curve.velocity(t)])[0]
+        dI = -compiled.coupling(w, angles) @ actions
+        dphi = hamiltonian.gradient(actions) + compiled.drift(w, angles)
         return np.concatenate([dI, dphi])
 
     return rhs
@@ -116,9 +112,7 @@ def evolve_perturbed(
     m = hamiltonian.m
     if state0.m != m or connection.m != m:
         raise DimensionMismatchError("dimension mismatch between Hamiltonian, connection, state")
-    if curve.dimension != connection.parameter_dim:
-        raise DimensionMismatchError("curve dimension differs from connection parameter dimension")
-    rhs = _perturbed_rhs(hamiltonian, connection, curve)
+    rhs = _perturbed_rhs(hamiltonian, compile_connection(connection), curve)
     times = step_intervals(curve, steps)
     ys = np.empty((len(times), 2 * m))
     ys[0] = np.concatenate([state0.actions, state0.angles])
@@ -188,38 +182,36 @@ class ModeTransport:
         return self.phi_history[-1]
 
 
-def _controlled_setup(model: TorusModel, connection: ControlConnection) -> ControlConnection:
+def _compile_controlled(model: TorusModel, connection: ControlConnection) -> CompiledConnection:
     require_split(model, None, connection)
-    return connection.restricted(model.controlled)
+    return compile_connection(connection.restricted(model.controlled))
 
 
-def _angle_rhs(sub: ControlConnection, curve: ParameterCurve):
-    def rhs(t: float, phi: np.ndarray) -> np.ndarray:
-        sigma = curve.point(t)
-        vel = curve.velocity(t)
-        dphi = np.zeros(sub.m)
-        for (axis, beta), _ in sorted(sub.components.items()):
-            v = vel[beta]
-            if v == 0.0:
-                continue
-            dphi[axis] += sub.field(axis, beta, sigma).evaluate_real(phi) * v
-        return dphi
+def _half_step_angles(compiled: CompiledConnection, curve, phi0: np.ndarray, steps: int):
+    """RK4 angle history at half-step resolution: 2*steps+1 samples.
 
-    return rhs
-
-
-def _half_step_angles(sub, curve, phi0: np.ndarray, steps: int):
-    """RK4 angle history at half-step resolution: 2*steps+1 samples."""
+    Actions do not feed back into the angles, so zero actions are carried.
+    """
+    l = phi0.shape[0]
     times = step_intervals(curve, steps)
     half_times = np.empty(2 * steps + 1)
     half_times[::2] = times
     half_times[1::2] = 0.5 * (times[:-1] + times[1:])
-    rhs = _angle_rhs(sub, curve)
-    phis = np.empty((2 * steps + 1, sub.m))
-    phis[0] = phi0
+    rhs = _perturbed_rhs(ActionPolynomial.zero(l), compiled, curve)
+    ys = np.zeros((2 * steps + 1, 2 * l))
+    ys[0, l:] = phi0
     for i in range(2 * steps):
-        phis[i + 1] = _rk4_step(rhs, float(half_times[i]), float(half_times[i + 1]), phis[i])
-    return times, half_times, phis
+        ys[i + 1] = _rk4_step(rhs, float(half_times[i]), float(half_times[i + 1]), ys[i])
+    return times, half_times, ys[:, l:]
+
+
+def _mode_basis(model: TorusModel, compiled: CompiledConnection) -> ShiftBasis:
+    """d/dt psi_n = i sum_c (n . L_c) psi_{n+c} is driven by ``generator(w).T``.
+
+    Mode n is fed by mode n+c with a weight indexed by the receiving mode;
+    feeds from outside the box are dropped (the documented truncation loss).
+    """
+    return shift_basis(model, compiled, lambda n, k, c: n[:, k])
 
 
 def classical_mode_transport(
@@ -237,46 +229,26 @@ def classical_mode_transport(
     route two propagates the truncated linear mode system with per-step
     exponentials of the midpoint generator.  Both use the same step grid.
     """
-    sub = _controlled_setup(model, connection)
+    compiled = _compile_controlled(model, connection)
+    sub_model = controlled_submodel(model)
     phi0 = np.asarray(phi0, dtype=float)
-    if phi0.shape != (sub.m,):
-        raise DimensionMismatchError(f"expected {sub.m} controlled angles, got {phi0.shape}")
+    if phi0.shape != (sub_model.m,):
+        raise DimensionMismatchError(f"expected {sub_model.m} controlled angles, got {phi0.shape}")
     if guard is None:
         guard = model.truncation // 2
     if not 0 <= guard <= model.truncation:
         raise ValueError("guard must lie in [0, truncation]")
 
-    times, _, phis = _half_step_angles(sub, curve, phi0, steps)
-    modes = _mode_array(sub.m, model.truncation)
+    times, _, phis = _half_step_angles(compiled, curve, phi0, steps)
+    modes = mode_array(sub_model)
     direct = np.exp(1j * (modes @ phis[-1]))
 
-    size = modes.shape[0]
-    shape = (2 * model.truncation + 1,) * sub.m
+    basis = _mode_basis(sub_model, compiled)
+    mids = 0.5 * (times[:-1] + times[1:])
+    weights = compiled.weights([curve.point(t) for t in mids], [curve.velocity(t) for t in mids])
     psi = np.exp(1j * (modes @ phi0))
-    for i in range(steps):
-        t0, t1 = float(times[i]), float(times[i + 1])
-        dt = t1 - t0
-        tm = 0.5 * (t0 + t1)
-        sigma = curve.point(tm)
-        vel = curve.velocity(tm)
-        # d/dt psi_n = i sum_c (n . L_c) psi_{n+c}: mode n is fed by mode n+c
-        # with a weight indexed by the receiving mode; feeds from outside the
-        # box are dropped (the documented truncation loss).
-        gen = np.zeros((size, size), dtype=complex)
-        for (axis, beta), fourier in sorted(sub.components.items()):
-            v = vel[beta]
-            if v == 0.0:
-                continue
-            for c, poly in sorted(fourier.items()):
-                weight = poly.evaluate(sigma) * v
-                source = modes + np.asarray(c)
-                ok = np.all(np.abs(source) <= model.truncation, axis=1)
-                if not ok.any():
-                    continue
-                rows = np.ravel_multi_index((modes[ok] + model.truncation).T, shape)
-                cols = np.ravel_multi_index((source[ok] + model.truncation).T, shape)
-                gen[rows, cols] += weight * modes[ok, axis]
-        psi = expm(1j * dt * gen) @ psi
+    for dt, w in zip(np.diff(times), weights):
+        psi = expm(1j * dt * basis.generator(w).T) @ psi
 
     keep = np.all(np.abs(modes) <= model.truncation - guard, axis=1)
     discrepancy = float(np.max(np.abs(direct[keep] - psi[keep]))) if keep.any() else 0.0
@@ -298,28 +270,17 @@ def classical_action_transport(
     produced by :func:`classical_mode_transport`).  Returns the final
     controlled actions.
     """
-    sub = _controlled_setup(model, connection)
+    compiled = _compile_controlled(model, connection)
+    l = len(model.controlled)
     actions = np.asarray(actions0, dtype=float).copy()
     phi_history = np.asarray(phi_history, dtype=float)
-    if actions.shape != (sub.m,):
-        raise DimensionMismatchError(f"expected {sub.m} controlled actions")
-    if phi_history.shape != (2 * steps + 1, sub.m):
+    if actions.shape != (l,):
+        raise DimensionMismatchError(f"expected {l} controlled actions")
+    if phi_history.shape != (2 * steps + 1, l):
         raise DimensionMismatchError("phi_history must hold 2*steps+1 controlled-angle samples")
     times = step_intervals(curve, steps)
-    for i in range(steps):
-        t0, t1 = float(times[i]), float(times[i + 1])
-        dt = t1 - t0
-        tm = 0.5 * (t0 + t1)
-        phim = phi_history[2 * i + 1]
-        sigma = curve.point(tm)
-        vel = curve.velocity(tm)
-        gen = np.zeros((sub.m, sub.m))
-        for (axis, beta), _ in sorted(sub.components.items()):
-            v = vel[beta]
-            if v == 0.0:
-                continue
-            fld = sub.field(axis, beta, sigma)
-            for a in fld.angle_axes():
-                gen[a, axis] += fld.derivative(a).evaluate_real(phim) * v
-        actions = expm(-dt * gen) @ actions
+    mids = 0.5 * (times[:-1] + times[1:])
+    weights = compiled.weights([curve.point(t) for t in mids], [curve.velocity(t) for t in mids])
+    for dt, w, phim in zip(np.diff(times), weights, phi_history[1::2]):
+        actions = expm(-dt * compiled.coupling(w, phim)) @ actions
     return actions

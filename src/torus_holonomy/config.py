@@ -11,6 +11,7 @@ are taken as real.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -334,10 +335,23 @@ def parse_config(payload: Any) -> ExperimentConfig:
     )
 
 
+def _reject_non_finite(token: str) -> float:
+    raise ConfigError(f"non-finite number {token} in config")
+
+
+def _finite_float(token: str) -> float:
+    value = float(token)
+    if not math.isfinite(value):
+        _reject_non_finite(token)
+    return value
+
+
 def load_config(path: str) -> ExperimentConfig:
     try:
         with open(path) as handle:
-            payload = json.load(handle)
+            payload = json.load(
+                handle, parse_constant=_reject_non_finite, parse_float=_finite_float
+            )
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:

@@ -117,13 +117,6 @@ class TorusFourierField:
             return 0
         return max(max(abs(x) for x in c) for c in self.coefficients)
 
-    def angle_axes(self) -> frozenset[int]:
-        """Axes the field actually depends on."""
-        axes = set()
-        for c in self.coefficients:
-            axes.update(k for k, x in enumerate(c) if x != 0)
-        return frozenset(axes)
-
     @property
     def is_zero(self) -> bool:
         return not self.coefficients

@@ -18,7 +18,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .errors import DimensionMismatchError
+from .errors import DimensionMismatchError, SplitViolationError
 
 TWO_PI = 2.0 * np.pi
 
@@ -69,6 +69,19 @@ class TorusModel:
     @property
     def size(self) -> int:
         return self.axis_size**self.m
+
+
+def controlled_submodel(model: TorusModel) -> TorusModel:
+    """The controlled-axes sub-box as a standalone model (all axes controlled)."""
+    l = len(model.controlled)
+    if l == 0:
+        raise SplitViolationError("model has no controlled axes")
+    return TorusModel(
+        l,
+        tuple(range(l)),
+        tuple(model.offsets[a] for a in model.controlled),
+        model.truncation,
+    )
 
 
 def canonical_offsets(model: TorusModel) -> tuple[float, ...]:

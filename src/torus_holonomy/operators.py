@@ -17,10 +17,11 @@ that leave the box are dropped; identities involving shift operators are
 therefore asserted on interior modes only.
 
 A control connection's velocity pairing is linear in the velocity and
-polynomial in sigma, so its quantization is a fixed set of shift matrices
-weighted by ``v_beta sigma^e``.  ``compile_connection`` builds those matrices
-once from the same element formula, for propagators that need the
-generator at many parameter points.
+polynomial in sigma: one term per (axis, Fourier shift) weighted by
+``v_beta sigma^e``.  ``compile_connection`` builds that coefficient table
+once, and per-step code on both the quantum and the classical side reads
+only it.  ``shift_basis`` places its terms on a mode box through the same
+scatter as ``quantize_affine``, which stays independent as the reference.
 """
 
 from __future__ import annotations
@@ -149,23 +150,19 @@ def quantize_affine(model: TorusModel, observable: AffineObservable) -> Operator
 
 @dataclass(frozen=True)
 class CompiledConnection:
-    """Quantized velocity pairing of a connection as fixed shift-basis terms.
+    """A connection as one term K per (axis k, Fourier shift c).
 
-    There is one term K per (axis k, Fourier shift c) of the connection.
-    Its basis matrix holds ``n_k + c_k/2 - offset_k`` at ``(n + c, n)``, and
-    its weight at a parameter point is
+    Term K has the weight
 
         w_K(sigma, v) = sum_{beta, e} table[K, beta, e] v_beta sigma^e,
 
-    with ``sigma^e`` the monomial of ``exponents[e]``.  The generator is
-    ``sum_K w_K basis_K``.  Only in-box entries are stored: ``support``
-    holds their flat positions in the (size, size) matrix and
-    ``basis[K]`` their values.  Different shifts never share a position.
+    with ``sigma^e`` the monomial of ``exponents[e]``, so that
+    ``L_k(sigma, phi) . v = sum_{K: axes[K] = k} w_K exp(i c_K . phi)``.
+    No model or controlled/dynamic split is assumed.
     """
 
-    size: int
-    support: np.ndarray  # (P,) flat matrix positions
-    basis: np.ndarray  # (K, P) element values
+    axes: np.ndarray  # (K,) torus axis of each term
+    shifts: np.ndarray  # (K, m) Fourier shift of each term
     table: np.ndarray  # (K, d, E) sigma-polynomial coefficients
     exponents: np.ndarray  # (E, d) monomial exponents
 
@@ -177,8 +174,60 @@ class CompiledConnection:
         """
         sigmas = np.asarray(sigmas, dtype=float)
         velocities = np.asarray(velocities, dtype=float)
+        d = self.table.shape[1]
+        if sigmas.ndim != 2 or sigmas.shape[1] != d or velocities.shape != sigmas.shape:
+            raise DimensionMismatchError(
+                f"parameter points {sigmas.shape} and velocities {velocities.shape}, "
+                f"expected (S, {d}) each"
+            )
         monomials = np.prod(sigmas[:, None, :] ** self.exponents[None, :, :], axis=2)
         return np.einsum("kbe,sb,se->sk", self.table, velocities, monomials)
+
+    def _by_axis(self) -> np.ndarray:
+        return self.axes[:, None] == np.arange(self.shifts.shape[1])
+
+    def drift(self, weights: np.ndarray, phi: np.ndarray) -> np.ndarray:
+        """``L_k(sigma, phi) . v`` for every axis k, at one weight row."""
+        waves = weights * np.exp(1j * (self.shifts @ phi))
+        return waves.real @ self._by_axis()
+
+    def coupling(self, weights: np.ndarray, phi: np.ndarray) -> np.ndarray:
+        """``G[a, k] = d_a L_k(sigma, phi) . v`` at one weight row."""
+        waves = 1j * weights * np.exp(1j * (self.shifts @ phi))
+        return (waves[:, None] * self.shifts).real.T @ self._by_axis()
+
+
+def compile_connection(connection: ControlConnection) -> CompiledConnection:
+    """Compile ``connection`` into terms and a coefficient table."""
+    components = connection.components
+    terms = sorted({(c, axis) for (axis, _), fourier in components.items() for c in fourier})
+    exponents = sorted({e for f in components.values() for p in f.values() for e in p.coefficients})
+    d = connection.parameter_dim
+    table = np.zeros((len(terms), d, len(exponents)), dtype=complex)
+    for (axis, beta), fourier in components.items():
+        for c, poly in fourier.items():
+            for e, coef in poly.coefficients.items():
+                table[terms.index((c, axis)), beta, exponents.index(e)] = coef
+    return CompiledConnection(
+        np.array([axis for _, axis in terms], dtype=np.int64),
+        np.array([c for c, _ in terms], dtype=np.int64).reshape(len(terms), connection.m),
+        table,
+        np.array(exponents, dtype=np.int64).reshape(len(exponents), d),
+    )
+
+
+@dataclass(frozen=True)
+class ShiftBasis:
+    """One shift block per compiled term on a mode box, in-box entries only.
+
+    ``support`` holds their flat positions in the (size, size) matrix and
+    ``basis[K]`` the values of term K; terms share positions only if they
+    share a shift.
+    """
+
+    size: int
+    support: np.ndarray  # (P,) flat matrix positions
+    basis: np.ndarray  # (K, P) element values
 
     def generator(self, weights: np.ndarray) -> np.ndarray:
         """Dense generator for one row of term weights."""
@@ -187,58 +236,48 @@ class CompiledConnection:
         return flat.reshape(self.size, self.size)
 
 
-def compile_connection(model: TorusModel, connection: ControlConnection) -> CompiledConnection:
-    """Compile the quantized velocity pairing of ``connection`` on ``model``.
+def shift_basis(
+    model: TorusModel,
+    compiled: CompiledConnection,
+    element: Callable[[np.ndarray, int, np.ndarray], np.ndarray],
+) -> ShiftBasis:
+    """Block K holds ``element(n, axes[K], shifts[K])`` at ``(n + c_K, n)``.
 
-    At any (sigma, v) the compiled generator equals
+    ``n`` lists, as rows, the modes whose target ``n + c_K`` is in the box.
+    """
+    if compiled.shifts.shape[1] != model.m:
+        raise DimensionMismatchError("connection dimension differs from model")
+    modes = mode_array(model)
+    blocks: dict[tuple[int, ...], tuple[int, np.ndarray, np.ndarray]] = {}
+    width = 0
+    for c in compiled.shifts:
+        if tuple(c) not in blocks:
+            rows, cols, ok = _shift_scatter(model, c)
+            blocks[tuple(c)] = (width, rows * model.size + cols, ok)
+            width += rows.size
+    basis = np.zeros((len(compiled.axes), width))
+    for K, (axis, c) in enumerate(zip(compiled.axes, compiled.shifts)):
+        start, positions, ok = blocks[tuple(c)]
+        basis[K, start : start + positions.size] = element(modes[ok], int(axis), c)
+    support = [positions for _, positions, _ in blocks.values()]
+    return ShiftBasis(model.size, np.concatenate(support + [np.zeros(0, np.intp)]), basis)
+
+
+def quantized_basis(model: TorusModel, compiled: CompiledConnection) -> ShiftBasis:
+    """Shift basis of the quantized velocity pairing on ``model``.
+
+    Block K holds ``n_k + c_k/2 - offset_k`` at ``(n + c, n)``, so at any
+    (sigma, v) ``generator(weights)`` equals
     ``quantize_affine(model, connection.as_observable(sigma, v))`` up to
     rounding.  The connection must live on the model's own torus, as a
     restricted connection on the controlled submodel does.
     """
-    if connection.m != model.m:
-        raise DimensionMismatchError("connection dimension differs from model")
     N = model.truncation
-    if connection.bandwidth > N:
-        raise BandwidthError(f"connection bandwidth {connection.bandwidth} exceeds truncation {N}")
-    modes = mode_array(model)
+    bandwidth = int(np.max(np.abs(compiled.shifts), initial=0))
+    if bandwidth > N:
+        raise BandwidthError(f"connection bandwidth {bandwidth} exceeds truncation {N}")
     offsets = np.asarray(model.offsets)
-    axes_by_shift: dict[tuple[int, ...], set[int]] = {}
-    exponents: set[tuple[int, ...]] = set()
-    for (axis, _), fourier in connection.components.items():
-        for c, poly in fourier.items():
-            axes_by_shift.setdefault(c, set()).add(axis)
-            exponents.update(poly.coefficients)
-
-    terms: list[tuple[int, tuple[int, ...]]] = []
-    values: list[tuple[int, np.ndarray]] = []
-    support: list[np.ndarray] = []
-    width = 0
-    for c in sorted(axes_by_shift):
-        rows, cols, ok = _shift_scatter(model, c)
-        support.append(rows * model.size + cols)
-        for axis in sorted(axes_by_shift[c]):
-            terms.append((axis, c))
-            values.append((width, modes[ok, axis] + 0.5 * c[axis] - offsets[axis]))
-        width += rows.size
-    basis = np.zeros((len(terms), width))
-    for K, (start, vals) in enumerate(values):
-        basis[K, start : start + vals.size] = vals
-
-    term_index = {term: K for K, term in enumerate(terms)}
-    exponent_list = sorted(exponents)
-    exponent_index = {e: i for i, e in enumerate(exponent_list)}
-    table = np.zeros((len(terms), connection.parameter_dim, len(exponent_list)), dtype=complex)
-    for (axis, beta), fourier in connection.components.items():
-        for c, poly in fourier.items():
-            for e, coef in poly.coefficients.items():
-                table[term_index[(axis, c)], beta, exponent_index[e]] = coef
-    return CompiledConnection(
-        model.size,
-        np.concatenate(support) if support else np.zeros(0, dtype=np.intp),
-        basis,
-        table,
-        np.array(exponent_list, dtype=np.int64).reshape(len(exponent_list), connection.parameter_dim),
-    )
+    return shift_basis(model, compiled, lambda n, k, c: n[:, k] + 0.5 * c[k] - offsets[k])
 
 
 def multiplication_operator(model: TorusModel, shift: Iterable[int]) -> OperatorMatrix:

@@ -15,13 +15,14 @@ with the dynamic Hamiltonian and preservation of its eigenspace blocks
 exact by construction.  Unitarity defects are measured and reported, never
 repaired.
 
-The ordered product compiles the connection once per call into one
-shift-basis matrix per (axis, Fourier shift) and a table of
-sigma-polynomial coefficients (``operators.compile_connection``).  The
-weights of all midpoints are evaluated as one small array, and each step's
-generator is the contraction of its weight row with the basis, followed by
-one ``expm`` and one matrix product.  Generators are built one step at a
-time, so memory does not grow with the step count.
+The ordered product compiles the connection once per call into a table
+of sigma-polynomial coefficients (``operators.compile_connection``) and
+one shift-basis matrix per (axis, Fourier shift) on the controlled box
+(``operators.quantized_basis``).  The weights of all midpoints are
+evaluated as one small array, and each step's generator is the
+contraction of its weight row with the basis, followed by one ``expm`` and
+one matrix product.  Generators are built one step at a time, so memory
+does not grow with the step count.
 ``delta_generator`` and the reference route of ``evolve_full`` stay on the
 independent ``quantize_affine(as_observable(...))`` assembly, so the
 reported route deviation also cross-checks the compiled kernel.
@@ -36,15 +37,16 @@ import numpy as np
 from scipy.linalg import expm
 
 from .curves import ParameterCurve, reparameterize, step_intervals
-from .errors import DimensionMismatchError, OpenCurveError, SplitViolationError
+from .errors import DimensionMismatchError, OpenCurveError
 from .fields import ActionPolynomial, ControlConnection
 from .classical import require_split
-from .lattice import TorusModel, WaveFunction, sublattice_index
+from .lattice import TorusModel, WaveFunction, controlled_submodel, sublattice_index
 from .operators import (
     OperatorMatrix,
     compile_connection,
     hamiltonian_spectrum,
     quantize_affine,
+    quantized_basis,
 )
 
 
@@ -60,19 +62,6 @@ class PropagatorReport:
 
 def unitarity_defect(matrix: np.ndarray) -> float:
     return float(np.max(np.abs(matrix.conj().T @ matrix - np.eye(matrix.shape[0]))))
-
-
-def controlled_submodel(model: TorusModel) -> TorusModel:
-    """The controlled-axes sub-box as a standalone model (all axes controlled)."""
-    l = len(model.controlled)
-    if l == 0:
-        raise SplitViolationError("model has no controlled axes")
-    return TorusModel(
-        l,
-        tuple(range(l)),
-        tuple(model.offsets[a] for a in model.controlled),
-        model.truncation,
-    )
 
 
 def delta_generator(
@@ -119,10 +108,9 @@ def _control_block_product(
 ) -> tuple[np.ndarray, int, TorusModel]:
     """Ordered product of midpoint-generator exponentials on the controlled box."""
     require_split(model, None, connection)
-    if curve.dimension != connection.parameter_dim:
-        raise DimensionMismatchError("curve dimension differs from connection parameter dimension")
     sub_model = controlled_submodel(model)
-    compiled = compile_connection(sub_model, connection.restricted(model.controlled))
+    compiled = compile_connection(connection.restricted(model.controlled))
+    basis = quantized_basis(sub_model, compiled)
     times = step_intervals(curve, steps)
     mids = 0.5 * (times[:-1] + times[1:])
     weights = compiled.weights(
@@ -130,7 +118,7 @@ def _control_block_product(
     )
     U = np.eye(sub_model.size, dtype=complex)
     for dt, w in zip(np.diff(times), weights):
-        U = expm(-1j * dt * compiled.generator(w)) @ U
+        U = expm(-1j * dt * basis.generator(w)) @ U
     return U, len(times) - 1, sub_model
 
 

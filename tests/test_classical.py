@@ -6,12 +6,14 @@ from torus_holonomy import (
     CirclePath,
     ClassicalState,
     ControlConnection,
+    DimensionMismatchError,
     ParameterPolynomial,
     SplitViolationError,
     TorusModel,
     WaypointPath,
     classical_action_transport,
     classical_mode_transport,
+    evolve_control,
     evolve_free,
     evolve_perturbed,
     reparameterize,
@@ -211,6 +213,42 @@ def test_mode_transport_requires_split():
     )
     with pytest.raises(SplitViolationError):
         classical_mode_transport(model, bad, WaypointPath(((0.0,), (1.0,)), 1.0), [0.0, 0.0][:1], 10)
+
+
+def test_mode_transport_accepts_bandwidth_over_truncation():
+    # shifts wider than the box only feed from outside it: truncation loss, no error
+    model = TorusModel(1, (0,), (0.0,), 1)
+    wide = ControlConnection.from_half_spectrum(
+        1, 1, {(0, 0): {(2,): ParameterPolynomial(1, {(0,): 0.5})}}
+    )
+    result = classical_mode_transport(model, wide, WaypointPath(((0.0,), (1.0,)), 1.0), [0.3], 20)
+    assert np.all(np.isfinite(result.ordered))
+
+
+@pytest.mark.parametrize(
+    "points", [((0.0,), (1.0,)), ((0.0, 0.0, 0.0), (1.0, 0.5, -0.5))], ids=["short", "long"]
+)
+def test_curve_dimension_mismatch_rejected(points):
+    model = TorusModel(2, (0,), (0.0, 0.0), 2)
+    conn = ControlConnection.from_half_spectrum(
+        2,
+        2,
+        {
+            (0, 0): {(1, 0): ParameterPolynomial(2, {(0, 1): 0.2})},
+            (0, 1): {(0, 0): ParameterPolynomial(2, {(0, 0): 0.3})},
+        },
+    )
+    curve = WaypointPath(points, 1.0)
+    steps = 4
+    with pytest.raises(DimensionMismatchError):
+        state0 = ClassicalState([1.0, 1.0], [0.0, 0.0])
+        evolve_perturbed(ActionPolynomial.zero(2), conn, curve, state0, steps)
+    with pytest.raises(DimensionMismatchError):
+        evolve_control(model, conn, curve, steps)
+    with pytest.raises(DimensionMismatchError):
+        classical_mode_transport(model, conn, curve, [0.0], steps)
+    with pytest.raises(DimensionMismatchError):
+        classical_action_transport(model, conn, curve, [1.0], np.zeros((2 * steps + 1, 1)), steps)
 
 
 # --- action transport ---------------------------------------------------------

@@ -233,6 +233,24 @@ def test_cli_malformed_config_exit2_no_partial(tmp_path):
     assert not out.exists() or not list(out.iterdir())
 
 
+@pytest.mark.parametrize(
+    "field, token",
+    [("offset", "NaN"), ("radius", "Infinity"), ("radius", "-Infinity"), ("offset", "1e999")],
+)
+def test_cli_non_finite_number_exit2_no_output(tmp_path, capsys, field, token):
+    payload = _holonomy_config()
+    if field == "offset":
+        payload["model"]["offsets"][0] = "@"
+    else:
+        payload["curve"]["radius"] = "@"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(payload).replace('"@"', token))
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg), "--out", str(out), "--quiet", "holonomy"]) == 2
+    assert token in capsys.readouterr().err
+    assert not out.exists() or not list(out.iterdir())
+
+
 def test_cli_schema_violation_exit2(tmp_path):
     payload = _spectrum_config()
     payload["model"]["truncation"] = 0

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -24,7 +26,14 @@ from torus_holonomy import (
 from scipy.linalg import expm
 
 from torus_holonomy import BandwidthError, propagation, step_intervals
-from torus_holonomy.operators import commutator, compile_connection, hamiltonian_operator
+from torus_holonomy.classical import _mode_basis
+from torus_holonomy.lattice import mode_array
+from torus_holonomy.operators import (
+    commutator,
+    compile_connection,
+    hamiltonian_operator,
+    quantized_basis,
+)
 from torus_holonomy.verify import (
     _abelian_connection,
     _demo_hamiltonian,
@@ -137,35 +146,84 @@ def _random_split_model(rng) -> TorusModel:
     return TorusModel(m, controlled, offsets, int(rng.integers(2, 4)) if m < 3 else 2)
 
 
+def _scatter_loop_mode_generator(model, conn, sigma, v):
+    """Mode-system generator scattered entry by entry: feeds of n from n + c."""
+    modes = mode_array(model)
+    N = model.truncation
+    shape = (model.axis_size,) * model.m
+    gen = np.zeros((model.size, model.size), dtype=complex)
+    for (axis, beta), fourier in sorted(conn.components.items()):
+        if v[beta] == 0.0:
+            continue
+        for c, poly in sorted(fourier.items()):
+            source = modes + np.asarray(c)
+            ok = np.all(np.abs(source) <= N, axis=1)
+            rows = np.ravel_multi_index((modes[ok] + N).T, shape)
+            cols = np.ravel_multi_index((source[ok] + N).T, shape)
+            gen[rows, cols] += poly.evaluate(sigma) * v[beta] * modes[ok, axis]
+    return gen
+
+
+def _field_drift_and_coupling(conn, sigma, v, phi):
+    """``L_k . v`` and ``G[a, k] = d_a L_k . v`` from the frozen component fields."""
+    drift = np.zeros(conn.m)
+    coupling = np.zeros((conn.m, conn.m))
+    for (axis, beta) in conn.components:
+        fld = conn.field(axis, beta, sigma)
+        drift[axis] += fld.evaluate_real(phi) * v[beta]
+        for a in range(conn.m):
+            coupling[a, axis] += fld.derivative(a).evaluate_real(phi) * v[beta]
+    return drift, coupling
+
+
 def test_compiled_generator_matches_quantized_pairing():
     rng = np.random.default_rng(20260)
-    for _ in range(60):
+    extra = np.random.default_rng(20261)  # draws for the classical side only
+    for case in range(61):
         model = _random_split_model(rng)
         d = int(rng.integers(1, 4))
-        conn = _random_split_connection(rng, model, d, int(rng.integers(0, 3)))
+        bandwidth = int(rng.integers(0, 3))
+        conn = _random_split_connection(rng, model, d, bandwidth)
+        # a connection on every axis breaks the split whenever the model has a dynamic axis
+        everywhere = replace(model, controlled=range(model.m))
+        broken = _random_split_connection(extra, everywhere, d, bandwidth)
+        if case == 60:
+            conn = broken = ControlConnection.empty(model.m, d)
         sub_model = propagation.controlled_submodel(model)
         sub_conn = conn.restricted(model.controlled)
-        compiled = compile_connection(sub_model, sub_conn)
+        compiled = compile_connection(sub_conn)
+        basis = quantized_basis(sub_model, compiled)
+        modes = _mode_basis(sub_model, compiled)
         sigmas = rng.uniform(-1.0, 1.0, size=(4, d))
         velocities = rng.uniform(-1.0, 1.0, size=(4, d))
         velocities[1, rng.integers(d)] = 0.0  # one zero-velocity component
         velocities[2] = 0.0
         weights = compiled.weights(sigmas, velocities)
         for sigma, v, w in zip(sigmas, velocities, weights):
-            gen = compiled.generator(w)
+            gen = basis.generator(w)
             direct = quantize_affine(sub_model, sub_conn.as_observable(sigma, v)).matrix
             assert np.max(np.abs(gen - direct)) <= 1e-14
             full = delta_generator(model, conn, sigma, v).matrix
             assert np.max(np.abs(propagation._lift_controlled(model, gen) - full)) <= 1e-14
-        assert np.max(np.abs(compiled.generator(weights[2]))) == 0.0
+            looped = _scatter_loop_mode_generator(sub_model, sub_conn, sigma, v)
+            assert np.max(np.abs(modes.generator(w).T - looped)) <= 1e-14
+            for whole in (conn, broken):
+                phi = extra.uniform(-np.pi, np.pi, size=model.m)
+                on_torus = compile_connection(whole)
+                w_torus = on_torus.weights([sigma], [v])[0]
+                drift, coupling = _field_drift_and_coupling(whole, sigma, v, phi)
+                assert np.max(np.abs(on_torus.drift(w_torus, phi) - drift)) <= 1e-14
+                assert np.max(np.abs(on_torus.coupling(w_torus, phi) - coupling)) <= 1e-14
+        assert np.max(np.abs(basis.generator(weights[2]))) == 0.0
 
 
 def test_compiled_empty_connection():
     sub_model = TorusModel(2, (0, 1), (0.25, -0.5), 2)
-    compiled = compile_connection(sub_model, ControlConnection.empty(2, 3))
+    compiled = compile_connection(ControlConnection.empty(2, 3))
     weights = compiled.weights(np.ones((5, 3)), np.ones((5, 3)))
     assert weights.shape == (5, 0)
-    assert np.array_equal(compiled.generator(weights[0]), np.zeros((25, 25)))
+    generator = quantized_basis(sub_model, compiled).generator(weights[0])
+    assert np.array_equal(generator, np.zeros((25, 25)))
 
 
 def test_compiled_rejects_bandwidth_over_truncation():
@@ -174,7 +232,7 @@ def test_compiled_rejects_bandwidth_over_truncation():
         1, 2, {(0, 1): {(2,): ParameterPolynomial(2, {(0, 1): 0.5})}}
     )
     with pytest.raises(BandwidthError):
-        compile_connection(model, wide)
+        quantized_basis(model, compile_connection(wide))
     with pytest.raises(BandwidthError):
         holonomy(model, wide, _unit_circle(), 10)
 
