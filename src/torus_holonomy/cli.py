@@ -21,7 +21,7 @@ from .errors import (
     TorusHolonomyError,
 )
 from . import harness
-from .serialize import atomic_write_json, atomic_write_text
+from .serialize import atomic_write_json, atomic_write_text, json_text
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -64,6 +64,10 @@ def _say(args, message: str) -> None:
         print(message)
 
 
+def _measured(value) -> str:
+    return "non-finite" if value is None else f"{value:.3e}"
+
+
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     out = args.out
@@ -77,7 +81,7 @@ def main(argv=None) -> int:
                 _say(
                     args,
                     f"{'PASS' if check['passed'] else 'FAIL'} {check['name']}: "
-                    f"{check['measured']:.3e} {check['comparison']} {check['tolerance']:.3e}",
+                    f"{_measured(check['measured'])} {check['comparison']} {check['tolerance']:.3e}",
                 )
             _say(args, f"wrote {path}")
             return EXIT_OK if payload["passed"] else EXIT_VERIFY
@@ -93,19 +97,19 @@ def main(argv=None) -> int:
             path = os.path.join(out, "trajectory.csv")
             atomic_write_text(path, text)
             _say(args, f"wrote {path}")
-        elif args.command == "holonomy":
-            matrix, diagnostics = harness.run_holonomy(config)
-            path = os.path.join(out, "holonomy.json")
-            diag_path = os.path.join(out, "holonomy_diagnostics.json")
-            atomic_write_json(path, matrix)
-            atomic_write_json(diag_path, diagnostics)
-            _say(args, f"wrote {path} and {diag_path}")
-        elif args.command == "evolve":
-            matrix, diagnostics = harness.run_evolve(config)
-            path = os.path.join(out, "evolution.json")
-            diag_path = os.path.join(out, "evolution_diagnostics.json")
-            atomic_write_json(path, matrix)
-            atomic_write_json(diag_path, diagnostics)
+        else:
+            if args.command == "holonomy":
+                matrix, diagnostics = harness.run_holonomy(config)
+                stem = "holonomy"
+            else:
+                matrix, diagnostics = harness.run_evolve(config)
+                stem = "evolution"
+            path = os.path.join(out, f"{stem}.json")
+            diag_path = os.path.join(out, f"{stem}_diagnostics.json")
+            # serialize both before writing either, so a refused payload leaves no file
+            matrix_text, diag_text = json_text(matrix), json_text(diagnostics)
+            atomic_write_text(path, matrix_text)
+            atomic_write_text(diag_path, diag_text)
             _say(args, f"wrote {path} and {diag_path}")
         return EXIT_OK
     except ConfigError as exc:

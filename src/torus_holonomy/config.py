@@ -305,7 +305,27 @@ def _json_path(exc: jsonschema.ValidationError) -> str:
     return "".join(f".{p}" if isinstance(p, str) else f"[{p}]" for p in exc.absolute_path)
 
 
+def _non_finite_path(value: Any, path: str) -> str | None:
+    """JSON path of the first non-finite float in ``value``, or None."""
+    if isinstance(value, float):
+        return None if math.isfinite(value) else path
+    if isinstance(value, dict):
+        items = ((f"{path}.{key}", item) for key, item in value.items())
+    elif isinstance(value, (list, tuple)):
+        items = ((f"{path}[{i}]", item) for i, item in enumerate(value))
+    else:
+        return None
+    for item_path, item in items:
+        found = _non_finite_path(item, item_path)
+        if found is not None:
+            return found
+    return None
+
+
 def parse_config(payload: Any) -> ExperimentConfig:
+    bad = _non_finite_path(payload, "config")
+    if bad is not None:
+        raise ConfigError(f"{bad}: non-finite number")
     try:
         jsonschema.validate(payload, CONFIG_SCHEMA)
     except jsonschema.ValidationError as exc:

@@ -26,6 +26,14 @@ does not grow with the step count.
 ``delta_generator`` and the reference route of ``evolve_full`` stay on the
 independent ``quantize_affine(as_observable(...))`` assembly, so the
 reported route deviation also cross-checks the compiled kernel.
+
+The reference route of ``evolve_full`` keeps the dynamic phase inside the
+exponent and steps the full generator H_hat + Delta_hat(t), but it never
+forms that generator on the full lattice.  No entry of it couples two
+different dynamic labels, so its exponential is exactly block diagonal
+over them; each step exponentiates the (2N+1)^(m-l) blocks of size
+(2N+1)^l as one stack, and the product is lifted to the full lattice once.
+No exponential in this module sees a matrix larger than (2N+1)^l.
 """
 
 from __future__ import annotations
@@ -95,12 +103,19 @@ def dynamic_propagator(model: TorusModel, hamiltonian, t: float) -> PropagatorRe
 
 
 def _lift_controlled(model: TorusModel, block: np.ndarray) -> np.ndarray:
-    """Tensor the controlled-sublattice matrix with the dynamic identity."""
+    """Place controlled-sublattice matrices on the full lattice, one per dynamic label.
+
+    ``block`` is either one (csize, csize) matrix, used at every dynamic
+    label (a tensor product with the dynamic identity), or a
+    (dsize, csize, csize) stack holding the matrix of each dynamic label.
+    Entries that couple two different dynamic labels are zero.
+    """
     ci, csize = sublattice_index(model, model.controlled)
-    di, _ = sublattice_index(model, model.dynamic)
-    if block.shape != (csize, csize):
+    di, dsize = sublattice_index(model, model.dynamic)
+    if block.shape not in ((csize, csize), (dsize, csize, csize)):
         raise DimensionMismatchError("block size does not match the controlled sublattice")
-    return block[ci[:, None], ci[None, :]] * (di[:, None] == di[None, :])
+    blocks = np.broadcast_to(block, (dsize, csize, csize))
+    return blocks[di[:, None], ci[:, None], ci[None, :]] * (di[:, None] == di[None, :])
 
 
 def _control_block_product(
@@ -185,6 +200,14 @@ def evolve_full(
     deliberately different discretization, so the reported deviation is a
     genuine cross-check that shrinks under refinement (the generators
     commute under the split, so the routes agree in the limit).
+
+    Under the split no entry of that generator couples two different
+    dynamic labels: H_hat is diagonal and Delta_hat is the controlled block
+    tensored with the dynamic identity.  Its exponential is therefore
+    block diagonal over the dynamic labels, and the reference exponentiates
+    each label's (2N+1)^l block diag(H_j) + Delta_hat(t) as one stack,
+    with the dynamic phase H_j kept inside the exponent.  The stack is
+    lifted to the full lattice once, at the end.
     """
     if isinstance(hamiltonian, ActionPolynomial):
         require_split(model, hamiltonian, connection)
@@ -205,21 +228,25 @@ def evolve_full(
 
     sub_model = controlled_submodel(model)
     sub_conn = connection.restricted(model.controlled)
+    ci, csize = sublattice_index(model, model.controlled)
+    di, dsize = sublattice_index(model, model.dynamic)
+    h_blocks = np.zeros((dsize, csize, csize), dtype=complex)
+    h_blocks[di, ci, ci] = energies
     times = step_intervals(curve, steps)
 
-    def full_delta(t: float) -> np.ndarray:
+    def block_delta(t: float) -> np.ndarray:
         obs = sub_conn.as_observable(curve.point(t), curve.velocity(t))
-        return _lift_controlled(model, quantize_affine(sub_model, obs).matrix)
+        return quantize_affine(sub_model, obs).matrix
 
-    h_diag = np.diag(energies.astype(complex))
-    U = np.eye(model.size, dtype=complex)
-    previous = full_delta(float(times[0]))
+    U = np.broadcast_to(np.eye(csize, dtype=complex), h_blocks.shape)
+    previous = block_delta(float(times[0]))
     for t0, t1 in zip(times[:-1], times[1:]):
         dt = float(t1 - t0)
-        current = full_delta(float(t1))
-        gen = h_diag + 0.5 * (previous + current)
+        current = block_delta(float(t1))
+        gen = h_blocks + 0.5 * (previous + current)
         U = expm(-1j * dt * gen) @ U
         previous = current
+    U = _lift_controlled(model, U)
     reference = PropagatorReport(
         OperatorMatrix(model, U, bandwidth=connection.bandwidth),
         len(times) - 1,

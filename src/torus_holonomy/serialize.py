@@ -3,7 +3,8 @@
 Operators ship as JSON with a model echo, the lexicographic layout tag and
 row-major [re, im] entries.  Trajectories ship as CSV with 17 significant
 digits.  All writers go through a temp file plus atomic rename so failures
-never leave partial outputs.
+never leave partial outputs.  JSON payloads with a non-finite number are
+refused before any file is created, since JSON has no form for them.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from typing import Mapping
 import numpy as np
 
 from .classical import Trajectory
+from .errors import TorusHolonomyError
 from .lattice import TorusModel
 from .operators import OperatorMatrix
 
@@ -83,5 +85,13 @@ def as_builtin(value):
     return value
 
 
+def json_text(payload: Mapping) -> str:
+    """Payload as JSON text; non-finite numbers have no JSON form and are refused."""
+    try:
+        return json.dumps(as_builtin(payload), indent=1, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise TorusHolonomyError(f"payload cannot be written as JSON: {exc}") from exc
+
+
 def atomic_write_json(path: str, payload: Mapping) -> None:
-    atomic_write_text(path, json.dumps(as_builtin(payload), indent=1, sort_keys=True) + "\n")
+    atomic_write_text(path, json_text(payload))

@@ -120,6 +120,28 @@ def test_parse_curve_mismatch():
         parse_config(payload)
 
 
+@pytest.mark.parametrize(
+    "where, value, expected",
+    [
+        ("offset", float("nan"), "config.model.offsets[0]"),
+        ("radius", float("inf"), "config.curve.radius"),
+        ("coefficient", float("-inf"),
+         "config.connection.components[1].fourier[0].poly[0].coefficient"),
+    ],
+)
+def test_parse_rejects_non_finite_numbers(where, value, expected):
+    payload = _holonomy_config()
+    if where == "offset":
+        payload["model"]["offsets"][0] = value
+    elif where == "radius":
+        payload["curve"]["radius"] = value
+    else:
+        payload["connection"]["components"][1]["fourier"][0]["poly"][0]["coefficient"] = value
+    with pytest.raises(ConfigError) as info:
+        parse_config(payload)
+    assert str(info.value).startswith(f"{expected}: non-finite")
+
+
 # --- spectrum driver --------------------------------------------------------------
 
 
@@ -289,6 +311,24 @@ def test_cli_verify_quick(tmp_path):
     assert {c["name"] for c in payload["checks"]} >= {"basis_orthonormality", "rk4_observed_order"}
 
 
+def test_cli_verify_failed_refinement_exit4_with_report(tmp_path, capsys, monkeypatch):
+    from types import SimpleNamespace
+
+    from torus_holonomy import propagation, verify
+
+    deviations = iter([1e-7, 2e-7])  # the refined run does not decrease the deviation
+    monkeypatch.setattr(
+        propagation, "evolve_full", lambda *args: SimpleNamespace(deviation=next(deviations))
+    )
+    monkeypatch.setattr(verify, "_FULL_BATTERY", (("factorized_vs_reference", verify.check_factorization),))
+    out = tmp_path / "out"
+    assert main(["--out", str(out), "verify"]) == 4
+    (check,) = json.loads((out / "verify.json").read_text())["checks"]
+    assert check["passed"] is False and check["measured"] is None
+    assert "did not decrease" in check["detail"]
+    assert "FAIL factorized_vs_reference: non-finite <=" in capsys.readouterr().out
+
+
 def test_cli_classical_writes_csv(tmp_path):
     payload = {
         "schema": 1,
@@ -347,3 +387,33 @@ def test_atomic_write_uses_umask_mode(tmp_path):
         os.umask(previous)
     assert (tmp_path / "a.txt").stat().st_mode & 0o777 == 0o640
     assert [p.name for p in tmp_path.iterdir()] == ["a.txt"]
+
+
+def test_atomic_write_json_refuses_non_finite(tmp_path):
+    from torus_holonomy import TorusHolonomyError
+    from torus_holonomy.serialize import atomic_write_json
+
+    with pytest.raises(TorusHolonomyError):
+        atomic_write_json(str(tmp_path / "d.json"), {"defect": np.float64("nan")})
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("bad", ["matrix", "diagnostics"])
+def test_cli_non_finite_result_exit3_no_output(tmp_path, capsys, monkeypatch, bad):
+    from torus_holonomy import harness
+
+    def run_with_nan(config):
+        matrix, diagnostics = run_holonomy(config)
+        if bad == "matrix":
+            matrix["entries"][0][0] = float("nan")
+        else:
+            diagnostics["refinement_deviation"] = float("inf")
+        return matrix, diagnostics
+
+    monkeypatch.setattr(harness, "run_holonomy", run_with_nan)
+    cfg = _write(tmp_path / "cfg.json", _holonomy_config(steps=20))
+    out = tmp_path / "out"
+    assert main(["--config", cfg, "--out", str(out), "--quiet", "holonomy"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not out.exists() or not list(out.iterdir())

@@ -27,11 +27,12 @@ from scipy.linalg import expm
 
 from torus_holonomy import BandwidthError, propagation, step_intervals
 from torus_holonomy.classical import _mode_basis
-from torus_holonomy.lattice import mode_array
+from torus_holonomy.lattice import mode_array, sublattice_index
 from torus_holonomy.operators import (
     commutator,
     compile_connection,
     hamiltonian_operator,
+    hamiltonian_spectrum,
     quantized_basis,
 )
 from torus_holonomy.verify import (
@@ -447,6 +448,92 @@ def test_evolve_full_routes_converge():
     assert fine.deviation < coarse.deviation
     assert coarse.factorized.unitarity_defect <= 1e-10
     assert coarse.reference.unitarity_defect <= 1e-10
+
+
+def _dense_reference(model, hamiltonian, conn, curve, steps):
+    """Endpoint-average ordered product of H_hat + Delta_hat(t) on the full lattice.
+
+    The dense loop ``evolve_full`` used before it stepped per dynamic label,
+    with Delta_hat quantized on the full lattice instead of lifted, so the
+    oracle shares no code with the lift it checks.
+    """
+    energies = hamiltonian_spectrum(model, hamiltonian)
+    times = step_intervals(curve, steps)
+
+    def full_delta(t: float) -> np.ndarray:
+        obs = conn.as_observable(curve.point(t), curve.velocity(t))
+        return quantize_affine(model, obs).matrix
+
+    h_diag = np.diag(energies.astype(complex))
+    U = np.eye(model.size, dtype=complex)
+    previous = full_delta(float(times[0]))
+    for t0, t1 in zip(times[:-1], times[1:]):
+        dt = float(t1 - t0)
+        current = full_delta(float(t1))
+        gen = h_diag + 0.5 * (previous + current)
+        U = expm(-1j * dt * gen) @ U
+        previous = current
+    return U
+
+
+def _random_dynamic_hamiltonian(rng, model: TorusModel) -> ActionPolynomial:
+    """Seeded polynomial of degree <= 2 in the dynamic actions only."""
+    terms = {}
+    for _ in range(3):
+        exps = [0] * model.m
+        for _ in range(rng.integers(1, 3)):
+            if model.dynamic:
+                exps[int(rng.choice(model.dynamic))] += 1
+        terms[tuple(exps)] = float(rng.uniform(-0.5, 0.5))
+    return ActionPolynomial(model.m, terms)
+
+
+def test_evolve_full_reference_matches_dense_oracle():
+    rng = np.random.default_rng(4401)
+    loop = CirclePath.circle((0.1, -0.2), 0.8, 1.0)
+    cases = [
+        # non-leading controlled axis
+        (TorusModel(2, (1,), (0.3, -0.4), 3), ActionPolynomial(2, {(2, 0): 0.4, (1, 0): -0.1})),
+        # two dynamic axes, Hamiltonian coupling both dynamic actions
+        (TorusModel(3, (1,), (0.1, 0.25, -0.6), 2),
+         ActionPolynomial(3, {(2, 0, 0): 0.3, (1, 0, 1): -0.2, (0, 0, 2): 0.15})),
+        # callable Hamiltonian of the dynamic actions
+        (TorusModel(3, (0, 2), (0.5, -0.2, 0.7), 2), lambda j: float(np.cos(j[0]) + 0.2 * j[0] ** 2)),
+        (TorusModel(3, (2,), (0.0, 0.4, -0.3), 3), lambda j: float(0.3 * j[0] * j[1] + np.sin(j[1]))),
+        # no dynamic axis at all
+        (TorusModel(1, (0,), (0.2,), 3), ActionPolynomial.zero(1)),
+    ]
+    while len(cases) < 11:
+        model = _random_split_model(rng)
+        if model.dynamic:
+            cases.append((model, _random_dynamic_hamiltonian(rng, model)))
+    for model, ham in cases:
+        conn = ControlConnection.empty(model.m, 2)
+        while not conn.components:
+            conn = _random_split_connection(rng, model, 2, int(rng.integers(1, 3)))
+        steps = int(rng.integers(3, 9))
+        report = evolve_full(model, ham, conn, loop, steps)
+        got = report.reference.operator.matrix
+        assert np.max(np.abs(got - _dense_reference(model, ham, conn, loop, steps))) <= 1e-12
+        di, _ = sublattice_index(model, model.dynamic)
+        assert np.all(got[di[:, None] != di[None, :]] == 0.0)
+
+
+def test_evolve_full_exponentiates_only_controlled_blocks(monkeypatch):
+    rows = []
+    real_expm = propagation.expm
+
+    def recording_expm(a):
+        rows.append(a.shape[-1])
+        return real_expm(a)
+
+    monkeypatch.setattr(propagation, "expm", recording_expm)
+    for model in (_demo_model(4), TorusModel(3, (1,), (0.1, 0.25, -0.6), 2)):
+        conn = _random_split_connection(np.random.default_rng(5), model, 2, 2)
+        evolve_full(model, ActionPolynomial.zero(model.m), conn, _unit_circle(), 5)
+        csize = propagation.controlled_submodel(model).size
+        assert rows and max(rows) <= csize < model.size
+        rows.clear()
 
 
 # --- group laws and path invariance ---------------------------------------------------
