@@ -41,6 +41,7 @@ from .errors import (
     DimensionMismatchError,
     OpenCurveError,
     SplitViolationError,
+    StepCountError,
     TorusHolonomyError,
 )
 from .fields import (
@@ -107,6 +108,7 @@ __all__ = [
     "PropagatorReport",
     "SpectralComparison",
     "SplitViolationError",
+    "StepCountError",
     "TorusFourierField",
     "TorusHolonomyError",
     "TorusModel",

@@ -14,9 +14,11 @@ system for the mode values exp(i n . phi), solved here both directly and as
 an ordered product of midpoint exponentials so the two routes can be
 cross-checked.
 
-All of these read the connection through ``operators.compile_connection``,
-the coefficient table the quantum propagator uses; the frozen component
-fields (``ControlConnection.field``) stay independent as the tests' reference.
+All of these read the connection through ``operators.compile_connection``
+and sample the path once per call (``CompiledConnection.along``): RK4 at
+every grid time and stage midpoint, the ordered products at the step
+midpoints.  The frozen component fields (``ControlConnection.field``) stay
+independent as the tests' reference.
 """
 
 from __future__ import annotations
@@ -74,26 +76,30 @@ def evolve_free(hamiltonian: ActionPolynomial, state: ClassicalState, t: float) 
     return ClassicalState(state.actions, state.angles + t * omega)
 
 
-def _perturbed_rhs(hamiltonian: ActionPolynomial, compiled: CompiledConnection, curve):
-    m = hamiltonian.m
-
-    def rhs(t: float, y: np.ndarray) -> np.ndarray:
-        actions, angles = y[:m], y[m:]
-        w = compiled.weights([curve.point(t)], [curve.velocity(t)])[0]
-        dI = -compiled.coupling(w, angles) @ actions
-        dphi = hamiltonian.gradient(actions) + compiled.drift(w, angles)
-        return np.concatenate([dI, dphi])
-
-    return rhs
-
-
-def _rk4_step(rhs, t0: float, t1: float, y: np.ndarray) -> np.ndarray:
-    h = t1 - t0
-    k1 = rhs(t0, y)
-    k2 = rhs(t0 + 0.5 * h, y + 0.5 * h * k1)
-    k3 = rhs(t0 + 0.5 * h, y + 0.5 * h * k2)
-    k4 = rhs(t1, y + h * k3)
+def _rk4_step(rhs, h: float, y: np.ndarray, s0, sm, s1) -> np.ndarray:
+    """One RK4 step of size h; ``rhs(s, y)`` gets the stage data s0, sm (twice), s1."""
+    k1 = rhs(s0, y)
+    k2 = rhs(sm, y + 0.5 * h * k1)
+    k3 = rhs(sm, y + 0.5 * h * k2)
+    k4 = rhs(s1, y + h * k3)
     return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _rk4_along(rhs, compiled: CompiledConnection, curve, times: np.ndarray, y0: np.ndarray):
+    """Fixed-step RK4 over ``times``, each stage reading its row of one weight table.
+
+    The table holds the grid times and stage midpoints ``t0 + h/2``, interleaved.
+    """
+    h = np.diff(times)
+    grid = np.empty(2 * len(times) - 1)
+    grid[::2] = times
+    grid[1::2] = times[:-1] + 0.5 * h
+    w = compiled.along(curve, grid)
+    ys = np.empty((len(times), len(y0)))
+    ys[0] = y0
+    for i in range(len(h)):
+        ys[i + 1] = _rk4_step(rhs, h[i], ys[i], w[2 * i], w[2 * i + 1], w[2 * i + 2])
+    return ys
 
 
 def evolve_perturbed(
@@ -112,12 +118,16 @@ def evolve_perturbed(
     m = hamiltonian.m
     if state0.m != m or connection.m != m:
         raise DimensionMismatchError("dimension mismatch between Hamiltonian, connection, state")
-    rhs = _perturbed_rhs(hamiltonian, compile_connection(connection), curve)
+    compiled = compile_connection(connection)
+
+    def rhs(w: np.ndarray, y: np.ndarray) -> np.ndarray:
+        actions, angles = y[:m], y[m:]
+        dI = -compiled.coupling(w, angles) @ actions
+        dphi = hamiltonian.gradient(actions) + compiled.drift(w, angles)
+        return np.concatenate([dI, dphi])
+
     times = step_intervals(curve, steps)
-    ys = np.empty((len(times), 2 * m))
-    ys[0] = np.concatenate([state0.actions, state0.angles])
-    for i in range(len(times) - 1):
-        ys[i + 1] = _rk4_step(rhs, float(times[i]), float(times[i + 1]), ys[i])
+    ys = _rk4_along(rhs, compiled, curve, times, np.concatenate([state0.actions, state0.angles]))
     return Trajectory(times, ys[:, :m], ys[:, m:])
 
 
@@ -178,31 +188,10 @@ class ModeTransport:
     times: np.ndarray
     phi_history: np.ndarray
 
-    def final_angles(self) -> np.ndarray:
-        return self.phi_history[-1]
-
 
 def _compile_controlled(model: TorusModel, connection: ControlConnection) -> CompiledConnection:
     require_split(model, None, connection)
     return compile_connection(connection.restricted(model.controlled))
-
-
-def _half_step_angles(compiled: CompiledConnection, curve, phi0: np.ndarray, steps: int):
-    """RK4 angle history at half-step resolution: 2*steps+1 samples.
-
-    Actions do not feed back into the angles, so zero actions are carried.
-    """
-    l = phi0.shape[0]
-    times = step_intervals(curve, steps)
-    half_times = np.empty(2 * steps + 1)
-    half_times[::2] = times
-    half_times[1::2] = 0.5 * (times[:-1] + times[1:])
-    rhs = _perturbed_rhs(ActionPolynomial.zero(l), compiled, curve)
-    ys = np.zeros((2 * steps + 1, 2 * l))
-    ys[0, l:] = phi0
-    for i in range(2 * steps):
-        ys[i + 1] = _rk4_step(rhs, float(half_times[i]), float(half_times[i + 1]), ys[i])
-    return times, half_times, ys[:, l:]
 
 
 def _mode_basis(model: TorusModel, compiled: CompiledConnection) -> ShiftBasis:
@@ -239,13 +228,17 @@ def classical_mode_transport(
     if not 0 <= guard <= model.truncation:
         raise ValueError("guard must lie in [0, truncation]")
 
-    times, _, phis = _half_step_angles(compiled, curve, phi0, steps)
+    times = step_intervals(curve, steps)
+    half_times = np.empty(2 * steps + 1)
+    half_times[::2] = times
+    half_times[1::2] = 0.5 * (times[:-1] + times[1:])
+    # route one: RK4 of the angle equation alone (actions do not feed back) on the half steps
+    phis = _rk4_along(compiled.drift, compiled, curve, half_times, phi0)
     modes = mode_array(sub_model)
     direct = np.exp(1j * (modes @ phis[-1]))
 
     basis = _mode_basis(sub_model, compiled)
-    mids = 0.5 * (times[:-1] + times[1:])
-    weights = compiled.weights([curve.point(t) for t in mids], [curve.velocity(t) for t in mids])
+    weights = compiled.along(curve, half_times[1::2])
     psi = np.exp(1j * (modes @ phi0))
     for dt, w in zip(np.diff(times), weights):
         psi = expm(1j * dt * basis.generator(w).T) @ psi
@@ -279,8 +272,7 @@ def classical_action_transport(
     if phi_history.shape != (2 * steps + 1, l):
         raise DimensionMismatchError("phi_history must hold 2*steps+1 controlled-angle samples")
     times = step_intervals(curve, steps)
-    mids = 0.5 * (times[:-1] + times[1:])
-    weights = compiled.weights([curve.point(t) for t in mids], [curve.velocity(t) for t in mids])
+    weights = compiled.along(curve, 0.5 * (times[:-1] + times[1:]))
     for dt, w, phim in zip(np.diff(times), weights, phi_history[1::2]):
         actions = expm(-dt * compiled.coupling(w, phim)) @ actions
     return actions

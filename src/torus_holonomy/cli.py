@@ -18,6 +18,7 @@ from .errors import (
     DimensionMismatchError,
     OpenCurveError,
     SplitViolationError,
+    StepCountError,
     TorusHolonomyError,
 )
 from . import harness
@@ -115,7 +116,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (OpenCurveError, SplitViolationError, DimensionMismatchError) as exc:
+    except (OpenCurveError, SplitViolationError, DimensionMismatchError, StepCountError) as exc:
         print(f"precondition error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
     except TorusHolonomyError as exc:

@@ -166,6 +166,20 @@ _WAYPOINT_SCHEMA = {
 }
 
 
+# Built once: ``jsonschema.validate`` would re-check a schema against the
+# meta-schema on every call.  The tests check each schema once.
+_CONFIG_VALIDATOR, _CIRCLE_VALIDATOR, _WAYPOINT_VALIDATOR = (
+    jsonschema.Draft202012Validator(s) for s in (CONFIG_SCHEMA, _CIRCLE_SCHEMA, _WAYPOINT_SCHEMA)
+)
+
+
+def _validate(validator: jsonschema.Draft202012Validator, payload: Any, where: str) -> None:
+    """Raise ``ConfigError`` for the error ``jsonschema.validate`` would raise."""
+    error = jsonschema.exceptions.best_match(validator.iter_errors(payload))
+    if error is not None:
+        raise ConfigError(f"{where}{_json_path(error)}: {error.message}") from error
+
+
 @dataclass(frozen=True)
 class RunSettings:
     steps: int = 1000
@@ -258,11 +272,8 @@ def _build_connection(raw: dict | None, m: int) -> ControlConnection | None:
 def _build_curve(raw: dict | None) -> ParameterCurve | None:
     if raw is None:
         return None
-    schema = _CIRCLE_SCHEMA if raw.get("type") == "circle" else _WAYPOINT_SCHEMA
-    try:
-        jsonschema.validate(raw, schema)
-    except jsonschema.ValidationError as exc:
-        raise ConfigError(f"curve{_json_path(exc)}: {exc.message}") from exc
+    validator = _CIRCLE_VALIDATOR if raw.get("type") == "circle" else _WAYPOINT_VALIDATOR
+    _validate(validator, raw, "curve")
     try:
         if raw["type"] == "circle":
             if "u" in raw or "v" in raw:
@@ -326,10 +337,7 @@ def parse_config(payload: Any) -> ExperimentConfig:
     bad = _non_finite_path(payload, "config")
     if bad is not None:
         raise ConfigError(f"{bad}: non-finite number")
-    try:
-        jsonschema.validate(payload, CONFIG_SCHEMA)
-    except jsonschema.ValidationError as exc:
-        raise ConfigError(f"config{_json_path(exc)}: {exc.message}") from exc
+    _validate(_CONFIG_VALIDATOR, payload, "config")
     model = _build_model(payload["model"])
     run_raw = payload.get("run", {})
     run = RunSettings(

@@ -15,7 +15,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatchError
+from .errors import DimensionMismatchError, StepCountError
 from .fields import ParameterPolynomial
 
 # Closure and joint gaps are compared relative to the curve's scale (at
@@ -294,12 +294,12 @@ def step_intervals(curve: ParameterCurve, steps: int) -> np.ndarray:
     are more segments than steps.
     """
     if steps < 1:
-        raise ValueError("steps must be >= 1")
+        raise StepCountError("steps must be >= 1")
     edges = [0.0] + [b for b in curve.breakpoints if 0.0 < b < curve.duration] + [curve.duration]
     edges = sorted(set(edges))
     nseg = len(edges) - 1
     if steps < nseg:
-        raise ValueError(f"{steps} steps cannot cover {nseg} smooth segments")
+        raise StepCountError(f"{steps} steps cannot cover {nseg} smooth segments")
     durations = np.diff(edges)
     ideal = steps * durations / curve.duration
     counts = np.maximum(1, np.floor(ideal).astype(int))

@@ -17,6 +17,10 @@ class SplitViolationError(TorusHolonomyError, ValueError):
     """Hamiltonian or connection data breaks the controlled/dynamic split."""
 
 
+class StepCountError(TorusHolonomyError, ValueError):
+    """A step count cannot form a step grid: below 1 or below the curve's smooth segments."""
+
+
 class OpenCurveError(TorusHolonomyError, ValueError):
     """An operation requiring a closed parameter loop received an open curve."""
 

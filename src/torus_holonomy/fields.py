@@ -409,9 +409,6 @@ class ControlConnection:
 
     # -- queries -----------------------------------------------------------
 
-    def component_axes(self) -> frozenset[int]:
-        return frozenset(axis for axis, _ in self.components)
-
     def angle_axes(self) -> frozenset[int]:
         axes: set[int] = set()
         for fourier in self.components.values():

@@ -183,6 +183,10 @@ class CompiledConnection:
         monomials = np.prod(sigmas[:, None, :] ** self.exponents[None, :, :], axis=2)
         return np.einsum("kbe,sb,se->sk", self.table, velocities, monomials)
 
+    def along(self, curve, times) -> np.ndarray:
+        """Term weights at the given times of ``curve``, shape (len(times), K)."""
+        return self.weights([curve.point(t) for t in times], [curve.velocity(t) for t in times])
+
     def _by_axis(self) -> np.ndarray:
         return self.axes[:, None] == np.arange(self.shifts.shape[1])
 

@@ -127,10 +127,7 @@ def _control_block_product(
     compiled = compile_connection(connection.restricted(model.controlled))
     basis = quantized_basis(sub_model, compiled)
     times = step_intervals(curve, steps)
-    mids = 0.5 * (times[:-1] + times[1:])
-    weights = compiled.weights(
-        [curve.point(t) for t in mids], [curve.velocity(t) for t in mids]
-    )
+    weights = compiled.along(curve, 0.5 * (times[:-1] + times[1:]))
     U = np.eye(sub_model.size, dtype=complex)
     for dt, w in zip(np.diff(times), weights):
         U = expm(-1j * dt * basis.generator(w)) @ U

@@ -32,7 +32,7 @@ def model_payload(model: TorusModel) -> dict:
 
 
 def operator_payload(op: OperatorMatrix) -> dict:
-    entries = [[float(z.real), float(z.imag)] for z in op.matrix.ravel()]
+    entries = np.stack((op.matrix.real, op.matrix.imag), -1).reshape(-1, 2).tolist()
     return {
         "format": "operator",
         "model": model_payload(op.model),
@@ -72,23 +72,20 @@ def atomic_write_text(path: str, text: str) -> None:
         raise
 
 
-def as_builtin(value):
-    """Recursively convert numpy scalars/arrays for JSON output."""
+def _numpy_value(value):
+    """JSON form of the numpy scalars and arrays ``json`` cannot encode itself."""
     if isinstance(value, np.generic):
         return value.item()
     if isinstance(value, np.ndarray):
-        return [as_builtin(v) for v in value]
-    if isinstance(value, dict):
-        return {k: as_builtin(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [as_builtin(v) for v in value]
-    return value
+        return value.tolist()
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
 def json_text(payload: Mapping) -> str:
     """Payload as JSON text; non-finite numbers have no JSON form and are refused."""
     try:
-        return json.dumps(as_builtin(payload), indent=1, sort_keys=True, allow_nan=False) + "\n"
+        text = json.dumps(payload, indent=1, sort_keys=True, allow_nan=False, default=_numpy_value)
+        return text + "\n"
     except ValueError as exc:
         raise TorusHolonomyError(f"payload cannot be written as JSON: {exc}") from exc
 

@@ -430,35 +430,35 @@ def check_classical_reparameterization(steps: int = 2000) -> CheckResult:
     return CheckResult("classical_reparameterization_invariance", measured, 1e-6)
 
 
-_FULL_BATTERY: tuple[tuple[str, Callable[..., CheckResult]], ...] = (
-    ("basis_orthonormality", check_orthonormality),
-    ("dirac_condition_random_pairs", check_dirac),
-    ("quantization_hermiticity", check_hermiticity),
-    ("diagonal_operators", check_diagonality),
-    ("action_eigenvectors", check_eigenvector_property),
-    ("integer_offset_gauge", check_lambda_shift),
-    ("halfform_offset_equivalence", check_halfform),
-    ("perturbation_commutes", check_commuting_perturbation),
-    ("abelian_closed_form", check_abelian_oracle),
-    ("path_only_no_adiabatic_limit", check_path_only_speed),
-    ("unitarity_eigenspace_preservation", check_unitarity_and_blocks),
-    ("reversal_and_concatenation", check_group_laws),
-    ("control_reparameterization_invariance", check_quantum_reparameterization),
-    ("factorized_vs_reference", check_factorization),
-    ("rk4_observed_order", check_rk4_order),
-    ("mode_transport_two_routes", check_mode_transport),
-    ("classical_reparameterization_invariance", check_classical_reparameterization),
+_FULL_BATTERY: tuple[Callable[..., CheckResult], ...] = (
+    check_orthonormality,
+    check_dirac,
+    check_hermiticity,
+    check_diagonality,
+    check_eigenvector_property,
+    check_lambda_shift,
+    check_halfform,
+    check_commuting_perturbation,
+    check_abelian_oracle,
+    check_path_only_speed,
+    check_unitarity_and_blocks,
+    check_group_laws,
+    check_quantum_reparameterization,
+    check_factorization,
+    check_rk4_order,
+    check_mode_transport,
+    check_classical_reparameterization,
 )
 
-_QUICK_NAMES = (
-    "basis_orthonormality",
-    "quantization_hermiticity",
-    "diagonal_operators",
-    "action_eigenvectors",
-    "integer_offset_gauge",
-    "halfform_offset_equivalence",
-    "perturbation_commutes",
-    "rk4_observed_order",
+_QUICK_BATTERY = (
+    check_orthonormality,
+    check_hermiticity,
+    check_diagonality,
+    check_eigenvector_property,
+    check_lambda_shift,
+    check_halfform,
+    check_commuting_perturbation,
+    check_rk4_order,
 )
 
 
@@ -466,11 +466,7 @@ def run_battery(profile: str = "full", seed: int = DEFAULT_SEED) -> BatteryRepor
     """Run the named battery; checks accepting a seed get the given one."""
     if profile not in ("full", "quick"):
         raise ValueError(f"unknown battery profile {profile!r}")
-    selected = [
-        (name, fn)
-        for name, fn in _FULL_BATTERY
-        if profile == "full" or name in _QUICK_NAMES
-    ]
+    selected = _FULL_BATTERY if profile == "full" else _QUICK_BATTERY
 
     def run_one(fn):
         import inspect
@@ -479,5 +475,5 @@ def run_battery(profile: str = "full", seed: int = DEFAULT_SEED) -> BatteryRepor
             return fn(seed=seed)
         return fn()
 
-    results = [run_one(fn) for _, fn in selected]
+    results = [run_one(fn) for fn in selected]
     return BatteryReport(tuple(results), seed)

@@ -20,6 +20,7 @@ from torus_holonomy import (
     split_residual,
 )
 from torus_holonomy.classical import _rk4_step
+from torus_holonomy.operators import CompiledConnection
 
 
 def _const_connection(m: int, axis: int, kappa: float, d: int = 1) -> ControlConnection:
@@ -76,7 +77,7 @@ def test_perturbed_reduces_to_free_without_connection():
         assert np.allclose(traj.angles[i], free.angles, atol=1e-12)
 
 
-def test_perturbed_constant_drift_closed_form():
+def test_perturbed_constant_drift_closed_form(monkeypatch):
     # constant component kappa along a straight run of net displacement D:
     # angle gains grad H * T + kappa * D, actions stay put.
     kappa, displacement = 0.45, 2.0
@@ -84,7 +85,12 @@ def test_perturbed_constant_drift_closed_form():
     conn = _const_connection(1, 0, kappa)
     curve = WaypointPath(((0.0,), (displacement,)), 3.0)
     s0 = ClassicalState([1.2], [0.7])
+    sampled = []
+    point = WaypointPath.point
+    monkeypatch.setattr(WaypointPath, "point", lambda self, t: sampled.append(t) or point(self, t))
     traj = evolve_perturbed(ham, conn, curve, s0, 600)
+    # one weight table: each grid time and RK4 stage midpoint sampled once
+    assert len(sampled) == 2 * 600 + 1
     final = traj.final
     assert final.actions[0] == pytest.approx(1.2, abs=1e-12)
     expected = 0.7 + 1.2 * 3.0 + kappa * displacement
@@ -164,9 +170,14 @@ def test_mode_transport_zero_mode_constant():
     assert result.ordered[i0] == pytest.approx(1.0, abs=1e-12)
 
 
-def test_mode_transport_constant_component_closed_form():
+def test_mode_transport_constant_component_closed_form(monkeypatch):
     # kappa constant: psi_n(T) = exp(i n (phi0 + kappa * displacement)) for
-    # every mode, both routes, no truncation loss.
+    # every mode, both routes, no truncation loss.  The angle route carries
+    # no actions, so it never builds the action coupling.
+    def coupling(self, w, phi):
+        raise AssertionError("mode transport evaluated the action coupling")
+
+    monkeypatch.setattr(CompiledConnection, "coupling", coupling)
     model = TorusModel(1, (0,), (0.0,), 6)
     kappa, displacement, phi0 = 0.7, 2.0, 0.3
     conn = _const_connection(1, 0, kappa)
@@ -287,7 +298,8 @@ def test_action_transport_matches_direct_rk4():
     y = np.array([1.1, 0.7])
     times = np.linspace(0.0, 1.0, steps + 1)
     for t0, t1 in zip(times[:-1], times[1:]):
-        y = _rk4_step(rhs, float(t0), float(t1), y)
+        h = float(t1 - t0)
+        y = _rk4_step(rhs, h, y, float(t0), float(t0) + 0.5 * h, float(t1))
     assert final[0] == pytest.approx(y[0], abs=1e-6)
 
 

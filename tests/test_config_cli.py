@@ -1,12 +1,13 @@
 import json
 import os
 
+import jsonschema
 import numpy as np
 import pytest
 
 from torus_holonomy import ConfigError
 from torus_holonomy.cli import main
-from torus_holonomy.config import parse_config
+from torus_holonomy.config import _CIRCLE_SCHEMA, _WAYPOINT_SCHEMA, CONFIG_SCHEMA, parse_config
 from torus_holonomy.harness import run_classical, run_holonomy, run_spectrum
 
 
@@ -140,6 +141,14 @@ def test_parse_rejects_non_finite_numbers(where, value, expected):
     with pytest.raises(ConfigError) as info:
         parse_config(payload)
     assert str(info.value).startswith(f"{expected}: non-finite")
+
+
+@pytest.mark.parametrize(
+    "schema", [CONFIG_SCHEMA, _CIRCLE_SCHEMA, _WAYPOINT_SCHEMA], ids=["config", "circle", "waypoints"]
+)
+def test_schema_is_valid_draft_2020_12(schema):
+    # parse_config's validators are built once and skip the meta-schema check
+    jsonschema.Draft202012Validator.check_schema(schema)
 
 
 # --- spectrum driver --------------------------------------------------------------
@@ -289,6 +298,19 @@ def test_cli_open_curve_exit3(tmp_path):
     assert not (tmp_path / "holonomy.json").exists()
 
 
+@pytest.mark.parametrize("steps, grid", [(3, 3), (5, 2)])  # 5 fails in the coarse run
+def test_cli_too_few_steps_for_segments_exit3(tmp_path, capsys, steps, grid):
+    payload = _holonomy_config()
+    square = [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0], [0.0, 0.0]]
+    payload["curve"] = {"type": "waypoints", "points": square, "duration": 1.0}
+    cfg = _write(tmp_path / "cfg.json", payload)
+    out = tmp_path / "out"
+    assert main(["--config", cfg, "--out", str(out), "--steps", str(steps), "holonomy"]) == 3
+    err = capsys.readouterr().err
+    assert err == f"precondition error: {grid} steps cannot cover 4 smooth segments\n"
+    assert not out.exists()
+
+
 def test_cli_steps_override(tmp_path):
     cfg = _write(tmp_path / "cfg.json", _holonomy_config())
     out = tmp_path / "out"
@@ -320,7 +342,7 @@ def test_cli_verify_failed_refinement_exit4_with_report(tmp_path, capsys, monkey
     monkeypatch.setattr(
         propagation, "evolve_full", lambda *args: SimpleNamespace(deviation=next(deviations))
     )
-    monkeypatch.setattr(verify, "_FULL_BATTERY", (("factorized_vs_reference", verify.check_factorization),))
+    monkeypatch.setattr(verify, "_FULL_BATTERY", (verify.check_factorization,))
     out = tmp_path / "out"
     assert main(["--out", str(out), "verify"]) == 4
     (check,) = json.loads((out / "verify.json").read_text())["checks"]

@@ -359,7 +359,8 @@ def test_control_matches_rk4_matrix_ode():
     u = np.eye(model.size, dtype=complex)
     times = np.linspace(0.0, curve.duration, steps + 1)
     for t0, t1 in zip(times[:-1], times[1:]):
-        u = _rk4_step(rhs, float(t0), float(t1), u)
+        h = float(t1 - t0)
+        u = _rk4_step(rhs, h, u, float(t0), float(t0) + 0.5 * h, float(t1))
     assert np.max(np.abs(u - ordered)) <= 1e-6
 
 
