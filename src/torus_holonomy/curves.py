@@ -1,10 +1,11 @@
 """Parameter-space curves: circles/ellipses, waypoint paths, and derived curves.
 
-A curve knows its duration, point/velocity queries, interior breakpoints
-(times where smoothness may degrade), and whether it closes.  Integration
-grids are always aligned with breakpoints so ordered products and RK4 never
-step across a joint; that also makes the propagator group laws exact at the
-discrete level for matched step counts.
+A curve knows its duration, interior breakpoints (times where smoothness
+may degrade), whether it closes, and ``sample(times)``: its points and
+velocities at an array of times, computed with arrays in every class.
+Integration grids are always aligned with breakpoints so ordered products
+and RK4 never step across a joint; that also makes the propagator group
+laws exact at the discrete level for matched step counts.
 """
 
 from __future__ import annotations
@@ -34,21 +35,25 @@ class ParameterCurve(abc.ABC):
     breakpoints: tuple[float, ...] = ()
 
     @abc.abstractmethod
-    def point(self, t: float) -> np.ndarray: ...
+    def sample(self, times) -> tuple[np.ndarray, np.ndarray]:
+        """Points and velocities at a 1-D array of S times, two (S, d) arrays."""
 
-    @abc.abstractmethod
-    def velocity(self, t: float) -> np.ndarray: ...
+    def point(self, t: float) -> np.ndarray:
+        return self.sample([t])[0][0]
+
+    def velocity(self, t: float) -> np.ndarray:
+        return self.sample([t])[1][0]
 
     @property
     def scale(self) -> float:
         """Largest norm of the curve's points, sampled on a uniform grid; at least 1."""
-        times = np.linspace(0.0, self.duration, _SCALE_SAMPLES)
-        return max(1.0, max(float(np.linalg.norm(self.point(float(t)))) for t in times))
+        points, _ = self.sample(np.linspace(0.0, self.duration, _SCALE_SAMPLES))
+        return max(1.0, float(np.max(np.linalg.norm(points, axis=1))))
 
     @property
     def is_closed(self) -> bool:
-        gap = np.linalg.norm(self.point(0.0) - self.point(self.duration))
-        return bool(gap <= CLOSED_TOL * self.scale)
+        (start, end), _ = self.sample([0.0, self.duration])
+        return bool(np.linalg.norm(start - end) <= CLOSED_TOL * self.scale)
 
     def reverse(self) -> "ParameterCurve":
         return ReversedCurve(self)
@@ -103,17 +108,12 @@ class CirclePath(ParameterCurve):
         v[axes[1]] = radius
         return cls(tuple(center), tuple(u), tuple(v), duration, turns, phase)
 
-    def _theta(self, t: float) -> float:
-        return self.phase + 2.0 * np.pi * self.turns * t / self.duration
-
-    def point(self, t: float) -> np.ndarray:
-        th = self._theta(t)
-        return np.asarray(self.center) + np.cos(th) * np.asarray(self.u) + np.sin(th) * np.asarray(self.v)
-
-    def velocity(self, t: float) -> np.ndarray:
-        th = self._theta(t)
+    def sample(self, times) -> tuple[np.ndarray, np.ndarray]:
+        theta = self.phase + 2.0 * np.pi * self.turns * np.asarray(times, dtype=float) / self.duration
         rate = 2.0 * np.pi * self.turns / self.duration
-        return rate * (-np.sin(th) * np.asarray(self.u) + np.cos(th) * np.asarray(self.v))
+        cos, sin = np.cos(theta)[:, None], np.sin(theta)[:, None]
+        u, v = np.asarray(self.u), np.asarray(self.v)
+        return np.asarray(self.center) + cos * u + sin * v, rate * (-sin * u + cos * v)
 
 
 def _blend(u: float) -> float:
@@ -155,23 +155,16 @@ class WaypointPath(ParameterCurve):
             tuple(self.duration * i / segments for i in range(1, segments)),
         )
 
-    def _locate(self, t: float) -> tuple[int, float, float]:
+    def sample(self, times) -> tuple[np.ndarray, np.ndarray]:
+        t = np.asarray(times, dtype=float)
         segments = len(self.points) - 1
         seg_dur = self.duration / segments
-        i = min(int(t / seg_dur), segments - 1) if t < self.duration else segments - 1
-        return i, (t - i * seg_dur) / seg_dur, seg_dur
-
-    def point(self, t: float) -> np.ndarray:
-        i, u, _ = self._locate(t)
-        a = np.asarray(self.points[i])
-        b = np.asarray(self.points[i + 1])
-        return a + _blend(np.clip(u, 0.0, 1.0)) * (b - a)
-
-    def velocity(self, t: float) -> np.ndarray:
-        i, u, seg_dur = self._locate(t)
-        a = np.asarray(self.points[i])
-        b = np.asarray(self.points[i + 1])
-        return _blend_rate(np.clip(u, 0.0, 1.0)) / seg_dur * (b - a)
+        # The segment rule of int(t / seg_dur): a binary search on the joints
+        # may pick the other segment at a joint and change the last bits there.
+        i = np.where(t < self.duration, np.minimum((t / seg_dur).astype(int), segments - 1), segments - 1)
+        u = np.clip((t - i * seg_dur) / seg_dur, 0.0, 1.0)[:, None]
+        start, delta = np.asarray(self.points)[i], np.diff(self.points, axis=0)[i]
+        return start + _blend(u) * delta, _blend_rate(u) / seg_dur * delta
 
 
 @dataclass(frozen=True)
@@ -186,11 +179,9 @@ class ReversedCurve(ParameterCurve):
         object.__setattr__(self, "duration", T)
         object.__setattr__(self, "breakpoints", tuple(sorted(T - b for b in self.base.breakpoints)))
 
-    def point(self, t: float) -> np.ndarray:
-        return self.base.point(self.duration - t)
-
-    def velocity(self, t: float) -> np.ndarray:
-        return -self.base.velocity(self.duration - t)
+    def sample(self, times) -> tuple[np.ndarray, np.ndarray]:
+        points, velocities = self.base.sample(self.duration - np.asarray(times, dtype=float))
+        return points, -velocities
 
 
 @dataclass(frozen=True)
@@ -215,13 +206,13 @@ class ChainedCurve(ParameterCurve):
             tuple(self.first.breakpoints) + (t1,) + tuple(t1 + b for b in self.second.breakpoints),
         )
 
-    def point(self, t: float) -> np.ndarray:
-        t1 = self.first.duration
-        return self.first.point(t) if t <= t1 else self.second.point(t - t1)
-
-    def velocity(self, t: float) -> np.ndarray:
-        t1 = self.first.duration
-        return self.first.velocity(t) if t <= t1 else self.second.velocity(t - t1)
+    def sample(self, times) -> tuple[np.ndarray, np.ndarray]:
+        t = np.asarray(times, dtype=float)
+        head = t <= self.first.duration
+        points, velocities = np.empty((2, t.size, self.dimension))
+        points[head], velocities[head] = self.first.sample(t[head])
+        points[~head], velocities[~head] = self.second.sample(t[~head] - self.first.duration)
+        return points, velocities
 
 
 def concatenate(first: ParameterCurve, second: ParameterCurve) -> ParameterCurve:
@@ -270,11 +261,10 @@ class ReparameterizedCurve(ParameterCurve):
                 hi = mid
         return 0.5 * (lo + hi)
 
-    def point(self, t: float) -> np.ndarray:
-        return self.base.point(self.tau(t))
-
-    def velocity(self, t: float) -> np.ndarray:
-        return self.base.velocity(self.tau(t)) * self.tau_dot(t)
+    def sample(self, times) -> tuple[np.ndarray, np.ndarray]:
+        clock = np.array([(self.tau(t), self.tau_dot(t)) for t in np.asarray(times, float)]).reshape(-1, 2)
+        points, velocities = self.base.sample(clock[:, 0])
+        return points, velocities * clock[:, 1:]
 
 
 def reparameterize(
@@ -286,6 +276,12 @@ def reparameterize(
     return ReparameterizedCurve(curve, tau, tau_dot, duration)
 
 
+def segment_edges(curve: ParameterCurve) -> list[float]:
+    """Start, interior breakpoints and end of the curve: its smooth segments' edges."""
+    edges = [0.0] + [b for b in curve.breakpoints if 0.0 < b < curve.duration] + [curve.duration]
+    return sorted(set(edges))
+
+
 def step_intervals(curve: ParameterCurve, steps: int) -> np.ndarray:
     """Grid of steps+1 boundary times, split exactly at the curve's breakpoints.
 
@@ -295,8 +291,7 @@ def step_intervals(curve: ParameterCurve, steps: int) -> np.ndarray:
     """
     if steps < 1:
         raise StepCountError("steps must be >= 1")
-    edges = [0.0] + [b for b in curve.breakpoints if 0.0 < b < curve.duration] + [curve.duration]
-    edges = sorted(set(edges))
+    edges = segment_edges(curve)
     nseg = len(edges) - 1
     if steps < nseg:
         raise StepCountError(f"{steps} steps cannot cover {nseg} smooth segments")
@@ -356,10 +351,13 @@ def line_integral(polys: Mapping[int, ParameterPolynomial], curve: ParameterCurv
             degree = (max_deg + 1) * int(abs(turns))
             nodes = max(2 * degree + 3, 16)
             ts = (np.arange(nodes) + 0.5) * curve.duration / nodes
+            # The circle's own formula: curve.sample is what the checked products read.
+            center, u, v = np.asarray(curve.center), np.asarray(curve.u), np.asarray(curve.v)
             total = 0.0
             for t in ts:
-                sigma = curve.point(float(t))
-                vel = curve.velocity(float(t))
+                th = curve.phase + 2.0 * np.pi * turns * float(t) / curve.duration
+                sigma = center + np.cos(th) * u + np.sin(th) * v
+                vel = 2.0 * np.pi * turns / curve.duration * (-np.sin(th) * u + np.cos(th) * v)
                 total += sum(p.evaluate(sigma).real * vel[b] for b, p in polys.items())
             return float(total * curve.duration / nodes)
         return _panel_integral(polys, curve)
@@ -381,8 +379,7 @@ def line_integral(polys: Mapping[int, ParameterPolynomial], curve: ParameterCurv
 
 def _panel_integral(polys: Mapping[int, ParameterPolynomial], curve: ParameterCurve) -> float:
     gl_nodes, gl_weights = np.polynomial.legendre.leggauss(32)
-    edges = [0.0] + [b for b in curve.breakpoints if 0.0 < b < curve.duration] + [curve.duration]
-    edges = sorted(set(edges))
+    edges = segment_edges(curve)
     panels = []
     for lo, hi in zip(edges[:-1], edges[1:]):
         panels.extend(np.linspace(lo, hi, 5))

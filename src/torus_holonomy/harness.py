@@ -12,6 +12,7 @@ import numpy as np
 
 from . import classical, propagation, verify
 from .config import ExperimentConfig
+from .curves import segment_edges
 from .errors import ConfigError
 from .fields import ActionPolynomial, ControlConnection
 from .lattice import mode_array
@@ -84,13 +85,14 @@ def run_holonomy(config: ExperimentConfig) -> tuple[dict, dict]:
         raise ConfigError("holonomy requires a curve section")
     steps = config.run.steps
     report = propagation.holonomy(config.model, config.connection, config.curve, steps)
-    coarse_steps = max(1, steps // 2)
-    coarse = propagation.holonomy(config.model, config.connection, config.curve, coarse_steps)
-    refinement = float(np.max(np.abs(report.operator.matrix - coarse.operator.matrix)))
+    # Refine at half the steps, or at twice as many where half leaves a smooth segment without one.
+    other_steps = steps // 2 if steps // 2 >= len(segment_edges(config.curve)) - 1 else 2 * steps
+    other = propagation.holonomy(config.model, config.connection, config.curve, other_steps)
+    refinement = float(np.max(np.abs(report.operator.matrix - other.operator.matrix)))
     diagnostics = {
         "format": "holonomy-diagnostics",
-        "steps": [report.steps, coarse.steps],
-        "unitarity_defect": [report.unitarity_defect, coarse.unitarity_defect],
+        "steps": [report.steps, other.steps],
+        "unitarity_defect": [report.unitarity_defect, other.unitarity_defect],
         "refinement_deviation": refinement,
         "method": report.method,
     }

@@ -18,10 +18,11 @@ therefore asserted on interior modes only.
 
 A control connection's velocity pairing is linear in the velocity and
 polynomial in sigma: one term per (axis, Fourier shift) weighted by
-``v_beta sigma^e``.  ``compile_connection`` builds that coefficient table
-once, and per-step code on both the quantum and the classical side reads
-only it.  ``shift_basis`` places its terms on a mode box through the same
-scatter as ``quantize_affine``, which stays independent as the reference.
+``v_beta sigma^e``.  ``compile_connection`` builds that table and the
+term-to-axis map once; per-step code on the quantum and classical sides
+reads only them, and ``along`` reads the path with one ``curve.sample``.
+``shift_basis`` places its terms on a mode box through the same scatter
+as ``quantize_affine``, which stays independent as the reference.
 """
 
 from __future__ import annotations
@@ -165,6 +166,7 @@ class CompiledConnection:
     shifts: np.ndarray  # (K, m) Fourier shift of each term
     table: np.ndarray  # (K, d, E) sigma-polynomial coefficients
     exponents: np.ndarray  # (E, d) monomial exponents
+    by_axis: np.ndarray  # (K, m) one-hot of each term's axis
 
     def weights(self, sigmas: np.ndarray, velocities: np.ndarray) -> np.ndarray:
         """Term weights at S parameter points, shape (S, K).
@@ -185,20 +187,17 @@ class CompiledConnection:
 
     def along(self, curve, times) -> np.ndarray:
         """Term weights at the given times of ``curve``, shape (len(times), K)."""
-        return self.weights([curve.point(t) for t in times], [curve.velocity(t) for t in times])
-
-    def _by_axis(self) -> np.ndarray:
-        return self.axes[:, None] == np.arange(self.shifts.shape[1])
+        return self.weights(*curve.sample(times))
 
     def drift(self, weights: np.ndarray, phi: np.ndarray) -> np.ndarray:
         """``L_k(sigma, phi) . v`` for every axis k, at one weight row."""
         waves = weights * np.exp(1j * (self.shifts @ phi))
-        return waves.real @ self._by_axis()
+        return waves.real @ self.by_axis
 
     def coupling(self, weights: np.ndarray, phi: np.ndarray) -> np.ndarray:
         """``G[a, k] = d_a L_k(sigma, phi) . v`` at one weight row."""
         waves = 1j * weights * np.exp(1j * (self.shifts @ phi))
-        return (waves[:, None] * self.shifts).real.T @ self._by_axis()
+        return (waves[:, None] * self.shifts).real.T @ self.by_axis
 
 
 def compile_connection(connection: ControlConnection) -> CompiledConnection:
@@ -212,11 +211,13 @@ def compile_connection(connection: ControlConnection) -> CompiledConnection:
         for c, poly in fourier.items():
             for e, coef in poly.coefficients.items():
                 table[terms.index((c, axis)), beta, exponents.index(e)] = coef
+    axes = np.array([axis for _, axis in terms], dtype=np.int64)
     return CompiledConnection(
-        np.array([axis for _, axis in terms], dtype=np.int64),
+        axes,
         np.array([c for c, _ in terms], dtype=np.int64).reshape(len(terms), connection.m),
         table,
         np.array(exponents, dtype=np.int64).reshape(len(exponents), d),
+        axes[:, None] == np.arange(connection.m),
     )
 
 

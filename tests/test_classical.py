@@ -86,11 +86,11 @@ def test_perturbed_constant_drift_closed_form(monkeypatch):
     curve = WaypointPath(((0.0,), (displacement,)), 3.0)
     s0 = ClassicalState([1.2], [0.7])
     sampled = []
-    point = WaypointPath.point
-    monkeypatch.setattr(WaypointPath, "point", lambda self, t: sampled.append(t) or point(self, t))
+    sample = WaypointPath.sample
+    monkeypatch.setattr(WaypointPath, "sample", lambda self, t: sampled.append(len(t)) or sample(self, t))
     traj = evolve_perturbed(ham, conn, curve, s0, 600)
-    # one weight table: each grid time and RK4 stage midpoint sampled once
-    assert len(sampled) == 2 * 600 + 1
+    # one weight table: each grid time and RK4 stage midpoint sampled once, in one call
+    assert sampled == [2 * 600 + 1]
     final = traj.final
     assert final.actions[0] == pytest.approx(1.2, abs=1e-12)
     expected = 0.7 + 1.2 * 3.0 + kappa * displacement

@@ -298,17 +298,31 @@ def test_cli_open_curve_exit3(tmp_path):
     assert not (tmp_path / "holonomy.json").exists()
 
 
-@pytest.mark.parametrize("steps, grid", [(3, 3), (5, 2)])  # 5 fails in the coarse run
-def test_cli_too_few_steps_for_segments_exit3(tmp_path, capsys, steps, grid):
+def _square_loop_config(tmp_path) -> str:
     payload = _holonomy_config()
     square = [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0], [0.0, 0.0]]
     payload["curve"] = {"type": "waypoints", "points": square, "duration": 1.0}
-    cfg = _write(tmp_path / "cfg.json", payload)
+    return _write(tmp_path / "cfg.json", payload)
+
+
+@pytest.mark.parametrize("steps, grid", [(3, 3)])
+def test_cli_too_few_steps_for_segments_exit3(tmp_path, capsys, steps, grid):
+    cfg = _square_loop_config(tmp_path)
     out = tmp_path / "out"
     assert main(["--config", cfg, "--out", str(out), "--steps", str(steps), "holonomy"]) == 3
     err = capsys.readouterr().err
     assert err == f"precondition error: {grid} steps cannot cover 4 smooth segments\n"
     assert not out.exists()
+
+
+def test_cli_holonomy_refines_upward_when_half_steps_miss_segments(tmp_path):
+    # 5 steps cover the 4 segments, 5 // 2 would not: the refinement run doubles instead.
+    cfg = _square_loop_config(tmp_path)
+    out = tmp_path / "out"
+    assert main(["--config", cfg, "--out", str(out), "--quiet", "--steps", "5", "holonomy"]) == 0
+    diag = json.loads((out / "holonomy_diagnostics.json").read_text())
+    assert diag["steps"] == [5, 10]
+    assert diag["refinement_deviation"] > 0.0
 
 
 def test_cli_steps_override(tmp_path):

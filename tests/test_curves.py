@@ -10,6 +10,7 @@ from torus_holonomy import (
     reparameterize,
     step_intervals,
 )
+from torus_holonomy.curves import ChainedCurve, ReparameterizedCurve, ReversedCurve, segment_edges
 
 
 def test_circle_closed_and_velocity():
@@ -168,3 +169,114 @@ def test_line_integral_concatenation_additive():
     total = line_integral(polys, concatenate(a, b))
     closed = line_integral(polys, CirclePath.circle((0.0, 0.0), 1.0, 1.0))
     assert total == pytest.approx(closed, abs=1e-10)
+
+
+# --- sample(times) ------------------------------------------------------------
+
+
+def _scalar_point_velocity(curve, t: float):
+    """The per-class scalar formulas that ``sample`` replaced, one time at a time."""
+    if isinstance(curve, CirclePath):
+        th = curve.phase + 2.0 * np.pi * curve.turns * t / curve.duration
+        rate = 2.0 * np.pi * curve.turns / curve.duration
+        u, v = np.asarray(curve.u), np.asarray(curve.v)
+        point = np.asarray(curve.center) + np.cos(th) * u + np.sin(th) * v
+        return point, rate * (-np.sin(th) * u + np.cos(th) * v)
+    if isinstance(curve, WaypointPath):
+        segments = len(curve.points) - 1
+        seg_dur = curve.duration / segments
+        i = min(int(t / seg_dur), segments - 1) if t < curve.duration else segments - 1
+        u = np.clip((t - i * seg_dur) / seg_dur, 0.0, 1.0)
+        a, b = np.asarray(curve.points[i]), np.asarray(curve.points[i + 1])
+        blend = u - np.sin(2.0 * np.pi * u) / (2.0 * np.pi)
+        return a + blend * (b - a), (1.0 - np.cos(2.0 * np.pi * u)) / seg_dur * (b - a)
+    if isinstance(curve, ReversedCurve):
+        point, velocity = _scalar_point_velocity(curve.base, curve.duration - t)
+        return point, -velocity
+    if isinstance(curve, ChainedCurve):
+        t1 = curve.first.duration
+        return _scalar_point_velocity(curve.first, t) if t <= t1 else _scalar_point_velocity(curve.second, t - t1)
+    if isinstance(curve, ReparameterizedCurve):
+        point, velocity = _scalar_point_velocity(curve.base, curve.tau(t))
+        return point, velocity * curve.tau_dot(t)
+    raise TypeError(type(curve))
+
+
+def _ellipse():
+    return CirclePath((0.5, -1.0, 0.2), (2.0, 0.0, 0.3), (0.0, 1.5, 0.0), 3.0, turns=2.0, phase=0.4)
+
+
+def _waypoints():
+    # 0.7 / 3 is not exact, so t / seg_dur lands just off an integer at the
+    # joints, and a + (b - a) differs from b in the last bit for these points
+    return WaypointPath(((0.2, 0.3), (0.9, -1.9), (0.1, 0.2), (-0.5, 1.3)), 0.7)
+
+
+def _chained():
+    # the circle still moves at t1 while the waypoints start at rest, so the
+    # velocity at t1 tells which side owns the joint
+    circle = CirclePath.circle((0.0, 0.0), 1.0, 1.0, phase=0.3)
+    start = tuple(circle.point(0.0))
+    return concatenate(circle, WaypointPath((start, (2.0, 0.5), start), 2.0))
+
+
+SAMPLED_CURVES = {
+    "circle": _ellipse,
+    "waypoints": _waypoints,
+    "reversed": lambda: _waypoints().reverse(),
+    "chained": _chained,
+    "reparameterized": lambda: reparameterize(_ellipse(), lambda t: 3.0 * t * t, lambda t: 6.0 * t, 1.0),
+}
+
+
+@pytest.fixture(params=sorted(SAMPLED_CURVES))
+def sampled_curve(request):
+    return SAMPLED_CURVES[request.param]()
+
+
+def _grid(curve):
+    return np.union1d(np.linspace(0.0, curve.duration, 201), segment_edges(curve))
+
+
+def test_sample_matches_closed_form(sampled_curve):
+    times = _grid(sampled_curve)
+    points, velocities = sampled_curve.sample(times)
+    assert points.shape == velocities.shape == (times.size, sampled_curve.dimension)
+    reference = [_scalar_point_velocity(sampled_curve, float(t)) for t in times]
+    np.testing.assert_allclose(points, [p for p, _ in reference], rtol=0.0, atol=1e-14)
+    np.testing.assert_allclose(velocities, [v for _, v in reference], rtol=0.0, atol=1e-13)
+
+
+def test_sample_velocity_matches_finite_differences(sampled_curve):
+    h = 1e-6
+    times = np.linspace(0.0, sampled_curve.duration, 37)
+    # velocity may jump at a joint (ChainedCurve), so stay off the segment edges
+    gaps = np.abs(times[:, None] - np.asarray(segment_edges(sampled_curve))[None, :])
+    times = times[np.min(gaps, axis=1) > 2 * h]
+    ahead, _ = sampled_curve.sample(times + h)
+    behind, _ = sampled_curve.sample(times - h)
+    _, velocities = sampled_curve.sample(times)
+    np.testing.assert_allclose((ahead - behind) / (2 * h), velocities, rtol=0.0, atol=1e-6)
+
+
+def test_sample_bit_identical_at_joints(sampled_curve):
+    # segment starts, interior joints (ChainedCurve's t1 among them) and the end
+    edges = segment_edges(sampled_curve)
+    points, velocities = sampled_curve.sample(edges)
+    for t, point, velocity in zip(edges, points, velocities):
+        ref_point, ref_velocity = _scalar_point_velocity(sampled_curve, t)
+        assert np.array_equal(point, ref_point) and np.array_equal(velocity, ref_velocity), t
+
+
+def test_point_and_velocity_are_rows_of_sample(sampled_curve):
+    times = _grid(sampled_curve)
+    points, velocities = sampled_curve.sample(times)
+    for t, point, velocity in zip(times, points, velocities):
+        assert np.array_equal(sampled_curve.point(float(t)), point)
+        assert np.array_equal(sampled_curve.velocity(float(t)), velocity)
+
+
+def test_sample_empty_times(sampled_curve):
+    points, velocities = sampled_curve.sample(np.zeros(0))
+    assert points.shape == velocities.shape == (0, sampled_curve.dimension)
+

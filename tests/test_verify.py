@@ -15,6 +15,8 @@ from torus_holonomy.verify import (
     run_battery,
 )
 
+ABELIAN_TOL = 1e-8  # the tolerance of verify's abelian_closed_form check
+
 
 def test_quick_battery_passes():
     report = run_battery("quick", seed=99)
@@ -58,6 +60,30 @@ def test_abelian_oracle_rejects_angle_dependence():
     )
     with pytest.raises(ValueError):
         abelian_control_phases(model, conn, CirclePath.circle((0.0, 0.0), 1.0, 1.0))
+
+
+def test_abelian_oracle_independent_of_curve_sample(monkeypatch):
+    # the closed form must not read the path through sample(), which the
+    # ordered product it checks uses: a wrong sample() has to show as a gap
+    from torus_holonomy import CirclePath, ControlConnection, ParameterPolynomial, holonomy
+
+    model = TorusModel(2, (0,), (0.25, 0.5), 8)
+    zero = (0, 0)
+    conn = ControlConnection(
+        2,
+        2,
+        {
+            (0, 0): {zero: ParameterPolynomial(2, {(0, 0): 0.3, (0, 1): 0.2})},
+            (0, 1): {zero: ParameterPolynomial(2, {(0, 0): 0.1, (1, 0): -0.15})},
+        },
+    )
+    loop = CirclePath.circle((0.0, 0.0), 1.0, 1.0)
+    expected = abelian_control_phases(model, conn, loop)
+    sample = CirclePath.sample
+    monkeypatch.setattr(CirclePath, "sample", lambda self, t: tuple(1.01 * a for a in sample(self, t)))
+    assert np.array_equal(abelian_control_phases(model, conn, loop), expected)
+    measured = np.max(np.abs(holonomy(model, conn, loop, 1000).operator.matrix - np.diag(expected)))
+    assert measured > ABELIAN_TOL
 
 
 # --- shipped sample configs -------------------------------------------------------
