@@ -1,8 +1,9 @@
 """Angle-dependent Fourier fields, affine observables and control connections.
 
-Angle dependence enters exclusively through finite Fourier series, so sums,
-products and angle derivatives are exact coefficient operations and matrix
-elements downstream are exact.  An affine observable is
+Angle dependence enters exclusively through finite Fourier series, each
+held as one dense, centred coefficient array, so sums, products and angle
+derivatives are exact whole-array operations and matrix elements downstream
+are exact.  An affine observable is
 ``f = sum_k a_k(phi) I_k + b(phi)`` with real-valued component fields; the
 Poisson bracket of two affine observables is again affine and is computed
 in closed form here.
@@ -16,7 +17,7 @@ integrals are exact as well.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -32,35 +33,74 @@ def _as_shift(c: Iterable[int], m: int) -> tuple[int, ...]:
     return shift
 
 
-@dataclass(frozen=True)
+def _centred(m: int, coeffs: Mapping[tuple[int, ...], complex]) -> np.ndarray:
+    """Centred coefficient array with ``coeffs[c]`` at ``c + C``, C the widest shift."""
+    C = max((abs(x) for c in coeffs for x in c), default=0)
+    array = np.zeros((2 * C + 1,) * m, dtype=complex)
+    for c, v in coeffs.items():
+        array[tuple(x + C for x in c)] = v
+    return array
+
+
+def _mirrored(m: int, half: Mapping[tuple[int, ...], object], conjugate: Callable) -> dict:
+    """Complete one entry per +/-c pair: each listed c also gets conjugate(value) at -c."""
+    full: dict = {}
+    for c, v in half.items():
+        shift = _as_shift(c, m)
+        mirror = tuple(-x for x in shift)
+        if mirror in full and shift != mirror:
+            raise ValueError(f"both {shift} and {mirror} listed; give one per pair")
+        full[shift] = v
+        if shift != mirror:
+            full[mirror] = conjugate(v)
+    return full
+
+
+@dataclass(frozen=True, init=False)
 class TorusFourierField:
     """Finite Fourier series ``F(phi) = sum_c F_c exp(i c . phi)`` on the m-torus.
 
+    The coefficients are one read-only, centred complex array of shape
+    ``(2C+1,)*m`` whose entry ``c + C`` holds ``F_c``.  Zero borders are
+    trimmed, so C is the bandwidth and equal fields have equal arrays.
     ``real=True`` declares a real-valued function and requires the symmetry
-    ``F_{-c} = conj(F_c)`` (checked at construction).  Exact zeros are pruned
-    so the support is canonical.
+    ``F_{-c} = conj(F_c)``; it and finiteness are checked at construction.
     """
 
-    m: int
-    coefficients: Mapping[tuple[int, ...], complex] = field(default_factory=dict)
+    array: np.ndarray
     real: bool = True
 
-    def __post_init__(self):
-        coeffs = {}
-        for c, v in self.coefficients.items():
-            shift = _as_shift(c, self.m)
-            val = complex(v)
-            if val != 0:
-                coeffs[shift] = val
-        object.__setattr__(self, "coefficients", coeffs)
-        if self.real:
-            scale = max((abs(v) for v in coeffs.values()), default=1.0)
-            for c, v in coeffs.items():
-                mirror = coeffs.get(tuple(-x for x in c), 0.0)
-                if abs(np.conj(v) - mirror) > _REALITY_TOL * max(1.0, scale):
-                    raise ValueError(
-                        f"field flagged real but coefficient at {c} breaks F(-c) = conj(F(c))"
-                    )
+    def __init__(
+        self, m: int, coefficients: Mapping[tuple[int, ...], complex] | None = None, real: bool = True
+    ):
+        coeffs = {_as_shift(c, m): complex(v) for c, v in (coefficients or {}).items()}
+        self._store(_centred(m, coeffs), real)
+
+    @classmethod
+    def _from_array(cls, array: np.ndarray, real: bool) -> "TorusFourierField":
+        """Field of a centred coefficient array that no one else holds."""
+        fld = cls.__new__(cls)
+        fld._store(array, real)
+        return fld
+
+    def _store(self, array: np.ndarray, real: bool) -> None:
+        scale = np.abs(array).max()
+        if not np.isfinite(scale):
+            raise ValueError("field coefficients must be finite")
+        C = array.shape[0] // 2
+        keep = int(np.abs(np.argwhere(array) - C).max(initial=0))
+        array = array[(slice(C - keep, C + keep + 1),) * array.ndim]
+        array.flags.writeable = False
+        if real:
+            defect = np.abs(np.conj(array) - np.flip(array)).max()
+            if defect > _REALITY_TOL * max(1.0, scale):
+                raise ValueError(f"field flagged real but F(-c) = conj(F(c)) fails by {defect:.3g}")
+        object.__setattr__(self, "array", array)
+        object.__setattr__(self, "real", real)
+
+    def __eq__(self, other) -> bool:
+        same = isinstance(other, TorusFourierField) and self.real == other.real
+        return same and np.array_equal(self.array, other.array)
 
     # -- constructors ------------------------------------------------------
 
@@ -75,60 +115,50 @@ class TorusFourierField:
     @classmethod
     def cosine(cls, m: int, axis: int, amplitude: float = 1.0) -> "TorusFourierField":
         plus = tuple(1 if k == axis else 0 for k in range(m))
-        minus = tuple(-v for v in plus)
-        return cls(m, {plus: amplitude / 2.0, minus: amplitude / 2.0})
+        return cls.from_half_spectrum(m, {plus: amplitude / 2.0})
 
     @classmethod
     def sine(cls, m: int, axis: int, amplitude: float = 1.0) -> "TorusFourierField":
         plus = tuple(1 if k == axis else 0 for k in range(m))
-        minus = tuple(-v for v in plus)
-        return cls(m, {plus: -0.5j * amplitude, minus: 0.5j * amplitude})
+        return cls.from_half_spectrum(m, {plus: -0.5j * amplitude})
 
     @classmethod
     def from_half_spectrum(cls, m: int, half: Mapping[tuple[int, ...], complex]) -> "TorusFourierField":
         """Build a real field from one coefficient per +/-c pair.
 
         Each listed shift c also contributes conj(value) at -c.  The zero
-        shift must be real.  Listing both members of a pair is rejected to
-        avoid double counting.
+        shift must be real, as the reality check at construction enforces.
+        Listing both members of a pair is rejected to avoid double counting.
         """
-        coeffs: dict[tuple[int, ...], complex] = {}
-        for c, v in half.items():
-            shift = _as_shift(c, m)
-            mirror = tuple(-x for x in shift)
-            if mirror in coeffs and shift != mirror:
-                raise ValueError(f"both {shift} and {mirror} listed; give one per pair")
-            val = complex(v)
-            if shift == mirror:
-                if abs(val.imag) > _REALITY_TOL * max(1.0, abs(val)):
-                    raise ValueError("zero-shift coefficient of a real field must be real")
-                coeffs[shift] = complex(val.real)
-            else:
-                coeffs[shift] = val
-                coeffs[mirror] = np.conj(val)
-        return cls(m, coeffs)
+        return cls(m, _mirrored(m, half, np.conj))
 
     # -- queries -----------------------------------------------------------
 
     @property
+    def m(self) -> int:
+        return self.array.ndim
+
+    @property
+    def coefficients(self) -> dict[tuple[int, ...], complex]:
+        """The nonzero coefficients as ``{shift: value}``, in shift order."""
+        shifts = np.argwhere(self.array) - self.bandwidth
+        return dict(zip(map(tuple, shifts.tolist()), self.array[self.array != 0].tolist()))
+
+    @property
     def bandwidth(self) -> int:
         """Smallest C with |c_k| <= C for every supported shift."""
-        if not self.coefficients:
-            return 0
-        return max(max(abs(x) for x in c) for c in self.coefficients)
+        return self.array.shape[0] // 2
 
     @property
     def is_zero(self) -> bool:
-        return not self.coefficients
+        return not self.array.any()
 
     def evaluate(self, phi: Sequence[float]) -> complex:
         phi = np.asarray(phi, dtype=float)
         if phi.shape != (self.m,):
             raise DimensionMismatchError(f"angle vector shape {phi.shape}, expected ({self.m},)")
-        total = 0.0 + 0.0j
-        for c, v in sorted(self.coefficients.items()):
-            total += v * np.exp(1j * float(np.dot(c, phi)))
-        return total
+        shifts = np.argwhere(self.array) - self.bandwidth
+        return complex(self.array[self.array != 0] @ np.exp(1j * (shifts @ phi)))
 
     def evaluate_real(self, phi: Sequence[float]) -> float:
         if not self.real:
@@ -139,16 +169,18 @@ class TorusFourierField:
 
     def derivative(self, axis: int) -> "TorusFourierField":
         """Angle derivative along one axis; the derivative of a real field is real."""
-        coeffs = {c: v * 1j * c[axis] for c, v in self.coefficients.items() if c[axis] != 0}
-        return TorusFourierField(self.m, coeffs, real=self.real)
+        C = self.bandwidth
+        shift = np.moveaxis(np.arange(-C, C + 1).reshape([-1] + [1] * (self.m - 1)), 0, axis)
+        return TorusFourierField._from_array(self.array * 1j * shift, self.real)
 
     def __add__(self, other: "TorusFourierField") -> "TorusFourierField":
         if self.m != other.m:
             raise DimensionMismatchError("field dimensions differ")
-        coeffs = dict(self.coefficients)
-        for c, v in other.coefficients.items():
-            coeffs[c] = coeffs.get(c, 0.0) + v
-        return TorusFourierField(self.m, coeffs, real=self.real and other.real)
+        C = max(self.bandwidth, other.bandwidth)
+        array = np.zeros((2 * C + 1,) * self.m, dtype=complex)
+        for fld in (self, other):
+            array[(slice(C - fld.bandwidth, C + fld.bandwidth + 1),) * self.m] += fld.array
+        return TorusFourierField._from_array(array, self.real and other.real)
 
     def __sub__(self, other: "TorusFourierField") -> "TorusFourierField":
         return self + other.scaled(-1.0)
@@ -157,17 +189,16 @@ class TorusFourierField:
         """Pointwise product via coefficient convolution (exact)."""
         if self.m != other.m:
             raise DimensionMismatchError("field dimensions differ")
-        coeffs: dict[tuple[int, ...], complex] = {}
-        for c1, v1 in self.coefficients.items():
-            for c2, v2 in other.coefficients.items():
-                c = tuple(x + y for x, y in zip(c1, c2))
-                coeffs[c] = coeffs.get(c, 0.0) + v1 * v2
-        return TorusFourierField(self.m, coeffs, real=self.real and other.real)
+        width = other.array.shape[0]
+        array = np.zeros((self.array.shape[0] + width - 1,) * self.m, dtype=complex)
+        for idx in np.argwhere(self.array):
+            array[tuple(slice(i, i + width) for i in idx)] += self.array[tuple(idx)] * other.array
+        return TorusFourierField._from_array(array, self.real and other.real)
 
     def scaled(self, s: complex) -> "TorusFourierField":
         s = complex(s)
         real = self.real and s.imag == 0.0
-        return TorusFourierField(self.m, {c: s * v for c, v in self.coefficients.items()}, real=real)
+        return TorusFourierField._from_array(s * self.array, real)
 
 
 @dataclass(frozen=True)
@@ -200,8 +231,7 @@ class AffineObservable:
 
     @classmethod
     def zero(cls, m: int) -> "AffineObservable":
-        z = TorusFourierField.zero(m)
-        return cls((z,) * m, z)
+        return cls.from_parts(m)
 
     @classmethod
     def constant(cls, m: int, value: float) -> "AffineObservable":
@@ -210,11 +240,7 @@ class AffineObservable:
     @classmethod
     def action(cls, m: int, axis: int) -> "AffineObservable":
         """The bare action observable I_axis."""
-        fields = tuple(
-            TorusFourierField.constant(m, 1.0) if k == axis else TorusFourierField.zero(m)
-            for k in range(m)
-        )
-        return cls(fields, TorusFourierField.zero(m))
+        return cls.from_parts(m, {axis: TorusFourierField.constant(m, 1.0)})
 
     @classmethod
     def from_parts(
@@ -257,23 +283,47 @@ def poisson_bracket(
     if f.m != g.m:
         raise DimensionMismatchError("observables have different torus dimensions")
     m = f.m
-    new_actions = []
-    for r in range(m):
+    parts = []
+    for fr, gr in zip((*f.action_coeffs, f.scalar), (*g.action_coeffs, g.scalar)):
         total = TorusFourierField.zero(m)
         for k in range(m):
-            total = total + f.action_coeffs[k] * g.action_coeffs[r].derivative(k)
-            total = total - g.action_coeffs[k] * f.action_coeffs[r].derivative(k)
-        new_actions.append(total)
-    new_scalar = TorusFourierField.zero(m)
-    for k in range(m):
-        new_scalar = new_scalar + f.action_coeffs[k] * g.scalar.derivative(k)
-        new_scalar = new_scalar - g.action_coeffs[k] * f.scalar.derivative(k)
-    result = AffineObservable(tuple(new_actions), new_scalar)
+            total = total + f.action_coeffs[k] * gr.derivative(k)
+            total = total - g.action_coeffs[k] * fr.derivative(k)
+        parts.append(total)
+    result = AffineObservable(tuple(parts[:m]), parts[m])
     if max_bandwidth is not None and result.bandwidth > max_bandwidth:
         raise BandwidthError(
             f"bracket bandwidth {result.bandwidth} exceeds declared cap {max_bandwidth}"
         )
     return result
+
+
+def _polynomial_terms(terms: Mapping[tuple[int, ...], complex], n: int, kind: type) -> dict:
+    """Validated ``{exponent tuple: kind(value)}`` in n variables, zeros dropped."""
+    out = {}
+    for e, v in terms.items():
+        exps = tuple(int(x) for x in e)
+        if len(exps) != n:
+            raise DimensionMismatchError(f"exponent tuple {exps} has wrong length")
+        if any(x < 0 for x in exps):
+            raise ValueError("negative exponent")
+        val = kind(v)
+        if not np.isfinite(val):
+            raise ValueError(f"coefficient at {exps} is not finite")
+        if val != 0:
+            out[exps] = val
+    return out
+
+
+def _polynomial_value(terms: Mapping[tuple[int, ...], complex], point: np.ndarray, total):
+    """``total`` plus every term ``v * prod_k point_k**e_k``, in exponent order."""
+    for e, v in sorted(terms.items()):
+        term = v
+        for x, p in zip(point, e):
+            if p:
+                term = term * x**p
+        total += term
+    return total
 
 
 @dataclass(frozen=True)
@@ -284,17 +334,7 @@ class ParameterPolynomial:
     coefficients: Mapping[tuple[int, ...], complex] = field(default_factory=dict)
 
     def __post_init__(self):
-        coeffs = {}
-        for e, v in self.coefficients.items():
-            exps = tuple(int(x) for x in e)
-            if len(exps) != self.dim:
-                raise DimensionMismatchError(f"exponent tuple {exps} has wrong length")
-            if any(x < 0 for x in exps):
-                raise ValueError("negative exponent")
-            val = complex(v)
-            if val != 0:
-                coeffs[exps] = val
-        object.__setattr__(self, "coefficients", coeffs)
+        object.__setattr__(self, "coefficients", _polynomial_terms(self.coefficients, self.dim, complex))
 
     @classmethod
     def constant(cls, dim: int, value: complex) -> "ParameterPolynomial":
@@ -314,14 +354,7 @@ class ParameterPolynomial:
         sigma = np.asarray(sigma, dtype=float)
         if sigma.shape != (self.dim,):
             raise DimensionMismatchError(f"parameter point shape {sigma.shape}, expected ({self.dim},)")
-        total = 0.0 + 0.0j
-        for e, v in sorted(self.coefficients.items()):
-            term = v
-            for x, p in zip(sigma, e):
-                if p:
-                    term = term * x**p
-            total += term
-        return total
+        return _polynomial_value(self.coefficients, sigma, 0.0 + 0.0j)
 
     def conjugate(self) -> "ParameterPolynomial":
         return ParameterPolynomial(self.dim, {e: np.conj(v) for e, v in self.coefficients.items()})
@@ -393,18 +426,7 @@ class ControlConnection:
         half: Mapping[tuple[int, int], Mapping[tuple[int, ...], ParameterPolynomial]],
     ) -> "ControlConnection":
         """Build from one Fourier entry per +/-c pair, mirroring conjugates."""
-        comps: dict[tuple[int, int], dict[tuple[int, ...], ParameterPolynomial]] = {}
-        for key, fourier in half.items():
-            entry: dict[tuple[int, ...], ParameterPolynomial] = {}
-            for c, poly in fourier.items():
-                shift = _as_shift(c, m)
-                mirror = tuple(-x for x in shift)
-                if mirror in entry and shift != mirror:
-                    raise ValueError(f"both {shift} and {mirror} listed; give one per pair")
-                entry[shift] = poly
-                if shift != mirror:
-                    entry[mirror] = poly.conjugate()
-            comps[key] = entry
+        comps = {key: _mirrored(m, f, ParameterPolynomial.conjugate) for key, f in half.items()}
         return cls(m, parameter_dim, comps)
 
     # -- queries -----------------------------------------------------------
@@ -429,11 +451,9 @@ class ControlConnection:
 
     def field(self, axis: int, beta: int, sigma: Sequence[float]) -> TorusFourierField:
         """The (axis, beta) component frozen at a parameter point."""
-        fourier = self.components.get((axis, beta))
-        if not fourier:
-            return TorusFourierField.zero(self.m)
+        fourier = self.components.get((axis, beta), {})
         coeffs = {c: poly.evaluate(sigma) for c, poly in fourier.items()}
-        return TorusFourierField(self.m, coeffs, real=True)
+        return TorusFourierField._from_array(_centred(self.m, coeffs), real=True)
 
     def as_observable(self, sigma: Sequence[float], velocity: Sequence[float]) -> AffineObservable:
         """Velocity pairing: affine observable with a_axis = sum_beta L_axis_beta(sigma) v_beta.
@@ -451,7 +471,7 @@ class ControlConnection:
             if v == 0.0:
                 continue
             fld = self.field(axis, beta, sigma).scaled(float(v))
-            parts[axis] = parts.get(axis, TorusFourierField.zero(self.m)) + fld
+            parts[axis] = parts[axis] + fld if axis in parts else fld
         return AffineObservable.from_parts(self.m, parts)
 
     def restricted(self, axes: tuple[int, ...]) -> "ControlConnection":
@@ -490,17 +510,7 @@ class ActionPolynomial:
     terms: Mapping[tuple[int, ...], float] = field(default_factory=dict)
 
     def __post_init__(self):
-        terms = {}
-        for e, v in self.terms.items():
-            exps = tuple(int(x) for x in e)
-            if len(exps) != self.m:
-                raise DimensionMismatchError(f"exponent tuple {exps} has wrong length")
-            if any(x < 0 for x in exps):
-                raise ValueError("negative exponent")
-            val = float(v)
-            if val != 0.0:
-                terms[exps] = val
-        object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "terms", _polynomial_terms(self.terms, self.m, float))
 
     @classmethod
     def zero(cls, m: int) -> "ActionPolynomial":
@@ -521,14 +531,7 @@ class ActionPolynomial:
         actions = np.asarray(actions, dtype=float)
         if actions.shape != (self.m,):
             raise DimensionMismatchError(f"action vector shape {actions.shape}, expected ({self.m},)")
-        total = 0.0
-        for e, v in sorted(self.terms.items()):
-            term = v
-            for x, p in zip(actions, e):
-                if p:
-                    term *= x**p
-            total += term
-        return total
+        return _polynomial_value(self.terms, actions, 0.0)
 
     def gradient(self, actions: Sequence[float]) -> np.ndarray:
         actions = np.asarray(actions, dtype=float)

@@ -130,19 +130,17 @@ def quantize_affine(model: TorusModel, observable: AffineObservable) -> Operator
     offsets = np.asarray(model.offsets)
     size = model.size
     matrix = np.zeros((size, size), dtype=complex)
-    shifts: set[tuple[int, ...]] = set(observable.scalar.coefficients)
-    for fld in observable.action_coeffs:
-        shifts.update(fld.coefficients)
-    for c in sorted(shifts):
+    parts = np.zeros((model.m + 1,) + (2 * C + 1,) * model.m, dtype=complex)
+    for part, fld in zip(parts, (*observable.action_coeffs, observable.scalar)):
+        part[(slice(C - fld.bandwidth, C + fld.bandwidth + 1),) * model.m] = fld.array
+    for idx in np.argwhere(parts.any(axis=0)):
+        c = idx - C
         rows, cols, ok = _shift_scatter(model, c)
-        if not ok.any():
-            continue
+        *actions, B = parts[(slice(None), *idx)]
         values = np.zeros(size, dtype=complex)
-        for k in range(model.m):
-            A = observable.action_coeffs[k].coefficients.get(c)
+        for k, A in enumerate(actions):
             if A:
                 values += A * (modes[:, k] + 0.5 * c[k] - offsets[k])
-        B = observable.scalar.coefficients.get(c)
         if B:
             values += B
         matrix[rows, cols] += values[ok]
@@ -316,13 +314,10 @@ def dirac_residual(model: TorusModel, f: AffineObservable, g: AffineObservable) 
     fm = quantize_affine(model, f).matrix
     gm = quantize_affine(model, g).matrix
     bm = quantize_affine(model, bracket).matrix
-    residual = (fm @ gm - gm @ fm) + 1j * bm
     guard = min(f.bandwidth + g.bandwidth, model.truncation)
     keep = interior_mask(model, guard)
-    if not keep.any():
-        return 0.0
-    sub = residual[np.ix_(keep, keep)]
-    return float(np.max(np.abs(sub)))
+    residual = fm[keep] @ gm[:, keep] - gm[keep] @ fm[:, keep] + 1j * bm[np.ix_(keep, keep)]
+    return float(np.max(np.abs(residual)))
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,14 @@
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
 
+import torus_holonomy
 from torus_holonomy import ConfigError
 from torus_holonomy.cli import main
 from torus_holonomy.config import _CIRCLE_SCHEMA, _WAYPOINT_SCHEMA, CONFIG_SCHEMA, parse_config
@@ -453,3 +457,14 @@ def test_cli_non_finite_result_exit3_no_output(tmp_path, capsys, monkeypatch, ba
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
     assert not out.exists() or not list(out.iterdir())
+
+
+def test_import_loads_no_heavy_optional_modules():
+    # Every CLI run and benchmark set-up pays the package import.
+    heavy = ("scipy.signal", "sympy", "hypothesis")
+    code = f"import sys, torus_holonomy; print([m for m in {heavy!r} if m in sys.modules])"
+    env = dict(os.environ, PYTHONPATH=str(Path(torus_holonomy.__file__).parents[1]))
+    run = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60, check=True
+    )
+    assert run.stdout.strip() == "[]"

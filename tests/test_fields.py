@@ -1,6 +1,10 @@
+from itertools import product
+
 import numpy as np
 import pytest
 import sympy as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from torus_holonomy import (
     ActionPolynomial,
@@ -68,6 +72,151 @@ def test_bandwidth():
     f = TorusFourierField(2, {(2, -1): 1.0, (-2, 1): 1.0})
     assert f.bandwidth == 2
     assert TorusFourierField.zero(3).bandwidth == 0
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda x: TorusFourierField(1, {(1,): x, (-1,): x}),
+        lambda x: ParameterPolynomial(1, {(0,): x}),
+        lambda x: ActionPolynomial(1, {(1,): x}),
+    ],
+    ids=["field", "parameter_polynomial", "action_polynomial"],
+)
+def test_non_finite_coefficients_rejected(build, bad):
+    with pytest.raises(ValueError, match="finite"):
+        build(bad)
+
+
+# --- array algebra against the dict algebra ------------------------------------
+#
+# Reference copies of the coefficient-dict arithmetic the array form replaced:
+# fields as {shift: value} with exact zeros pruned.
+
+
+def _pruned(coeffs):
+    return {c: v for c, v in coeffs.items() if v != 0}
+
+
+def _dict_add(a, b):
+    out = dict(a)
+    for c, v in b.items():
+        out[c] = out.get(c, 0.0) + v
+    return _pruned(out)
+
+
+def _dict_scaled(a, s):
+    return _pruned({c: s * v for c, v in a.items()})
+
+
+def _dict_mul(a, b):
+    out = {}
+    for c1, v1 in a.items():
+        for c2, v2 in b.items():
+            c = tuple(x + y for x, y in zip(c1, c2))
+            out[c] = out.get(c, 0.0) + v1 * v2
+    return _pruned(out)
+
+
+def _dict_derivative(a, axis):
+    return _pruned({c: v * 1j * c[axis] for c, v in a.items() if c[axis] != 0})
+
+
+def _assert_matches(fld, reference, real, rel=0.0, atol=0.0):
+    got = fld.coefficients
+    tol = atol + rel * max((abs(v) for v in reference.values()), default=0.0)
+    for c in set(got) | set(reference):
+        assert abs(got.get(c, 0.0) - reference.get(c, 0.0)) <= tol, c
+    assert fld.bandwidth == max((abs(x) for c in reference for x in c), default=0)
+    assert fld.is_zero == (not reference)
+    assert fld.real == real
+
+
+def _check_against_dicts(m, a, real_a, b, real_b, s, rel=0.0, product_atol=0.0):
+    f = TorusFourierField(m, a, real=real_a)
+    g = TorusFourierField(m, b, real=real_b)
+    _assert_matches(f, _pruned(a), real_a)
+    both = real_a and real_b
+    _assert_matches(f + g, _dict_add(a, b), both, rel)
+    _assert_matches(f - g, _dict_add(a, _dict_scaled(b, -1.0)), both, rel)
+    _assert_matches(f * g, _dict_mul(a, b), both, rel, product_atol)
+    _assert_matches(f.scaled(s), _dict_scaled(a, complex(s)), real_a and complex(s).imag == 0, rel)
+    for k in range(m):
+        _assert_matches(f.derivative(k), _dict_derivative(a, k), real_a, rel)
+
+
+def _real_completion(half):
+    """Mirror every entry so F(-c) = conj(F(c)); self-mirrored shifts keep their real part."""
+    full = {}
+    for c, v in half.items():
+        mirror = tuple(-x for x in c)
+        full[c] = complex(v.real) if c == mirror else v
+        full[mirror] = full[c].conjugate()
+    return full
+
+
+# Quarter-integer parts keep every sum and product exact, so the two
+# algebras must agree bit for bit, cancellations and trimming included.
+_DYADIC = st.integers(-8, 8).map(lambda k: k / 4)
+
+
+@st.composite
+def _dyadic_field(draw, m):
+    bandwidth = draw(st.integers(0, 2))
+    shift = st.tuples(*[st.integers(-bandwidth, bandwidth)] * m)
+    value = st.builds(complex, _DYADIC, _DYADIC)
+    coeffs = draw(st.dictionaries(shift, value, max_size=6))
+    real = draw(st.booleans())
+    return (_real_completion(coeffs) if real else coeffs), real
+
+
+@st.composite
+def _dyadic_pair(draw):
+    m = draw(st.integers(1, 3))
+    s = draw(st.builds(complex, _DYADIC, _DYADIC))
+    return m, draw(_dyadic_field(m)), draw(_dyadic_field(m)), s
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_dyadic_pair())
+def test_array_algebra_matches_dict_algebra_exactly(case):
+    m, (a, real_a), (b, real_b), s = case
+    _check_against_dicts(m, a, real_a, b, real_b, s)
+
+
+def test_array_algebra_matches_dict_algebra_on_random_floats():
+    rng = np.random.default_rng(41)
+    for _ in range(200):
+        m = int(rng.integers(1, 4))
+        pair = []
+        for _ in range(2):
+            bandwidth = int(rng.integers(0, 3))
+            shifts = [c for c in product(range(-bandwidth, bandwidth + 1), repeat=m) if rng.random() < 0.7]
+            coeffs = {c: complex(rng.normal(), rng.normal()) for c in shifts}
+            real = bool(rng.integers(2))
+            pair += [_real_completion(coeffs) if real else coeffs, real]
+        s = complex(rng.normal(), rng.normal() * rng.integers(2))
+        # A product coefficient sums up to len(a) terms in another order than
+        # the dict loop did, so its rounding bound grows with that count.
+        a, b = pair[0], pair[2]
+        size = _dict_mul({c: abs(v) for c, v in a.items()}, {c: abs(v) for c, v in b.items()})
+        atol = 2 * len(a) * np.finfo(float).eps * max(size.values(), default=0.0)
+        _check_against_dicts(m, *pair, s, rel=1e-15, product_atol=atol)
+
+
+def test_cancellation_trims_bandwidth():
+    f = random_real_field(np.random.default_rng(43), 2, 2)
+    assert (f - f).is_zero
+    assert (f - f).array.shape == (1, 1)
+    # f * g and f * h share their outer ring, which cancels to -0.75 f.
+    f = TorusFourierField.cosine(2, 0) + TorusFourierField.sine(2, 1, 0.5)
+    g = TorusFourierField.cosine(2, 0) * TorusFourierField.cosine(2, 1, 2.0)
+    h = g + TorusFourierField.constant(2, 0.75)
+    assert (f * g).bandwidth == 2
+    diff = f * g - f * h
+    assert diff.array.shape == (3, 3)
+    _assert_matches(diff, _dict_scaled(f.coefficients, -0.75), True)
 
 
 # --- Poisson bracket ---------------------------------------------------------
