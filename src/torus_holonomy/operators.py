@@ -12,17 +12,20 @@ c of each coefficient gives the closed-form matrix element
 
 where A_k, B are the coefficient tables of a_k, b.  The half-shift makes
 the element manifestly Hermitian for real fields, and the formula is locked
-against an independent torus-quadrature oracle in the test suite.  Shifts
-that leave the box are dropped; identities involving shift operators are
-therefore asserted on interior modes only.
+against an independent torus-quadrature oracle in the test suite.  All
+nonzero shifts of an observable are placed by one scatter over the stack
+of shifts, which yields (shift, target, source) for every in-box entry.
+Shifts that leave the box are dropped; identities involving shift operators
+are therefore asserted on interior modes only.
 
 A control connection's velocity pairing is linear in the velocity and
 polynomial in sigma: one term per (axis, Fourier shift) weighted by
 ``v_beta sigma^e``.  ``compile_connection`` builds that table and the
 term-to-axis map once; per-step code on the quantum and classical sides
 reads only them, and ``along`` reads the path with one ``curve.sample``.
-``shift_basis`` places its terms on a mode box through the same scatter
-as ``quantize_affine``, which stays independent as the reference.
+``shift_basis`` places its distinct shifts on a mode box through the same
+one scatter as ``quantize_affine``, which stays independent as the
+reference.
 """
 
 from __future__ import annotations
@@ -103,19 +106,21 @@ def hamiltonian_operator(
 
 
 def _shift_scatter(
-    model: TorusModel, shift: Sequence[int]
+    model: TorusModel, shifts: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Where the mode shift ``n -> n + c`` lands inside the box.
+    """Where each mode shift ``n -> n + c_s`` of an (S, m) stack lands in the box.
 
-    Returns ``(rows, cols, ok)``: ``ok`` masks the modes n whose target
-    n + c stays in the box, and ``rows``/``cols`` are the layout positions
-    of n + c and n for those modes.
+    Returns ``(which, rows, cols)`` over the in-box entries, ordered by
+    shift and then by mode: the shift index s, and the layout positions of
+    n + c_s and of n.  The layout is linear in n, so n + c_s lies
+    ``c_s . strides`` positions after n.
     """
     N = model.truncation
-    target = mode_array(model) + np.asarray(shift, dtype=np.int64)
-    ok = np.all(np.abs(target) <= N, axis=1)
-    rows = np.ravel_multi_index((target[ok] + N).T, (model.axis_size,) * model.m)
-    return rows, np.flatnonzero(ok), ok
+    shifts = np.asarray(shifts, dtype=np.int64).reshape(-1, model.m)
+    inside = np.all(np.abs(mode_array(model) + shifts[:, None, :]) <= N, axis=2)
+    which, cols = np.nonzero(inside)
+    strides = model.axis_size ** np.arange(model.m - 1, -1, -1)
+    return which, cols + (shifts @ strides)[which], cols
 
 
 def quantize_affine(model: TorusModel, observable: AffineObservable) -> OperatorMatrix:
@@ -133,17 +138,17 @@ def quantize_affine(model: TorusModel, observable: AffineObservable) -> Operator
     parts = np.zeros((model.m + 1,) + (2 * C + 1,) * model.m, dtype=complex)
     for part, fld in zip(parts, (*observable.action_coeffs, observable.scalar)):
         part[(slice(C - fld.bandwidth, C + fld.bandwidth + 1),) * model.m] = fld.array
-    for idx in np.argwhere(parts.any(axis=0)):
-        c = idx - C
-        rows, cols, ok = _shift_scatter(model, c)
-        *actions, B = parts[(slice(None), *idx)]
-        values = np.zeros(size, dtype=complex)
-        for k, A in enumerate(actions):
-            if A:
-                values += A * (modes[:, k] + 0.5 * c[k] - offsets[k])
-        if B:
-            values += B
-        matrix[rows, cols] += values[ok]
+    nonzero = np.argwhere(parts.any(axis=0))
+    shifts = nonzero - C
+    which, rows, cols = _shift_scatter(model, shifts)
+    *actions, B = parts[(slice(None), *nonzero.T)][:, which]
+    # axes in turn, then B: the summation order of a per-shift build, so the
+    # elements stay bit-identical to it
+    values = np.zeros(rows.size, dtype=complex)
+    for k, A in enumerate(actions):
+        values += A * (modes[cols, k] + 0.5 * shifts[which, k] - offsets[k])
+    values += B
+    matrix[rows, cols] += values
     return OperatorMatrix(model, matrix, bandwidth=C)
 
 
@@ -250,20 +255,14 @@ def shift_basis(
     """
     if compiled.shifts.shape[1] != model.m:
         raise DimensionMismatchError("connection dimension differs from model")
+    unique = list(dict.fromkeys(map(tuple, compiled.shifts)))
+    which, rows, cols = _shift_scatter(model, unique)
     modes = mode_array(model)
-    blocks: dict[tuple[int, ...], tuple[int, np.ndarray, np.ndarray]] = {}
-    width = 0
-    for c in compiled.shifts:
-        if tuple(c) not in blocks:
-            rows, cols, ok = _shift_scatter(model, c)
-            blocks[tuple(c)] = (width, rows * model.size + cols, ok)
-            width += rows.size
-    basis = np.zeros((len(compiled.axes), width))
+    basis = np.zeros((len(compiled.axes), rows.size))
     for K, (axis, c) in enumerate(zip(compiled.axes, compiled.shifts)):
-        start, positions, ok = blocks[tuple(c)]
-        basis[K, start : start + positions.size] = element(modes[ok], int(axis), c)
-    support = [positions for _, positions, _ in blocks.values()]
-    return ShiftBasis(model.size, np.concatenate(support + [np.zeros(0, np.intp)]), basis)
+        block = which == unique.index(tuple(c))
+        basis[K, block] = element(modes[cols[block]], int(axis), c)
+    return ShiftBasis(model.size, rows * model.size + cols, basis)
 
 
 def quantized_basis(model: TorusModel, compiled: CompiledConnection) -> ShiftBasis:
@@ -291,7 +290,7 @@ def multiplication_operator(model: TorusModel, shift: Iterable[int]) -> Operator
     N = model.truncation
     if any(abs(x) > 2 * N for x in c):
         raise ValueError(f"shift {c} exceeds 2N={2 * N}; the truncated matrix would vanish")
-    rows, cols, _ = _shift_scatter(model, c)
+    _, rows, cols = _shift_scatter(model, [c])
     matrix = np.zeros((model.size, model.size), dtype=complex)
     matrix[rows, cols] = 1.0
     return OperatorMatrix(model, matrix, bandwidth=max((abs(x) for x in c), default=0))
@@ -357,11 +356,11 @@ def lambda_shift_equivalence(
     base = hamiltonian_spectrum(model, hamiltonian)
     moved = hamiltonian_spectrum(shifted_model, hamiltonian)
     if np.all(shift == np.round(shift)):
-        rows, cols, ok = _shift_scatter(model, shift.astype(int))
-        if not ok.any():
+        _, rows, cols = _shift_scatter(model, [shift.astype(int)])
+        if not cols.size:
             return SpectralComparison(0.0, 0, "reindex-empty-overlap")
         dev = float(np.max(np.abs(base[cols] - moved[rows])))
-        return SpectralComparison(dev, int(ok.sum()), "reindex")
+        return SpectralComparison(dev, int(cols.size), "reindex")
     dev = float(np.max(np.abs(np.sort(base) - np.sort(moved))))
     return SpectralComparison(dev, base.size, "sorted")
 

@@ -166,6 +166,9 @@ def restrict_to_eigenspace(full: OperatorMatrix, dynamic_label: Sequence[int]) -
     label = tuple(int(x) for x in dynamic_label)
     if len(label) != len(model.dynamic):
         raise DimensionMismatchError("dynamic label length differs from the dynamic axis count")
+    N = model.truncation
+    if any(abs(x) > N for x in label):
+        raise ValueError(f"dynamic label {label} outside the box |n_k| <= {N}")
     di, _ = sublattice_index(model, model.dynamic)
     want = 0
     for x in label:

@@ -1,10 +1,13 @@
 """File formats and atomic output helpers.
 
 Operators ship as JSON with a model echo, the lexicographic layout tag and
-row-major [re, im] entries.  Trajectories ship as CSV with 17 significant
-digits.  All writers go through a temp file plus atomic rename so failures
-never leave partial outputs.  JSON payloads with a non-finite number are
-refused before any file is created, since JSON has no form for them.
+row-major [re, im] entries.  JSON files are one compact line with sorted
+keys, written without ``indent`` so that ``json`` uses its C encoder; a
+full-lattice operator is millions of numbers.  Trajectories ship as CSV with
+17 significant digits.  All writers go through a temp file plus atomic
+rename so failures never leave partial outputs.  JSON payloads with a
+non-finite number are refused before any file is created, since JSON has no
+form for them.
 """
 
 from __future__ import annotations
@@ -84,8 +87,7 @@ def _numpy_value(value):
 def json_text(payload: Mapping) -> str:
     """Payload as JSON text; non-finite numbers have no JSON form and are refused."""
     try:
-        text = json.dumps(payload, indent=1, sort_keys=True, allow_nan=False, default=_numpy_value)
-        return text + "\n"
+        return json.dumps(payload, sort_keys=True, allow_nan=False, default=_numpy_value) + "\n"
     except ValueError as exc:
         raise TorusHolonomyError(f"payload cannot be written as JSON: {exc}") from exc
 

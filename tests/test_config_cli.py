@@ -430,12 +430,34 @@ def test_atomic_write_uses_umask_mode(tmp_path):
 
 
 def test_atomic_write_json_refuses_non_finite(tmp_path):
-    from torus_holonomy import TorusHolonomyError
-    from torus_holonomy.serialize import atomic_write_json
+    from torus_holonomy import OperatorMatrix, TorusHolonomyError, TorusModel
+    from torus_holonomy.serialize import atomic_write_json, operator_payload
 
     with pytest.raises(TorusHolonomyError):
         atomic_write_json(str(tmp_path / "d.json"), {"defect": np.float64("nan")})
     assert not list(tmp_path.iterdir())
+
+    model = TorusModel(1, (0,), (0.0,), 1)
+    matrix = np.eye(model.size, dtype=complex)
+    matrix[1, 2] = complex(0.0, np.nan)
+    with pytest.raises(TorusHolonomyError):
+        atomic_write_json(str(tmp_path / "op.json"), operator_payload(OperatorMatrix(model, matrix)))
+    assert not list(tmp_path.iterdir())
+
+
+def test_json_text_round_trips_numpy_values():
+    from torus_holonomy.serialize import json_text
+
+    payload = {
+        "count": np.int64(7),
+        "defect": np.float32(0.25),
+        "passed": np.bool_(True),
+        "levels": np.array([[1.5, -2.0], [0.0, 3.25]]),
+        "nested": [{"label": np.int64(-3)}],
+    }
+    text = json_text(payload)
+    assert text.endswith("}\n") and text.count("\n") == 1
+    assert json.loads(text) == {**payload, "levels": [[1.5, -2.0], [0.0, 3.25]]}
 
 
 @pytest.mark.parametrize("bad", ["matrix", "diagnostics"])

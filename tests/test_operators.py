@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from torus_holonomy import (
     ActionPolynomial,
@@ -18,9 +20,9 @@ from torus_holonomy import (
     multiplication_operator,
     quantize_affine,
 )
-from torus_holonomy.lattice import interior_mask, sublattice_index
+from torus_holonomy.lattice import interior_mask, mode_array, sublattice_index
 from torus_holonomy.operators import commutator, hamiltonian_spectrum
-from torus_holonomy.verify import quadrature_matrix_element, random_affine
+from torus_holonomy.verify import quadrature_matrix_element, random_affine, random_real_field
 
 
 # --- action operators ----------------------------------------------------------
@@ -166,6 +168,83 @@ def test_quantize_bandwidth_rejected():
     wide = TorusFourierField.from_half_spectrum(1, {(3,): 1.0})
     with pytest.raises(BandwidthError):
         quantize_affine(model, AffineObservable.from_parts(1, scalar=wide))
+
+
+def _single_shift_scatter(model, c):
+    """(rows, cols, ok) of one shift: ``ok`` masks the modes n with n + c in the box."""
+    N = model.truncation
+    target = mode_array(model) + np.asarray(c, dtype=np.int64)
+    ok = np.all(np.abs(target) <= N, axis=1)
+    rows = np.ravel_multi_index((target[ok] + N).T, (model.axis_size,) * model.m)
+    return rows, np.flatnonzero(ok), ok
+
+
+def _quantize_per_shift(model, observable):
+    """quantize_affine with one scatter per shift, skipping zero coefficients."""
+    C = observable.bandwidth
+    modes = mode_array(model)
+    offsets = np.asarray(model.offsets)
+    matrix = np.zeros((model.size, model.size), dtype=complex)
+    parts = np.zeros((model.m + 1,) + (2 * C + 1,) * model.m, dtype=complex)
+    for part, fld in zip(parts, (*observable.action_coeffs, observable.scalar)):
+        part[(slice(C - fld.bandwidth, C + fld.bandwidth + 1),) * model.m] = fld.array
+    for idx in np.argwhere(parts.any(axis=0)):
+        c = idx - C
+        rows, cols, ok = _single_shift_scatter(model, c)
+        *actions, B = parts[(slice(None), *idx)]
+        values = np.zeros(model.size, dtype=complex)
+        for k, A in enumerate(actions):
+            if A:
+                values += A * (modes[:, k] + 0.5 * c[k] - offsets[k])
+        if B:
+            values += B
+        matrix[rows, cols] += values[ok]
+    return matrix
+
+
+@st.composite
+def _scatter_case(draw):
+    m = draw(st.integers(1, 3))
+    N = draw(st.sampled_from([1, 2, 3]))
+    offsets = tuple(draw(st.lists(st.floats(-1.0, 1.0), min_size=m, max_size=m)))
+    # -1 leaves a component out; a bandwidth of N puts shifts on the box edge
+    widths = draw(st.lists(st.integers(-1, N), min_size=m + 1, max_size=m + 1))
+    shift = tuple(draw(st.lists(st.integers(-2 * N - 1, 2 * N + 1), min_size=m, max_size=m)))
+    return TorusModel(m, (0,), offsets, N), widths, shift, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(_scatter_case())
+def test_stacked_scatter_matches_per_shift_scatter(case):
+    model, widths, shift, seed = case
+    rng = np.random.default_rng(seed)
+    fields = [None if w < 0 else random_real_field(rng, model.m, w) for w in widths]
+    obs = AffineObservable.from_parts(
+        model.m, {k: f for k, f in enumerate(fields[:-1]) if f is not None}, fields[-1]
+    )
+    assert np.array_equal(quantize_affine(model, obs).matrix, _quantize_per_shift(model, obs))
+
+    rows, cols, ok = _single_shift_scatter(model, shift)
+    if max(abs(x) for x in shift) <= 2 * model.truncation:
+        expected = np.zeros((model.size, model.size), dtype=complex)
+        expected[rows, cols] = 1.0
+        assert np.array_equal(multiplication_operator(model, shift).matrix, expected)
+
+    def ham(dynamic):
+        return float(np.sum(np.cos(dynamic) + 0.5 * dynamic**2))
+
+    comp = lambda_shift_equivalence(model, ham, shift)
+    moved_model = TorusModel(
+        model.m, model.controlled, tuple(np.asarray(model.offsets) + shift), model.truncation
+    )
+    base = hamiltonian_spectrum(model, ham)
+    moved = hamiltonian_spectrum(moved_model, ham)
+    assert comp.compared == int(ok.sum())
+    if ok.any():
+        assert comp.method == "reindex"
+        assert comp.max_deviation == float(np.max(np.abs(base[cols] - moved[rows])))
+    else:
+        assert comp.method == "reindex-empty-overlap"
 
 
 # --- multiplication operators ------------------------------------------------------

@@ -8,6 +8,7 @@ from torus_holonomy import (
     CirclePath,
     ControlConnection,
     OpenCurveError,
+    OperatorMatrix,
     ParameterPolynomial,
     SplitViolationError,
     TorusFourierField,
@@ -398,6 +399,15 @@ def test_holonomy_block_independent_of_dynamic_label():
     full = evolve_control(model, conn, loop, 100)
     for label in ((-3,), (0,), (2,)):
         assert np.array_equal(restrict_to_eigenspace(full.operator, label), block)
+
+
+@pytest.mark.parametrize("m,label", [(3, (0, 2)), (2, (5,))])
+def test_restrict_to_eigenspace_rejects_label_outside_box(m, label):
+    # (0, 2) at N=1 would alias the block of (1, -1); (5,) would select no mode
+    model = TorusModel(m, (0,), (0.0,) * m, 1)
+    full = OperatorMatrix(model, np.eye(model.size))
+    with pytest.raises(ValueError, match="outside the box"):
+        restrict_to_eigenspace(full, label)
 
 
 def test_holonomy_gauge_offset_enters_phases():
