@@ -17,8 +17,11 @@ cross-checked.
 All of these read the connection through ``operators.compile_connection``
 and sample the path once per call (``CompiledConnection.along``): RK4 at
 every grid time and stage midpoint, the ordered products at the step
-midpoints.  The frozen component fields (``ControlConnection.field``) stay
-independent as the tests' reference.
+midpoints.  Each RK4 stage of the perturbed flow evaluates the connection's
+waves once (``CompiledConnection.flow``) for both the action rate and the
+drift; the controlled-angle history reads the drift alone.  The frozen
+component fields (``ControlConnection.field``) stay independent as the
+tests' reference.
 """
 
 from __future__ import annotations
@@ -122,9 +125,8 @@ def evolve_perturbed(
 
     def rhs(w: np.ndarray, y: np.ndarray) -> np.ndarray:
         actions, angles = y[:m], y[m:]
-        dI = -compiled.coupling(w, angles) @ actions
-        dphi = hamiltonian.gradient(actions) + compiled.drift(w, angles)
-        return np.concatenate([dI, dphi])
+        rate, drift = compiled.flow(w, angles, actions)
+        return np.concatenate([rate, hamiltonian.gradient(actions) + drift])
 
     times = step_intervals(curve, steps)
     ys = _rk4_along(rhs, compiled, curve, times, np.concatenate([state0.actions, state0.angles]))

@@ -299,7 +299,11 @@ def poisson_bracket(
 
 
 def _polynomial_terms(terms: Mapping[tuple[int, ...], complex], n: int, kind: type) -> dict:
-    """Validated ``{exponent tuple: kind(value)}`` in n variables, zeros dropped."""
+    """Validated ``{exponent tuple: kind(value)}`` in n variables, zeros dropped.
+
+    The dict iterates in sorted exponent order, the summation order of
+    ``_polynomial_value`` and ``ActionPolynomial.gradient``.
+    """
     out = {}
     for e, v in terms.items():
         exps = tuple(int(x) for x in e)
@@ -312,12 +316,12 @@ def _polynomial_terms(terms: Mapping[tuple[int, ...], complex], n: int, kind: ty
             raise ValueError(f"coefficient at {exps} is not finite")
         if val != 0:
             out[exps] = val
-    return out
+    return dict(sorted(out.items()))
 
 
 def _polynomial_value(terms: Mapping[tuple[int, ...], complex], point: np.ndarray, total):
     """``total`` plus every term ``v * prod_k point_k**e_k``, in exponent order."""
-    for e, v in sorted(terms.items()):
+    for e, v in terms.items():
         term = v
         for x, p in zip(point, e):
             if p:
@@ -536,7 +540,7 @@ class ActionPolynomial:
     def gradient(self, actions: Sequence[float]) -> np.ndarray:
         actions = np.asarray(actions, dtype=float)
         grad = np.zeros(self.m)
-        for e, v in sorted(self.terms.items()):
+        for e, v in self.terms.items():
             for k, p in enumerate(e):
                 if p == 0:
                     continue

@@ -162,14 +162,17 @@ class CompiledConnection:
 
     with ``sigma^e`` the monomial of ``exponents[e]``, so that
     ``L_k(sigma, phi) . v = sum_{K: axes[K] = k} w_K exp(i c_K . phi)``.
-    No model or controlled/dynamic split is assumed.
+    No model or controlled/dynamic split is assumed.  ``drift``,
+    ``coupling`` and ``flow`` share one wave formula; ``flow`` gives the
+    perturbed flow's action rate and drift from a single evaluation of it.
+    ``by_axis`` is stored as float so that ``@`` does not cast it per call.
     """
 
     axes: np.ndarray  # (K,) torus axis of each term
     shifts: np.ndarray  # (K, m) Fourier shift of each term
     table: np.ndarray  # (K, d, E) sigma-polynomial coefficients
     exponents: np.ndarray  # (E, d) monomial exponents
-    by_axis: np.ndarray  # (K, m) one-hot of each term's axis
+    by_axis: np.ndarray  # (K, m) float one-hot of each term's axis
 
     def weights(self, sigmas: np.ndarray, velocities: np.ndarray) -> np.ndarray:
         """Term weights at S parameter points, shape (S, K).
@@ -192,15 +195,29 @@ class CompiledConnection:
         """Term weights at the given times of ``curve``, shape (len(times), K)."""
         return self.weights(*curve.sample(times))
 
+    def _waves(self, weights: np.ndarray, phi: np.ndarray) -> np.ndarray:
+        """``w_K exp(i c_K . phi)`` of every term K, at one weight row."""
+        return weights * np.exp(1j * (self.shifts @ phi))
+
     def drift(self, weights: np.ndarray, phi: np.ndarray) -> np.ndarray:
         """``L_k(sigma, phi) . v`` for every axis k, at one weight row."""
-        waves = weights * np.exp(1j * (self.shifts @ phi))
-        return waves.real @ self.by_axis
+        return self._waves(weights, phi).real @ self.by_axis
 
     def coupling(self, weights: np.ndarray, phi: np.ndarray) -> np.ndarray:
         """``G[a, k] = d_a L_k(sigma, phi) . v`` at one weight row."""
-        waves = 1j * weights * np.exp(1j * (self.shifts @ phi))
+        waves = 1j * self._waves(weights, phi)
         return (waves[:, None] * self.shifts).real.T @ self.by_axis
+
+    def flow(
+        self, weights: np.ndarray, phi: np.ndarray, actions: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The action rate ``-G @ actions`` and the drift, from one wave evaluation.
+
+        ``Re(i z) = -Im z``, so ``-G[a, k] I_k`` sums ``Im(waves_K) c_K[a] I_k``
+        over the terms K of axis k.
+        """
+        waves = self._waves(weights, phi)
+        return self.shifts.T @ (waves.imag * actions[self.axes]), waves.real @ self.by_axis
 
 
 def compile_connection(connection: ControlConnection) -> CompiledConnection:
@@ -220,7 +237,7 @@ def compile_connection(connection: ControlConnection) -> CompiledConnection:
         np.array([c for c, _ in terms], dtype=np.int64).reshape(len(terms), connection.m),
         table,
         np.array(exponents, dtype=np.int64).reshape(len(exponents), d),
-        axes[:, None] == np.arange(connection.m),
+        (axes[:, None] == np.arange(connection.m)).astype(float),
     )
 
 

@@ -4,10 +4,11 @@ Operators ship as JSON with a model echo, the lexicographic layout tag and
 row-major [re, im] entries.  JSON files are one compact line with sorted
 keys, written without ``indent`` so that ``json`` uses its C encoder; a
 full-lattice operator is millions of numbers.  Trajectories ship as CSV with
-17 significant digits.  All writers go through a temp file plus atomic
-rename so failures never leave partial outputs.  JSON payloads with a
-non-finite number are refused before any file is created, since JSON has no
-form for them.
+17 significant digits, each row formatted from Python floats by one format
+string; the bytes are those of formatting every value with ``:.17g``.  All
+writers go through a temp file plus atomic rename so failures never leave
+partial outputs.  JSON payloads with a non-finite number are refused before
+any file is created, since JSON has no form for them.
 """
 
 from __future__ import annotations
@@ -48,10 +49,11 @@ def operator_payload(op: OperatorMatrix) -> dict:
 def trajectory_csv(trajectory: Trajectory) -> str:
     m = trajectory.actions.shape[1]
     header = ["t"] + [f"I_{k + 1}" for k in range(m)] + [f"phi_{k + 1}" for k in range(m)]
+    table = np.column_stack((trajectory.times, trajectory.actions, trajectory.angles))
+    row = ",".join(["{:.17g}"] * (2 * m + 1))
+    # one row of Python floats at a time: a whole-table tolist() costs peak memory
     lines = [",".join(header)]
-    for i in range(len(trajectory)):
-        row = [trajectory.times[i], *trajectory.actions[i], *trajectory.angles[i]]
-        lines.append(",".join(f"{v:.17g}" for v in row))
+    lines.extend(row.format(*values.tolist()) for values in table)
     return "\n".join(lines) + "\n"
 
 

@@ -97,6 +97,53 @@ def test_perturbed_constant_drift_closed_form(monkeypatch):
     assert final.angles[0] == pytest.approx(expected, abs=1e-10)
 
 
+def test_perturbed_flow_reads_only_the_fused_rhs(monkeypatch):
+    # each RK4 stage takes the action rate and the drift from one flow call;
+    # the result must equal RK4 of the frozen component fields
+    def refuse(self, w, phi):
+        raise AssertionError("the perturbed flow evaluated drift or coupling on its own")
+
+    monkeypatch.setattr(CompiledConnection, "coupling", refuse)
+    monkeypatch.setattr(CompiledConnection, "drift", refuse)
+    # connections on both axes that depend on both angles: not split-compliant
+    conn = ControlConnection.from_half_spectrum(
+        2,
+        2,
+        {
+            (0, 0): {(1, -1): ParameterPolynomial(2, {(0, 0): 0.3 - 0.2j, (1, 0): 0.1})},
+            (0, 1): {(0, 0): ParameterPolynomial(2, {(0, 1): 0.25})},
+            (1, 0): {(1, 0): ParameterPolynomial(2, {(0, 0): -0.15j, (0, 1): 0.2})},
+            (1, 1): {(2, 1): ParameterPolynomial(2, {(1, 1): 0.05 + 0.1j})},
+        },
+    )
+    ham = ActionPolynomial(2, {(2, 0): 0.5, (0, 2): 0.3, (1, 1): 0.1})
+    curve = CirclePath.circle((0.2, -0.1), 0.8, 1.5)
+    s0 = ClassicalState([0.9, -0.4], [0.3, 2.1])
+    steps = 300
+    final = evolve_perturbed(ham, conn, curve, s0, steps).final
+
+    def rhs(t, y):
+        actions, angles = y[:2], y[2:]
+        sigma, vel = curve.point(t), curve.velocity(t)
+        drift = np.zeros(2)
+        coupling = np.zeros((2, 2))
+        for axis, beta in conn.components:
+            fld = conn.field(axis, beta, sigma)
+            drift[axis] += fld.evaluate_real(angles) * vel[beta]
+            for a in range(2):
+                coupling[a, axis] += fld.derivative(a).evaluate_real(angles) * vel[beta]
+        grad = np.array([actions[0] + 0.1 * actions[1], 0.6 * actions[1] + 0.1 * actions[0]])
+        return np.concatenate([-coupling @ actions, grad + drift])
+
+    y = np.concatenate([s0.actions, s0.angles])
+    times = np.linspace(0.0, 1.5, steps + 1)
+    for t0, t1 in zip(times[:-1], times[1:]):
+        h = float(t1 - t0)
+        y = _rk4_step(rhs, h, y, float(t0), float(t0) + 0.5 * h, float(t1))
+    assert np.max(np.abs(final.actions - y[:2])) <= 1e-12
+    assert np.max(np.abs(final.angles - y[2:])) <= 1e-12
+
+
 def test_perturbed_step_refinement_order():
     ham = ActionPolynomial(1, {(2,): 0.5})
     conn = _cos_connection(0.8)

@@ -7,9 +7,11 @@ from pathlib import Path
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import torus_holonomy
-from torus_holonomy import ConfigError
+from torus_holonomy import ConfigError, Trajectory
 from torus_holonomy.cli import main
 from torus_holonomy.config import _CIRCLE_SCHEMA, _WAYPOINT_SCHEMA, CONFIG_SCHEMA, parse_config
 from torus_holonomy.harness import run_classical, run_holonomy, run_spectrum
@@ -458,6 +460,38 @@ def test_json_text_round_trips_numpy_values():
     text = json_text(payload)
     assert text.endswith("}\n") and text.count("\n") == 1
     assert json.loads(text) == {**payload, "levels": [[1.5, -2.0], [0.0, 3.25]]}
+
+
+_CSV_VALUES = st.one_of(
+    st.sampled_from([-0.0, 0.0, 5e-324, -2.5e-310, 1e300, -1e300, 3.0, -7.0, 2.0**53, 1e16]),
+    st.integers(-(2**60), 2**60).map(float),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def _trajectories(draw):
+    m = draw(st.integers(1, 3))
+    times = sorted(draw(st.lists(_CSV_VALUES, min_size=1, max_size=6, unique=True)))
+    rows = len(times)
+    cells = st.lists(_CSV_VALUES, min_size=rows * m, max_size=rows * m)
+    actions = np.array(draw(cells)).reshape(rows, m)
+    angles = np.array(draw(cells)).reshape(rows, m)
+    return Trajectory(np.array(times), actions, angles)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(_trajectories())
+def test_trajectory_csv_matches_per_value_formatting(trajectory):
+    from torus_holonomy.serialize import trajectory_csv
+
+    m = trajectory.actions.shape[1]
+    header = ["t"] + [f"I_{k + 1}" for k in range(m)] + [f"phi_{k + 1}" for k in range(m)]
+    lines = [",".join(header)]
+    for i in range(len(trajectory)):
+        row = [trajectory.times[i], *trajectory.actions[i], *trajectory.angles[i]]
+        lines.append(",".join(f"{v:.17g}" for v in row))
+    assert trajectory_csv(trajectory) == "\n".join(lines) + "\n"
 
 
 @pytest.mark.parametrize("bad", ["matrix", "diagnostics"])

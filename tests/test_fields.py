@@ -412,6 +412,26 @@ def test_action_polynomial_eval_and_gradient():
     assert ham.action_axes() == {0, 1}
 
 
+def test_polynomials_iterate_in_sorted_exponent_order():
+    # evaluation sums in exponent order; the constructors sort once, so an
+    # unsorted input dict gives the same terms and the same rounding (the
+    # large terms make this sum differ in insertion order)
+    unsorted = {(2, 0): 0.1, (0, 3): 1e16, (1, 1): -1e16, (0, 0): 0.3, (0, 1): 0.7}
+    ham = ActionPolynomial(2, unsorted)
+    assert list(ham.terms) == sorted(unsorted)
+    poly = ParameterPolynomial(2, {e: v * (1 - 0.5j) for e, v in unsorted.items()})
+    assert list(poly.coefficients) == sorted(unsorted)
+    point = np.array([1.25, -0.75])
+    total = 0.0
+    for e, v in sorted(unsorted.items()):
+        term = v
+        for x, p in zip(point, e):
+            if p:
+                term = term * x**p
+        total += term
+    assert ham.evaluate(point) == total
+
+
 def test_action_polynomial_zero():
     ham = ActionPolynomial.zero(3)
     assert ham.evaluate([1.0, 2.0, 3.0]) == 0.0

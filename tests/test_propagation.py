@@ -216,6 +216,11 @@ def test_compiled_generator_matches_quantized_pairing():
                 drift, coupling = _field_drift_and_coupling(whole, sigma, v, phi)
                 assert np.max(np.abs(on_torus.drift(w_torus, phi) - drift)) <= 1e-14
                 assert np.max(np.abs(on_torus.coupling(w_torus, phi) - coupling)) <= 1e-14
+                actions = extra.uniform(-2.0, 2.0, size=model.m)
+                rate, fused_drift = on_torus.flow(w_torus, phi, actions)
+                assert rate.shape == fused_drift.shape == (model.m,)
+                assert np.max(np.abs(rate - -coupling @ actions)) <= 1e-14
+                assert np.max(np.abs(fused_drift - drift)) <= 1e-14
         assert np.max(np.abs(basis.generator(weights[2]))) == 0.0
 
 
@@ -226,6 +231,8 @@ def test_compiled_empty_connection():
     assert weights.shape == (5, 0)
     generator = quantized_basis(sub_model, compiled).generator(weights[0])
     assert np.array_equal(generator, np.zeros((25, 25)))
+    rate, drift = compiled.flow(weights[0], np.array([0.3, -1.1]), np.array([1.5, 0.7]))
+    assert np.array_equal(rate, np.zeros(2)) and np.array_equal(drift, np.zeros(2))
 
 
 def test_compiled_rejects_bandwidth_over_truncation():
