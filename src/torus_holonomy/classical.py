@@ -19,9 +19,12 @@ and sample the path once per call (``CompiledConnection.along``): RK4 at
 every grid time and stage midpoint, the ordered products at the step
 midpoints.  Each RK4 stage of the perturbed flow evaluates the connection's
 waves once (``CompiledConnection.flow``) for both the action rate and the
-drift; the controlled-angle history reads the drift alone.  The frozen
-component fields (``ControlConnection.field``) stay independent as the
-tests' reference.
+drift; the controlled-angle history reads the drift alone.  The two
+ordered products walk their steps in chunks of at most
+``operators.STACK_BYTES`` of generators and exponentiate each chunk with
+one ``operators.exp_stack`` call, then apply the exponentials one step at
+a time, in step order.  The frozen component fields
+(``ControlConnection.field``) stay independent as the tests' reference.
 """
 
 from __future__ import annotations
@@ -29,13 +32,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .curves import ParameterCurve, step_intervals
 from .errors import DimensionMismatchError, SplitViolationError
 from .fields import ActionPolynomial, ControlConnection
 from .lattice import ClassicalState, TorusModel, controlled_submodel, mode_array
-from .operators import CompiledConnection, ShiftBasis, compile_connection, shift_basis
+from .operators import (
+    CompiledConnection,
+    ShiftBasis,
+    compile_connection,
+    exp_stack,
+    shift_basis,
+    step_chunks,
+)
 
 
 @dataclass(frozen=True)
@@ -241,9 +250,12 @@ def classical_mode_transport(
 
     basis = _mode_basis(sub_model, compiled)
     weights = compiled.along(curve, half_times[1::2])
+    scales = 1j * np.diff(times)
     psi = np.exp(1j * (modes @ phi0))
-    for dt, w in zip(np.diff(times), weights):
-        psi = expm(1j * dt * basis.generator(w).T) @ psi
+    for chunk in step_chunks(len(scales), sub_model.size):
+        gens = basis.generators(weights[chunk]).transpose(0, 2, 1)
+        for step in exp_stack(scales[chunk, None, None] * gens):
+            psi = step @ psi
 
     keep = np.all(np.abs(modes) <= model.truncation - guard, axis=1)
     discrepancy = float(np.max(np.abs(direct[keep] - psi[keep]))) if keep.any() else 0.0
@@ -275,6 +287,10 @@ def classical_action_transport(
         raise DimensionMismatchError("phi_history must hold 2*steps+1 controlled-angle samples")
     times = step_intervals(curve, steps)
     weights = compiled.along(curve, 0.5 * (times[:-1] + times[1:]))
-    for dt, w, phim in zip(np.diff(times), weights, phi_history[1::2]):
-        actions = expm(-dt * compiled.coupling(w, phim)) @ actions
+    dts = np.diff(times)
+    for chunk in step_chunks(len(dts), l, itemsize=8):
+        gens = [-dt * compiled.coupling(w, phim)
+                for dt, w, phim in zip(dts[chunk], weights[chunk], phi_history[1::2][chunk])]
+        for step in exp_stack(np.array(gens)):
+            actions = step @ actions
     return actions

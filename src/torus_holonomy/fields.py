@@ -508,13 +508,28 @@ class ActionPolynomial:
     Used as the dynamic Hamiltonian.  Which axes it may touch is a property
     of the model's split and is checked at the point of use, so violating
     instances can be constructed for the structural diagnostics.
+
+    The gradient reads a table of derivative terms built once at
+    construction: ``(k, v * p, factors)`` for each term ``v I^e`` and axis k
+    with ``p = e_k > 0``, where ``factors`` lists the nonzero ``(axis,
+    power)`` pairs of ``I^e / I_k``, axis k first.
     """
 
     m: int
     terms: Mapping[tuple[int, ...], float] = field(default_factory=dict)
+    _derivative: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "terms", _polynomial_terms(self.terms, self.m, float))
+        terms = _polynomial_terms(self.terms, self.m, float)
+        derivative = []
+        for e, v in terms.items():
+            for k, p in enumerate(e):
+                if p:
+                    factors = [(k, p - 1)] if p > 1 else []
+                    factors += [(j, q) for j, q in enumerate(e) if j != k and q]
+                    derivative.append((k, v * p, tuple(factors)))
+        object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "_derivative", tuple(derivative))
 
     @classmethod
     def zero(cls, m: int) -> "ActionPolynomial":
@@ -538,15 +553,13 @@ class ActionPolynomial:
         return _polynomial_value(self.terms, actions, 0.0)
 
     def gradient(self, actions: Sequence[float]) -> np.ndarray:
+        # Scalar products over the prebuilt table: at the few terms of a
+        # Hamiltonian, numpy's per-call overhead makes an array expression
+        # slower than this loop.
         actions = np.asarray(actions, dtype=float)
         grad = np.zeros(self.m)
-        for e, v in self.terms.items():
-            for k, p in enumerate(e):
-                if p == 0:
-                    continue
-                term = v * p * actions[k] ** (p - 1)
-                for j, q in enumerate(e):
-                    if j != k and q:
-                        term *= actions[j] ** q
-                grad[k] += term
+        for k, term, factors in self._derivative:
+            for j, q in factors:
+                term *= actions[j] ** q
+            grad[k] += term
         return grad

@@ -26,6 +26,13 @@ reads only them, and ``along`` reads the path with one ``curve.sample``.
 ``shift_basis`` places its distinct shifts on a mode box through the same
 one scatter as ``quantize_affine``, which stays independent as the
 reference.
+
+The ordered products exponentiate their step generators in stacks:
+``exp_stack`` is scaling and squaring with a truncated Taylor series whose
+degree comes from the backward-error bounds of Al-Mohy and Higham, so a
+chunk of steps costs a few batched matrix products instead of one
+``scipy.linalg.expm`` call per step.  ``step_chunks`` cuts the steps into
+chunks of at most ``STACK_BYTES`` of generators.
 """
 
 from __future__ import annotations
@@ -254,11 +261,21 @@ class ShiftBasis:
     support: np.ndarray  # (P,) flat matrix positions
     basis: np.ndarray  # (K, P) element values
 
+    def generators(self, weights: np.ndarray) -> np.ndarray:
+        """Dense generators for an (S, K) stack of term weights, shape (S, size, size)."""
+        weights = np.asarray(weights)
+        values = np.zeros((len(weights), self.basis.shape[1]), dtype=complex)
+        # one term at a time, so each row is summed in the same order
+        # whatever the stack size (a BLAS product rounds by row count)
+        for w, block in zip(weights.T, self.basis):
+            values += w[:, None] * block
+        flat = np.zeros((len(weights), self.size * self.size), dtype=complex)
+        flat[:, self.support] = values
+        return flat.reshape(-1, self.size, self.size)
+
     def generator(self, weights: np.ndarray) -> np.ndarray:
         """Dense generator for one row of term weights."""
-        flat = np.zeros(self.size * self.size, dtype=complex)
-        flat[self.support] = weights @ self.basis
-        return flat.reshape(self.size, self.size)
+        return self.generators(np.asarray(weights)[None])[0]
 
 
 def shift_basis(
@@ -297,6 +314,97 @@ def quantized_basis(model: TorusModel, compiled: CompiledConnection) -> ShiftBas
         raise BandwidthError(f"connection bandwidth {bandwidth} exceeds truncation {N}")
     offsets = np.asarray(model.offsets)
     return shift_basis(model, compiled, lambda n, k, c: n[:, k] + 0.5 * c[k] - offsets[k])
+
+
+# theta_m of the degree-m truncated Taylor series in double precision, m = 1..18:
+# at 1-norm <= theta_m its backward error is below the unit roundoff (Al-Mohy
+# and Higham, "Computing the action of the matrix exponential", SIAM J. Sci.
+# Comput. 33 (2011), Table 3.1).
+_TAYLOR_THETA = np.array([
+    2.29e-16, 2.58e-8, 1.39e-5, 3.40e-4, 2.40e-3, 9.07e-3, 2.38e-2, 5.00e-2, 8.96e-2,
+    1.44e-1, 2.14e-1, 3.00e-1, 4.00e-1, 5.14e-1, 6.41e-1, 7.81e-1, 9.31e-1, 1.09,
+])
+
+# Bytes of generators per exp_stack call in the ordered products: small enough
+# that memory does not grow with the step count, large enough that the batched
+# matrix products pay their Python overhead once per chunk, not once per step.
+STACK_BYTES = 1 << 17
+
+
+def step_chunks(steps: int, n: int, itemsize: int = 16) -> list[slice]:
+    """Consecutive slices of ``range(steps)``, each of at most STACK_BYTES of n x n matrices."""
+    size = max(1, STACK_BYTES // max(1, itemsize * n * n))
+    return [slice(lo, lo + size) for lo in range(0, steps, size)]
+
+
+def exp_stack(a: np.ndarray) -> np.ndarray:
+    """Matrix exponential of each matrix of an (S, n, n) stack.
+
+    Scaling and squaring with a truncated Taylor series: the stack is scaled
+    by 2**-s until its largest 1-norm is at most theta_18, the degree is the
+    smallest m with theta_m at least that norm, the series is evaluated by
+    Paterson-Stockmeyer with batched products, and the result is squared s
+    times.  One degree and one s serve the whole stack.  A stack holding a
+    non-finite entry gives an all-NaN result.
+    """
+    a = np.asarray(a)
+    if a.ndim != 3 or a.shape[1] != a.shape[2]:
+        raise DimensionMismatchError(f"expected an (S, n, n) stack, got shape {a.shape}")
+    a = np.ascontiguousarray(a, dtype=np.result_type(a, float))
+    if not a.size:
+        return a.copy()
+    norm = float(np.max(np.abs(a).sum(axis=1)))
+    if not np.isfinite(norm):
+        return np.full_like(a, np.nan)
+    s = 0
+    if norm > _TAYLOR_THETA[-1]:
+        s = int(np.ceil(np.log2(norm / _TAYLOR_THETA[-1])))
+        s += norm * 2.0**-s > _TAYLOR_THETA[-1]  # in case log2 rounded down
+        a = a * 2.0**-s
+        norm *= 2.0**-s
+    m = int(np.searchsorted(_TAYLOR_THETA, norm)) + 1
+    coeffs = 1.0 / np.cumprod([1.0, *range(1, m + 1)])
+    # Paterson-Stockmeyer: p(A) = sum_j B_j (A^q)^j, B_j = sum_{i<q} c_{jq+i} A^i,
+    # by Horner in A^q.  powers[i - 1] holds A^i.
+    q = int(np.ceil(np.sqrt(m)))
+    powers = [a]
+    for _ in range(q - 1):
+        powers.append(powers[-1] @ a)
+
+    def block(j: int) -> np.ndarray | None:
+        """B_j without its identity term c_{jq} I, or None if that is all of it."""
+        out = None
+        for i in range(1, min(q - 1, m - j * q) + 1):
+            if out is None:
+                out = coeffs[j * q + i] * powers[i - 1]
+            else:
+                out += coeffs[j * q + i] * powers[i - 1]
+        return out
+
+    # P_r = B_r, then P_j = P_{j+1} A^q + B_j down to P_0 = p(A)
+    r = m // q
+    top = block(r)
+    if top is None:
+        result = coeffs[r * q] * powers[-1]
+    else:
+        _add_identity(top, coeffs[r * q])
+        result = top @ powers[-1]
+    for j in range(r - 1, -1, -1):
+        lower = block(j)
+        if lower is not None:
+            result += lower
+        _add_identity(result, coeffs[j * q])
+        if j:
+            result = result @ powers[-1]
+    for _ in range(s):
+        result = result @ result
+    return result
+
+
+def _add_identity(stack: np.ndarray, c: float) -> None:
+    """Add c to the diagonal of every matrix of the stack, in place."""
+    diagonal = np.einsum("sii->si", stack)
+    diagonal += c
 
 
 def multiplication_operator(model: TorusModel, shift: Iterable[int]) -> OperatorMatrix:

@@ -19,13 +19,16 @@ The ordered product compiles the connection once per call into a table
 of sigma-polynomial coefficients (``operators.compile_connection``) and
 one shift-basis matrix per (axis, Fourier shift) on the controlled box
 (``operators.quantized_basis``).  The weights of all midpoints are
-evaluated as one small array, and each step's generator is the
-contraction of its weight row with the basis, followed by one ``expm`` and
-one matrix product.  Generators are built one step at a time, so memory
-does not grow with the step count.
+evaluated as one small array.  The steps are then walked in chunks of at
+most ``operators.STACK_BYTES`` of generators, so memory does not grow with
+the step count: each chunk's generators are contracted from its weight
+rows as one stack (``ShiftBasis.generators``), exponentiated by one
+``operators.exp_stack`` call, and left-multiplied onto the product one
+step at a time, in step order.
 ``delta_generator`` and the reference route of ``evolve_full`` stay on the
-independent ``quantize_affine(as_observable(...))`` assembly, so the
-reported route deviation also cross-checks the compiled kernel.
+independent ``quantize_affine(as_observable(...))`` assembly and on
+``scipy.linalg.expm``, so the reported route deviation also cross-checks
+the compiled kernel and the stacked exponentials.
 
 The reference route of ``evolve_full`` keeps the dynamic phase inside the
 exponent and steps the full generator H_hat + Delta_hat(t), but it never
@@ -52,9 +55,11 @@ from .lattice import TorusModel, WaveFunction, controlled_submodel, sublattice_i
 from .operators import (
     OperatorMatrix,
     compile_connection,
+    exp_stack,
     hamiltonian_spectrum,
     quantize_affine,
     quantized_basis,
+    step_chunks,
 )
 
 
@@ -121,16 +126,22 @@ def _lift_controlled(model: TorusModel, block: np.ndarray) -> np.ndarray:
 def _control_block_product(
     model: TorusModel, connection: ControlConnection, curve: ParameterCurve, steps: int
 ) -> tuple[np.ndarray, int, TorusModel]:
-    """Ordered product of midpoint-generator exponentials on the controlled box."""
+    """Ordered product of midpoint-generator exponentials on the controlled box.
+
+    One ``exp_stack`` call per chunk of steps; the product takes the
+    chunk's exponentials one at a time, left-multiplied in step order.
+    """
     require_split(model, None, connection)
     sub_model = controlled_submodel(model)
     compiled = compile_connection(connection.restricted(model.controlled))
     basis = quantized_basis(sub_model, compiled)
     times = step_intervals(curve, steps)
     weights = compiled.along(curve, 0.5 * (times[:-1] + times[1:]))
+    scales = -1j * np.diff(times)
     U = np.eye(sub_model.size, dtype=complex)
-    for dt, w in zip(np.diff(times), weights):
-        U = expm(-1j * dt * basis.generator(w)) @ U
+    for chunk in step_chunks(len(scales), sub_model.size):
+        for step in exp_stack(scales[chunk, None, None] * basis.generators(weights[chunk])):
+            U = step @ U
     return U, len(times) - 1, sub_model
 
 

@@ -515,6 +515,20 @@ def test_cli_non_finite_result_exit3_no_output(tmp_path, capsys, monkeypatch, ba
     assert not out.exists() or not list(out.iterdir())
 
 
+def test_cli_overflowing_generator_exit3_no_output(tmp_path, capsys):
+    # a finite coefficient whose step weights overflow: the stacked
+    # exponentials give a non-finite holonomy, which is refused unwritten
+    payload = _holonomy_config(steps=20)
+    payload["connection"]["components"][0]["fourier"][0]["poly"][0]["coefficient"] = 1e308
+    cfg = _write(tmp_path / "cfg.json", payload)
+    out = tmp_path / "out"
+    with np.errstate(all="ignore"):
+        assert main(["--config", cfg, "--out", str(out), "--quiet", "holonomy"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not out.exists() or not list(out.iterdir())
+
+
 def test_import_loads_no_heavy_optional_modules():
     # Every CLI run and benchmark set-up pays the package import.
     heavy = ("scipy.signal", "sympy", "hypothesis")

@@ -432,6 +432,41 @@ def test_polynomials_iterate_in_sorted_exponent_order():
     assert ham.evaluate(point) == total
 
 
+def _looped_gradient(ham, actions):
+    """The per-term, per-axis loop the derivative table replaced."""
+    actions = np.asarray(actions, dtype=float)
+    grad = np.zeros(ham.m)
+    for e, v in ham.terms.items():
+        for k, p in enumerate(e):
+            if p == 0:
+                continue
+            term = v * p * actions[k] ** (p - 1)
+            for j, q in enumerate(e):
+                if j != k and q:
+                    term *= actions[j] ** q
+            grad[k] += term
+    return grad
+
+
+@st.composite
+def _polynomials_and_points(draw):
+    m = draw(st.integers(1, 3))
+    exponents = st.tuples(*[st.integers(0, 4)] * m)
+    coefficient = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+    terms = draw(st.dictionaries(exponents, coefficient, max_size=6))
+    point = draw(st.lists(st.floats(-1e3, 1e3, allow_nan=False), min_size=m, max_size=m))
+    return ActionPolynomial(m, terms), np.array(point)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_polynomials_and_points())
+def test_gradient_matches_term_loop(case):
+    # same products in the same order as the loop, so equal bit for bit
+    # (tighter than a relative bound)
+    ham, point = case
+    assert np.array_equal(ham.gradient(point), _looped_gradient(ham, point))
+
+
 def test_action_polynomial_zero():
     ham = ActionPolynomial.zero(3)
     assert ham.evaluate([1.0, 2.0, 3.0]) == 0.0

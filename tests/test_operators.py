@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm
 
 from torus_holonomy import (
     ActionPolynomial,
@@ -21,7 +22,13 @@ from torus_holonomy import (
     quantize_affine,
 )
 from torus_holonomy.lattice import interior_mask, mode_array, sublattice_index
-from torus_holonomy.operators import commutator, hamiltonian_spectrum
+from torus_holonomy.operators import (
+    _TAYLOR_THETA,
+    ShiftBasis,
+    commutator,
+    exp_stack,
+    hamiltonian_spectrum,
+)
 from torus_holonomy.verify import quadrature_matrix_element, random_affine, random_real_field
 
 
@@ -394,3 +401,77 @@ def test_controlled_field_operator_factorizes():
     for label in range(model.axis_size):
         keep = np.flatnonzero(di == label)
         assert np.array_equal(full[np.ix_(keep, keep)], block)
+
+
+# --- stacked exponentials --------------------------------------------------------
+
+# one largest 1-norm inside each degree interval (theta_{m-1}, theta_m], m = 1..18,
+# then three that need scaling and squaring
+_DEGREE_NORMS = (1e-16, *np.sqrt(_TAYLOR_THETA[:-1] * _TAYLOR_THETA[1:]))
+_SCALED_NORMS = (3.0, 12.0, 50.0)
+
+
+def _skew_hermitian(rng, count, n):
+    x = rng.normal(size=(count, n, n)) + 1j * rng.normal(size=(count, n, n))
+    return x - x.conj().transpose(0, 2, 1)
+
+
+def _imaginary_diagonal(rng, count, n):
+    return np.stack([np.diag(1j * rng.normal(size=n)) for _ in range(count)])
+
+
+@pytest.mark.parametrize(
+    "kind, n, norms",
+    [
+        (_skew_hermitian, 17, _DEGREE_NORMS + _SCALED_NORMS),
+        (_skew_hermitian, 29, _DEGREE_NORMS + _SCALED_NORMS),
+        # real non-normal, as the action transport's -dt * coupling
+        (lambda rng, count, n: rng.normal(size=(count, n, n)), 2, _DEGREE_NORMS + (3.0,)),
+        (lambda rng, count, n: rng.normal(size=(count, n, n)), 3, _DEGREE_NORMS + (3.0,)),
+        # the Abelian loop's generators are diagonal
+        (_imaginary_diagonal, 17, _DEGREE_NORMS + _SCALED_NORMS),
+        (_skew_hermitian, 1, _DEGREE_NORMS + _SCALED_NORMS),
+        (lambda rng, count, n: rng.normal(size=(count, n, n)), 1, _DEGREE_NORMS + _SCALED_NORMS),
+    ],
+)
+def test_exp_stack_matches_scipy_expm(kind, n, norms):
+    # every degree branch and the scaling branch are reached
+    assert sorted(np.searchsorted(_TAYLOR_THETA, _DEGREE_NORMS) + 1) == list(range(1, 19))
+    assert min(_SCALED_NORMS) > _TAYLOR_THETA[-1]
+    rng = np.random.default_rng(n)
+    for norm in norms:
+        stack = kind(rng, 4, n)
+        stack = stack * (norm / np.max(np.abs(stack).sum(axis=1)))
+        got = exp_stack(stack)
+        assert got.shape == stack.shape and got.dtype == np.result_type(stack, float)
+        want = np.stack([expm(a) for a in stack])
+        # measured worst cases: 1.7e-14 (real 2x2 at norm 3), 7.7e-15 for the rest
+        assert np.max(np.abs(got - want)) <= 5e-14 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_exp_stack_non_finite_input_gives_non_finite_result(bad, dtype):
+    stack = np.zeros((3, 4, 4), dtype=dtype)
+    stack[1, 2, 0] = bad
+    got = exp_stack(stack)
+    assert got.shape == stack.shape and not np.all(np.isfinite(got))
+
+
+@pytest.mark.parametrize("n", [0, 1, 17])
+def test_exp_stack_empty_stack(n):
+    for dtype in (float, complex):
+        got = exp_stack(np.zeros((0, n, n), dtype=dtype))
+        assert got.shape == (0, n, n) and got.dtype == dtype
+
+
+def test_shift_basis_generators_stack_rows_equal_generator():
+    rng = np.random.default_rng(4)
+    support = np.sort(rng.choice(17 * 17, size=120, replace=False))
+    basis = ShiftBasis(17, support, rng.normal(size=(5, 120)))
+    for count in (1, 2, 7, 28):
+        weights = rng.normal(size=(count, 5)) + 1j * rng.normal(size=(count, 5))
+        stack = basis.generators(weights)
+        assert stack.shape == (count, 17, 17)
+        for k in range(count):
+            assert np.array_equal(stack[k], basis.generator(weights[k]))

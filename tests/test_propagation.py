@@ -546,12 +546,44 @@ def test_evolve_full_exponentiates_only_controlled_blocks(monkeypatch):
         return real_expm(a)
 
     monkeypatch.setattr(propagation, "expm", recording_expm)
+    stacked = []
+    real_exp_stack = propagation.exp_stack
+
+    def recording_exp_stack(a):
+        stacked.append(a.shape[-1])
+        return real_exp_stack(a)
+
+    monkeypatch.setattr(propagation, "exp_stack", recording_exp_stack)
     for model in (_demo_model(4), TorusModel(3, (1,), (0.1, 0.25, -0.6), 2)):
         conn = _random_split_connection(np.random.default_rng(5), model, 2, 2)
         evolve_full(model, ActionPolynomial.zero(model.m), conn, _unit_circle(), 5)
         csize = propagation.controlled_submodel(model).size
         assert rows and max(rows) <= csize < model.size
         rows.clear()
+        assert stacked and max(stacked) <= csize
+        stacked.clear()
+
+
+def test_route_deviation_cross_checks_the_stacked_exponentials(monkeypatch):
+    # the reference route exponentiates with scipy, not with exp_stack: a
+    # perturbed kernel moves the deviation but leaves the reference untouched
+    model = _demo_model(4)
+    # sigma_0 v_1 - sigma_1 v_0 is constant on the unit circle, so every step
+    # exponentiates the same non-Abelian generator and the midpoint and
+    # endpoint-average routes agree to rounding
+    coefficient = 0.3 + 0.2j
+    conn = ControlConnection.from_half_spectrum(2, 2, {
+        (0, 1): {(1, 0): ParameterPolynomial(2, {(1, 0): coefficient})},
+        (0, 0): {(1, 0): ParameterPolynomial(2, {(0, 1): -coefficient})},
+    })
+    ham = _demo_hamiltonian()
+    clean = evolve_full(model, ham, conn, _unit_circle(), 40)
+    assert clean.deviation <= 1e-12
+    real_exp_stack = propagation.exp_stack
+    monkeypatch.setattr(propagation, "exp_stack", lambda a: real_exp_stack(a) + 1e-9)
+    perturbed = evolve_full(model, ham, conn, _unit_circle(), 40)
+    assert perturbed.deviation > 1e-10
+    assert np.array_equal(perturbed.reference.operator.matrix, clean.reference.operator.matrix)
 
 
 # --- group laws and path invariance ---------------------------------------------------
