@@ -21,9 +21,11 @@ midpoints.  Each RK4 stage of the perturbed flow evaluates the connection's
 waves once (``CompiledConnection.flow``) for both the action rate and the
 drift; the controlled-angle history reads the drift alone.  The two
 ordered products walk their steps in chunks of at most
-``operators.STACK_BYTES`` of generators and exponentiate each chunk with
-one ``operators.exp_stack`` call, then apply the exponentials one step at
-a time, in step order.  The frozen component fields
+``operators.STACK_BYTES`` of generators, build a chunk's generators as
+one stack (the action transport's couplings from one
+``CompiledConnection.coupling`` call over the chunk's rows), exponentiate
+it with one ``operators.exp_stack`` call, then apply the exponentials one
+step at a time, in step order.  The frozen component fields
 (``ControlConnection.field``) stay independent as the tests' reference.
 """
 
@@ -287,10 +289,10 @@ def classical_action_transport(
         raise DimensionMismatchError("phi_history must hold 2*steps+1 controlled-angle samples")
     times = step_intervals(curve, steps)
     weights = compiled.along(curve, 0.5 * (times[:-1] + times[1:]))
-    dts = np.diff(times)
-    for chunk in step_chunks(len(dts), l, itemsize=8):
-        gens = [-dt * compiled.coupling(w, phim)
-                for dt, w, phim in zip(dts[chunk], weights[chunk], phi_history[1::2][chunk])]
-        for step in exp_stack(np.array(gens)):
+    scales = -np.diff(times)
+    midpoints = phi_history[1::2]
+    for chunk in step_chunks(len(scales), l, itemsize=8):
+        gens = scales[chunk, None, None] * compiled.coupling(weights[chunk], midpoints[chunk])
+        for step in exp_stack(gens):
             actions = step @ actions
     return actions

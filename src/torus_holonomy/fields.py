@@ -265,6 +265,14 @@ class AffineObservable:
     def is_zero(self) -> bool:
         return self.scalar.is_zero and all(f.is_zero for f in self.action_coeffs)
 
+    def stacked(self, bandwidth: int) -> np.ndarray:
+        """The arrays of a_0 .. a_{m-1} and b padded to ``bandwidth``, shape (m+1, 2C+1, ..., 2C+1)."""
+        C = bandwidth
+        parts = np.zeros((self.m + 1,) + (2 * C + 1,) * self.m, dtype=complex)
+        for part, fld in zip(parts, (*self.action_coeffs, self.scalar)):
+            part[(slice(C - fld.bandwidth, C + fld.bandwidth + 1),) * self.m] = fld.array
+        return parts
+
 
 def poisson_bracket(
     f: AffineObservable, g: AffineObservable, max_bandwidth: int | None = None
@@ -279,17 +287,34 @@ def poisson_bracket(
     Coefficient arithmetic is exact; nothing is truncated.  If
     ``max_bandwidth`` is given, a result wider than it is rejected instead
     of being clipped.
+
+    The m+1 parts of each observable are padded to one bandwidth C and
+    stacked, so every axis k costs two stacked convolutions, each a loop
+    over the nonzero coefficients of a_k.  The sums run in the order of the
+    field algebra's ``total + a_k(f) * d_k part(g) - a_k(g) * d_k part(f)``,
+    so every coefficient is the one that algebra gives.
     """
     if f.m != g.m:
         raise DimensionMismatchError("observables have different torus dimensions")
     m = f.m
-    parts = []
-    for fr, gr in zip((*f.action_coeffs, f.scalar), (*g.action_coeffs, g.scalar)):
-        total = TorusFourierField.zero(m)
-        for k in range(m):
-            total = total + f.action_coeffs[k] * gr.derivative(k)
-            total = total - g.action_coeffs[k] * fr.derivative(k)
-        parts.append(total)
+    C = max(f.bandwidth, g.bandwidth)
+    width = 2 * C + 1
+
+    def convolve(a: np.ndarray, parts: np.ndarray) -> np.ndarray:
+        """Coefficients of the products of the field ``a`` with each stacked part."""
+        out = np.zeros((m + 1,) + (2 * width - 1,) * m, dtype=complex)
+        for idx in np.argwhere(a):
+            out[(slice(None), *(slice(i, i + width) for i in idx))] += a[tuple(idx)] * parts
+        return out
+
+    fp, gp = f.stacked(C), g.stacked(C)
+    total = np.zeros((m + 1,) + (2 * width - 1,) * m, dtype=complex)
+    shift = np.arange(-C, C + 1)
+    for k in range(m):
+        along = shift.reshape((1,) * (k + 1) + (-1,) + (1,) * (m - k - 1))
+        total += convolve(fp[k], gp * 1j * along)
+        total -= convolve(gp[k], fp * 1j * along)
+    parts = [TorusFourierField._from_array(part, True) for part in total]
     result = AffineObservable(tuple(parts[:m]), parts[m])
     if max_bandwidth is not None and result.bandwidth > max_bandwidth:
         raise BandwidthError(

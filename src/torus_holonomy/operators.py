@@ -14,9 +14,13 @@ where A_k, B are the coefficient tables of a_k, b.  The half-shift makes
 the element manifestly Hermitian for real fields, and the formula is locked
 against an independent torus-quadrature oracle in the test suite.  All
 nonzero shifts of an observable are placed by one scatter over the stack
-of shifts, which yields (shift, target, source) for every in-box entry.
-Shifts that leave the box are dropped; identities involving shift operators
-are therefore asserted on interior modes only.
+of shifts, which yields (shift, target, source) for every in-box entry,
+and ``_affine_entries`` turns them into one (rows, cols, values) list.
+``quantize_affine`` fills a dense matrix from that list for its callers;
+``dirac_residual`` builds sparse matrices from it and multiplies only
+their interior rows and columns, so the check forms no dense matrix of the
+full box.  Shifts that leave the box are dropped; identities involving
+shift operators are therefore asserted on interior modes only.
 
 A control connection's velocity pairing is linear in the velocity and
 polynomial in sigma: one term per (axis, Fourier shift) weighted by
@@ -130,8 +134,14 @@ def _shift_scatter(
     return which, cols + (shifts @ strides)[which], cols
 
 
-def quantize_affine(model: TorusModel, observable: AffineObservable) -> OperatorMatrix:
-    """Matrix of the quantized affine observable via the element formula above."""
+def _affine_entries(
+    model: TorusModel, observable: AffineObservable
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(rows, cols, values)`` of the quantized observable, one per in-box element.
+
+    The element formula above, placed by one ``_shift_scatter`` over the
+    nonzero shifts; each (row, col) pair occurs at most once.
+    """
     if observable.m != model.m:
         raise DimensionMismatchError("observable dimension differs from model")
     C = observable.bandwidth
@@ -140,11 +150,7 @@ def quantize_affine(model: TorusModel, observable: AffineObservable) -> Operator
         raise BandwidthError(f"field bandwidth {C} exceeds truncation {N}")
     modes = mode_array(model)
     offsets = np.asarray(model.offsets)
-    size = model.size
-    matrix = np.zeros((size, size), dtype=complex)
-    parts = np.zeros((model.m + 1,) + (2 * C + 1,) * model.m, dtype=complex)
-    for part, fld in zip(parts, (*observable.action_coeffs, observable.scalar)):
-        part[(slice(C - fld.bandwidth, C + fld.bandwidth + 1),) * model.m] = fld.array
+    parts = observable.stacked(C)
     nonzero = np.argwhere(parts.any(axis=0))
     shifts = nonzero - C
     which, rows, cols = _shift_scatter(model, shifts)
@@ -155,8 +161,15 @@ def quantize_affine(model: TorusModel, observable: AffineObservable) -> Operator
     for k, A in enumerate(actions):
         values += A * (modes[cols, k] + 0.5 * shifts[which, k] - offsets[k])
     values += B
-    matrix[rows, cols] += values
-    return OperatorMatrix(model, matrix, bandwidth=C)
+    return rows, cols, values
+
+
+def quantize_affine(model: TorusModel, observable: AffineObservable) -> OperatorMatrix:
+    """Matrix of the quantized affine observable via the element formula above."""
+    rows, cols, values = _affine_entries(model, observable)
+    matrix = np.zeros((model.size, model.size), dtype=complex)
+    matrix[rows, cols] = values
+    return OperatorMatrix(model, matrix, bandwidth=observable.bandwidth)
 
 
 @dataclass(frozen=True)
@@ -203,17 +216,20 @@ class CompiledConnection:
         return self.weights(*curve.sample(times))
 
     def _waves(self, weights: np.ndarray, phi: np.ndarray) -> np.ndarray:
-        """``w_K exp(i c_K . phi)`` of every term K, at one weight row."""
-        return weights * np.exp(1j * (self.shifts @ phi))
+        """``w_K exp(i c_K . phi)`` of every term K, at one weight row or at S rows of both."""
+        return weights * np.exp(1j * (phi @ self.shifts.T))
 
     def drift(self, weights: np.ndarray, phi: np.ndarray) -> np.ndarray:
         """``L_k(sigma, phi) . v`` for every axis k, at one weight row."""
         return self._waves(weights, phi).real @ self.by_axis
 
     def coupling(self, weights: np.ndarray, phi: np.ndarray) -> np.ndarray:
-        """``G[a, k] = d_a L_k(sigma, phi) . v`` at one weight row."""
+        """``G[a, k] = d_a L_k(sigma, phi) . v``, (m, m) at one weight row and angle.
+
+        An (S, K) weight stack with (S, m) angles gives the (S, m, m) stack.
+        """
         waves = 1j * self._waves(weights, phi)
-        return (waves[:, None] * self.shifts).real.T @ self.by_axis
+        return np.swapaxes((waves[..., None] * self.shifts).real, -1, -2) @ self.by_axis
 
     def flow(
         self, weights: np.ndarray, phi: np.ndarray, actions: np.ndarray
@@ -432,16 +448,22 @@ def dirac_residual(model: TorusModel, f: AffineObservable, g: AffineObservable) 
 
     The commutator of operators with bandwidths C_f, C_g is exact on modes
     deeper than C_f + C_g from the boundary, so rows and columns are
-    restricted there (capped at the truncation).
+    restricted there (capped at the truncation).  The three operators are
+    sparse matrices built straight from their entries, and only the interior
+    rows of the left factors and interior columns of the right factors are
+    multiplied.
     """
-    bracket = poisson_bracket(f, g)
-    fm = quantize_affine(model, f).matrix
-    gm = quantize_affine(model, g).matrix
-    bm = quantize_affine(model, bracket).matrix
-    guard = min(f.bandwidth + g.bandwidth, model.truncation)
-    keep = interior_mask(model, guard)
-    residual = fm[keep] @ gm[:, keep] - gm[keep] @ fm[:, keep] + 1j * bm[np.ix_(keep, keep)]
-    return float(np.max(np.abs(residual)))
+    # imported here, so that the propagators and the classical side do not pay for it
+    from scipy.sparse import csr_array
+
+    def sparse(observable: AffineObservable):
+        rows, cols, values = _affine_entries(model, observable)
+        return csr_array((values, (rows, cols)), shape=(model.size, model.size))
+
+    f_hat, g_hat, bracket = sparse(f), sparse(g), sparse(poisson_bracket(f, g))
+    keep = interior_mask(model, min(f.bandwidth + g.bandwidth, model.truncation))
+    residual = f_hat[keep] @ g_hat[:, keep] - g_hat[keep] @ f_hat[:, keep] + 1j * bracket[keep][:, keep]
+    return float(np.max(np.abs(residual.toarray())))
 
 
 @dataclass(frozen=True)

@@ -30,13 +30,18 @@ independent ``quantize_affine(as_observable(...))`` assembly and on
 ``scipy.linalg.expm``, so the reported route deviation also cross-checks
 the compiled kernel and the stacked exponentials.
 
-The reference route of ``evolve_full`` keeps the dynamic phase inside the
+``evolve_full`` computes both of its routes per dynamic label, as
+(2N+1)^(m-l) blocks of size (2N+1)^l.  The factorized block of label j is
+``exp(-i E_j T) U2``.  The reference keeps the dynamic phase inside the
 exponent and steps the full generator H_hat + Delta_hat(t), but it never
-forms that generator on the full lattice.  No entry of it couples two
+forms that generator on the full lattice: no entry of it couples two
 different dynamic labels, so its exponential is exactly block diagonal
-over them; each step exponentiates the (2N+1)^(m-l) blocks of size
-(2N+1)^l as one stack, and the product is lifted to the full lattice once.
-No exponential in this module sees a matrix larger than (2N+1)^l.
+over them, and each step exponentiates the blocks as one stack.  The
+unitarity defects and the route deviation are measured on the stacks
+(``unitarity_defect`` takes one matrix or a stack), and each route is
+lifted to the full lattice once, for its reported operator.  No
+exponential and no defect in this module sees a matrix larger than
+(2N+1)^l.
 """
 
 from __future__ import annotations
@@ -74,7 +79,9 @@ class PropagatorReport:
 
 
 def unitarity_defect(matrix: np.ndarray) -> float:
-    return float(np.max(np.abs(matrix.conj().T @ matrix - np.eye(matrix.shape[0]))))
+    """Largest entry of ``U^dagger U - I`` over one (n, n) matrix or an (S, n, n) stack."""
+    gram = np.swapaxes(matrix, -1, -2).conj() @ matrix
+    return float(np.max(np.abs(gram - np.eye(matrix.shape[-1]))))
 
 
 def delta_generator(
@@ -99,12 +106,14 @@ def evolve_dynamic(hamiltonian, psi: WaveFunction, t: float) -> WaveFunction:
 
 
 def dynamic_propagator(model: TorusModel, hamiltonian, t: float) -> PropagatorReport:
-    """The dynamic phase factor as an operator; no time stepping involved."""
-    energies = hamiltonian_spectrum(model, hamiltonian)
-    matrix = np.diag(np.exp(-1j * energies * t))
-    return PropagatorReport(
-        OperatorMatrix(model, matrix), 0, unitarity_defect(matrix), "diagonal-exact"
-    )
+    """The dynamic phase factor as an operator; no time stepping involved.
+
+    The defect of a diagonal matrix needs no product: it is ``max | |e|^2 - 1 |``
+    over its entries e.
+    """
+    phases = np.exp(-1j * hamiltonian_spectrum(model, hamiltonian) * t)
+    defect = float(np.max(np.abs((phases.conj() * phases).real - 1.0)))
+    return PropagatorReport(OperatorMatrix(model, np.diag(phases)), 0, defect, "diagonal-exact")
 
 
 def _lift_controlled(model: TorusModel, block: np.ndarray) -> np.ndarray:
@@ -148,11 +157,14 @@ def _control_block_product(
 def evolve_control(
     model: TorusModel, connection: ControlConnection, curve: ParameterCurve, steps: int
 ) -> PropagatorReport:
-    """Control propagator U2 on the full lattice (computed on the block, lifted)."""
+    """Control propagator U2 on the full lattice (computed on the block, lifted).
+
+    The lift copies the block onto every dynamic label and puts zeros
+    between labels, so the block's unitarity defect is the lifted one.
+    """
     block, used, _ = _control_block_product(model, connection, curve, steps)
-    full = _lift_controlled(model, block)
-    op = OperatorMatrix(model, full, bandwidth=connection.bandwidth)
-    return PropagatorReport(op, used, unitarity_defect(full), "ordered-product")
+    op = OperatorMatrix(model, _lift_controlled(model, block), bandwidth=connection.bandwidth)
+    return PropagatorReport(op, used, unitarity_defect(block), "ordered-product")
 
 
 def holonomy(
@@ -212,35 +224,40 @@ def evolve_full(
     genuine cross-check that shrinks under refinement (the generators
     commute under the split, so the routes agree in the limit).
 
-    Under the split no entry of that generator couples two different
-    dynamic labels: H_hat is diagonal and Delta_hat is the controlled block
-    tensored with the dynamic identity.  Its exponential is therefore
-    block diagonal over the dynamic labels, and the reference exponentiates
-    each label's (2N+1)^l block diag(H_j) + Delta_hat(t) as one stack,
-    with the dynamic phase H_j kept inside the exponent.  The stack is
-    lifted to the full lattice once, at the end.
+    Under the split no entry of either route couples two different dynamic
+    labels: H_hat is diagonal and constant on each label, and Delta_hat is
+    the controlled block tensored with the dynamic identity.  Both routes
+    are therefore computed as (dsize, csize, csize) stacks, one (2N+1)^l
+    block per dynamic label j.  The factorized block is
+    ``exp(-i E_j T) U2`` with U2 from ``_control_block_product``.  The
+    reference exponentiates each label's block diag(H_j) + Delta_hat(t) as
+    one stack, with the dynamic phase H_j kept inside the exponent.  The
+    unitarity defects and the route deviation are taken over the stacks;
+    the off-label entries they leave out are exact zeros in both routes.
+    Each route's stack is lifted to the full lattice once, for its
+    reported operator.
     """
     if isinstance(hamiltonian, ActionPolynomial):
         require_split(model, hamiltonian, connection)
     else:
         require_split(model, None, connection)
     energies = hamiltonian_spectrum(model, hamiltonian)
-    T = curve.duration
+    ci, csize = sublattice_index(model, model.controlled)
+    di, dsize = sublattice_index(model, model.dynamic)
 
-    u1 = dynamic_propagator(model, hamiltonian, T)
-    u2 = evolve_control(model, connection, curve, steps)
-    factor_matrix = u1.operator.matrix @ u2.operator.matrix
+    u2, used, sub_model = _control_block_product(model, connection, curve, steps)
+    # H is constant on each dynamic label, so every mode of a label writes the same phase
+    phases = np.empty(dsize, dtype=complex)
+    phases[di] = np.exp(-1j * energies * curve.duration)
+    factor_blocks = phases[:, None, None] * u2
     factorized = PropagatorReport(
-        OperatorMatrix(model, factor_matrix, bandwidth=connection.bandwidth),
-        u2.steps,
-        unitarity_defect(factor_matrix),
+        OperatorMatrix(model, _lift_controlled(model, factor_blocks), bandwidth=connection.bandwidth),
+        used,
+        unitarity_defect(factor_blocks),
         "ordered-product",
     )
 
-    sub_model = controlled_submodel(model)
     sub_conn = connection.restricted(model.controlled)
-    ci, csize = sublattice_index(model, model.controlled)
-    di, dsize = sublattice_index(model, model.dynamic)
     h_blocks = np.zeros((dsize, csize, csize), dtype=complex)
     h_blocks[di, ci, ci] = energies
     times = step_intervals(curve, steps)
@@ -257,14 +274,13 @@ def evolve_full(
         gen = h_blocks + 0.5 * (previous + current)
         U = expm(-1j * dt * gen) @ U
         previous = current
-    U = _lift_controlled(model, U)
     reference = PropagatorReport(
-        OperatorMatrix(model, U, bandwidth=connection.bandwidth),
+        OperatorMatrix(model, _lift_controlled(model, U), bandwidth=connection.bandwidth),
         len(times) - 1,
         unitarity_defect(U),
         "reference",
     )
-    deviation = float(np.max(np.abs(factor_matrix - U)))
+    deviation = float(np.max(np.abs(factor_blocks - U)))
     return FactorizationReport(factorized, reference, deviation)
 
 

@@ -275,6 +275,38 @@ def _sympy_bracket_value(f: AffineObservable, g: AffineObservable, actions, angl
     return float(bracket.subs(subs).evalf())
 
 
+def _field_algebra_bracket(f: AffineObservable, g: AffineObservable) -> AffineObservable:
+    """The bracket part by part through the field algebra: ``+``, ``-``, ``*`` and ``derivative``."""
+    parts = []
+    for fr, gr in zip((*f.action_coeffs, f.scalar), (*g.action_coeffs, g.scalar)):
+        total = TorusFourierField.zero(f.m)
+        for k in range(f.m):
+            total = total + f.action_coeffs[k] * gr.derivative(k)
+            total = total - g.action_coeffs[k] * fr.derivative(k)
+        parts.append(total)
+    return AffineObservable(tuple(parts[:-1]), parts[-1])
+
+
+def _sparse_affine(rng, m: int, bandwidth: int, terms: int = 3) -> AffineObservable:
+    """Affine observable whose parts each hold a few +/-c pairs, one of them at ``bandwidth``.
+
+    Few terms keep the symbolic oracle fast at m = 3.
+    """
+
+    def part():
+        widest = np.zeros(m, dtype=int)
+        widest[rng.integers(m)] = bandwidth
+        shifts = [widest] + [rng.integers(-bandwidth, bandwidth + 1, size=m) for _ in range(terms - 1)]
+        half = {}
+        for c in shifts:
+            c = tuple(int(x) for x in c)
+            if c not in half and tuple(-x for x in c) not in half:
+                half[c] = complex(rng.normal(), rng.normal()) if any(c) else complex(rng.normal())
+        return TorusFourierField.from_half_spectrum(m, half)
+
+    return AffineObservable(tuple(part() for _ in range(m)), part())
+
+
 def test_bracket_against_symbolic_oracle():
     rng = np.random.default_rng(17)
     for _ in range(4):
@@ -285,6 +317,35 @@ def test_bracket_against_symbolic_oracle():
         angles = rng.uniform(0, 2 * np.pi, size=1)
         expected = _sympy_bracket_value(f, g, actions, angles)
         assert result.evaluate(actions, angles) == pytest.approx(expected, abs=1e-10)
+
+
+# (m, bandwidth of f, bandwidth of g): unequal bandwidths are padded to a common one
+@pytest.mark.parametrize(
+    "m, cf, cg, dense",
+    [(2, 1, 2, True), (2, 2, 0, True), (3, 2, 1, False), (3, 1, 2, False)],
+)
+def test_bracket_against_symbolic_oracle_unequal_bandwidths(m, cf, cg, dense):
+    rng = np.random.default_rng(17 + 10 * m + cf + 3 * cg)
+    for _ in range(2):
+        if dense:
+            f = random_affine(rng, m, cf, scale=0.8)
+            g = random_affine(rng, m, cg, scale=0.8)
+        else:
+            f = _sparse_affine(rng, m, cf)
+            g = _sparse_affine(rng, m, cg)
+        assert (f.bandwidth, g.bandwidth) == (cf, cg)
+        result = poisson_bracket(f, g)
+        actions = rng.normal(size=m)
+        angles = rng.uniform(0, 2 * np.pi, size=m)
+        expected = _sympy_bracket_value(f, g, actions, angles)
+        assert result.evaluate(actions, angles) == pytest.approx(expected, abs=1e-10)
+        # the stacked convolutions give the field algebra's coefficients and bandwidths
+        algebra = _field_algebra_bracket(f, g)
+        assert result.bandwidth == algebra.bandwidth
+        for got, want in zip((*result.action_coeffs, result.scalar),
+                             (*algebra.action_coeffs, algebra.scalar)):
+            assert got.bandwidth == want.bandwidth
+            assert np.array_equal(got.array, want.array)
 
 
 def test_bracket_antisymmetry_and_jacobi():

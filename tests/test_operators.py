@@ -19,6 +19,7 @@ from torus_holonomy import (
     lambda_shift_equivalence,
     mode_iter,
     multiplication_operator,
+    poisson_bracket,
     quantize_affine,
 )
 from torus_holonomy.lattice import interior_mask, mode_array, sublattice_index
@@ -315,6 +316,53 @@ def test_dirac_random_pairs():
         g = random_affine(rng, 2, int(rng.integers(1, 3)), scale=0.3)
         worst = max(worst, dirac_residual(model, f, g))
     assert worst <= 1e-10
+
+
+def _dense_dirac_residual(model, f, g) -> float:
+    """The interior residual from dense ``quantize_affine`` matrices and dense products."""
+    fm = quantize_affine(model, f).matrix
+    gm = quantize_affine(model, g).matrix
+    bm = quantize_affine(model, poisson_bracket(f, g)).matrix
+    keep = interior_mask(model, min(f.bandwidth + g.bandwidth, model.truncation))
+    residual = fm[keep] @ gm[:, keep] - gm[keep] @ fm[:, keep] + 1j * bm[np.ix_(keep, keep)]
+    return float(np.max(np.abs(residual)))
+
+
+@pytest.mark.parametrize(
+    "m, truncation, bandwidths",
+    [
+        (1, 6, (1, 2)),
+        (2, 5, (2, 1)),
+        (2, 4, (1, 1)),
+        (3, 3, (1, 2)),
+        # the guard C_f + C_g equals the truncation: one interior mode per axis
+        (2, 3, (1, 2)),
+        (3, 2, (1, 1)),
+    ],
+)
+def test_dirac_residual_matches_dense_route(m, truncation, bandwidths):
+    rng = np.random.default_rng(100 * m + truncation)
+    offsets = tuple(float(x) for x in rng.uniform(-0.5, 0.5, size=m))
+    model = TorusModel(m, (0,), offsets, truncation)
+    for _ in range(3):
+        f = random_affine(rng, m, bandwidths[0], scale=0.5)
+        g = random_affine(rng, m, bandwidths[1], scale=0.5)
+        sparse = dirac_residual(model, f, g)
+        assert sparse <= 1e-10
+        assert abs(sparse - _dense_dirac_residual(model, f, g)) <= 1e-12
+
+
+def test_dirac_residual_builds_no_dense_operator(monkeypatch):
+    from torus_holonomy import operators
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("dirac_residual built a dense operator")
+
+    monkeypatch.setattr(operators, "quantize_affine", refuse)
+    monkeypatch.setattr(operators.OperatorMatrix, "__post_init__", refuse)
+    rng = np.random.default_rng(5)
+    model = TorusModel(2, (0,), (0.25, 0.5), 6)
+    assert dirac_residual(model, random_affine(rng, 2, 2), random_affine(rng, 2, 1)) <= 1e-10
 
 
 # --- gauge equivalences ---------------------------------------------------------------

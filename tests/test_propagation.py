@@ -29,6 +29,7 @@ from scipy.linalg import expm
 from torus_holonomy import BandwidthError, propagation, step_intervals
 from torus_holonomy.classical import _mode_basis
 from torus_holonomy.lattice import mode_array, sublattice_index
+from torus_holonomy.serialize import operator_payload
 from torus_holonomy.operators import (
     commutator,
     compile_connection,
@@ -535,6 +536,81 @@ def test_evolve_full_reference_matches_dense_oracle():
         assert np.max(np.abs(got - _dense_reference(model, ham, conn, loop, steps))) <= 1e-12
         di, _ = sublattice_index(model, model.dynamic)
         assert np.all(got[di[:, None] != di[None, :]] == 0.0)
+
+
+def test_evolve_full_per_label_matches_dense_route():
+    """The per-label stacks against the dense full-lattice route they replace."""
+    rng = np.random.default_rng(4402)
+    loop = CirclePath.circle((0.1, -0.2), 0.8, 1.0)
+    cases = [
+        (_demo_model(4), _demo_hamiltonian(), _nonabelian_connection(m=2, scale=0.25)),
+        (TorusModel(3, (1,), (0.1, 0.25, -0.6), 2),
+         ActionPolynomial(3, {(2, 0, 0): 0.3, (1, 0, 1): -0.2, (0, 0, 2): 0.15}), None),
+        (TorusModel(3, (0, 2), (0.5, -0.2, 0.7), 2), lambda j: float(np.cos(j[0]) + 0.2 * j[0] ** 2),
+         None),
+        (TorusModel(1, (0,), (0.2,), 3), ActionPolynomial.zero(1), None),
+    ]
+    for model, ham, conn in cases:
+        while conn is None or not conn.components:
+            conn = _random_split_connection(rng, model, 2, int(rng.integers(1, 3)))
+        steps = int(rng.integers(5, 12))
+        report = evolve_full(model, ham, conn, loop, steps)
+
+        u2, _, _ = propagation._control_block_product(model, conn, loop, steps)
+        phases = np.exp(-1j * hamiltonian_spectrum(model, ham) * loop.duration)
+        dense = np.diag(phases) @ propagation._lift_controlled(model, u2)
+        reference = report.reference.operator.matrix
+        eye = np.eye(model.size)
+        payload = report.factorized.operator.matrix
+        assert np.max(np.abs(payload - dense)) <= 1e-15
+        dense_defect = np.max(np.abs(dense.conj().T @ dense - eye))
+        assert abs(report.factorized.unitarity_defect - dense_defect) <= 1e-15
+        reference_defect = np.max(np.abs(reference.conj().T @ reference - eye))
+        assert abs(report.reference.unitarity_defect - reference_defect) <= 1e-15
+        assert abs(report.deviation - np.max(np.abs(dense - reference))) <= 1e-15
+
+        written = operator_payload(report.factorized.operator)
+        entries = np.asarray(written["entries"])
+        matrix = (entries[:, 0] + 1j * entries[:, 1]).reshape(written["shape"])
+        di, _ = sublattice_index(model, model.dynamic)
+        off_block = matrix[di[:, None] != di[None, :]]
+        assert (np.max(np.abs(off_block)) if off_block.size else 0.0) == 0.0
+
+
+def test_evolve_full_measures_no_full_lattice_defect(monkeypatch):
+    shapes = []
+    real_defect = propagation.unitarity_defect
+
+    def recording_defect(matrix):
+        shapes.append(matrix.shape)
+        return real_defect(matrix)
+
+    monkeypatch.setattr(propagation, "unitarity_defect", recording_defect)
+    model = _demo_model(4)
+    evolve_full(model, _demo_hamiltonian(), _nonabelian_connection(m=2), _unit_circle(), 5)
+    csize = propagation.controlled_submodel(model).size
+    assert len(shapes) == 2
+    assert all(shape[-2:] == (csize, csize) for shape in shapes)
+
+
+def test_unitarity_defect_of_a_stack_is_its_worst_matrix():
+    rng = np.random.default_rng(9)
+    stack = np.stack([expm(1j * (h + h.conj().T)) for h in rng.normal(size=(4, 5, 5))])
+    stack[2] *= 1.0 + 1e-9
+    each = [propagation.unitarity_defect(u) for u in stack]
+    assert propagation.unitarity_defect(stack) == pytest.approx(max(each), abs=1e-15)
+    assert max(each) == each[2] > 1e-9
+
+
+def test_dynamic_propagator_defect_is_the_dense_defect():
+    from torus_holonomy import dynamic_propagator
+
+    model = _demo_model(4)
+    rep = dynamic_propagator(model, _demo_hamiltonian(), 3.1)
+    u = rep.operator.matrix
+    assert rep.unitarity_defect == pytest.approx(
+        np.max(np.abs(u.conj().T @ u - np.eye(model.size))), abs=1e-16
+    )
 
 
 def test_evolve_full_exponentiates_only_controlled_blocks(monkeypatch):
