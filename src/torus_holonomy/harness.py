@@ -10,7 +10,7 @@ from collections import defaultdict
 
 import numpy as np
 
-from . import classical, propagation, verify
+from . import classical, propagation
 from .config import ExperimentConfig
 from .curves import segment_edges
 from .errors import ConfigError
@@ -118,6 +118,8 @@ def run_evolve(config: ExperimentConfig) -> tuple[dict, dict]:
 
 def run_verify(config: ExperimentConfig | None = None) -> dict:
     """Built-in invariant battery; config may select profile and seed."""
+    from . import verify
+
     profile = config.run.battery if config is not None else "full"
     seed = config.run.seed if config is not None else verify.DEFAULT_SEED
     report = verify.run_battery(profile=profile, seed=seed)

@@ -28,7 +28,9 @@ step at a time, in step order.
 ``delta_generator`` and the reference route of ``evolve_full`` stay on the
 independent ``quantize_affine(as_observable(...))`` assembly and on
 ``scipy.linalg.expm``, so the reported route deviation also cross-checks
-the compiled kernel and the stacked exponentials.
+the compiled kernel and the stacked exponentials.  ``expm`` imports
+``scipy.linalg`` on its first call, so only a run that reaches the
+reference route loads it.
 
 ``evolve_full`` computes both of its routes per dynamic label, as
 (2N+1)^(m-l) blocks of size (2N+1)^l.  The factorized block of label j is
@@ -50,7 +52,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import expm
 
 from .curves import ParameterCurve, reparameterize, step_intervals
 from .errors import DimensionMismatchError, OpenCurveError
@@ -76,6 +77,13 @@ class PropagatorReport:
     steps: int
     unitarity_defect: float
     method: str  # "ordered-product" | "diagonal-exact" | "reference"
+
+
+def expm(a: np.ndarray) -> np.ndarray:
+    """``scipy.linalg.expm(a)``, with scipy imported on the first call."""
+    from scipy.linalg import expm as scipy_expm
+
+    return scipy_expm(a)
 
 
 def unitarity_defect(matrix: np.ndarray) -> float:

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import json
 import os
-import secrets
 from typing import Mapping
 
 import numpy as np
@@ -65,7 +64,7 @@ def atomic_write_text(path: str, text: str) -> None:
     """
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
-    tmp = os.path.join(directory, f".tmp-{secrets.token_hex(8)}{os.path.basename(path)}")
+    tmp = os.path.join(directory, f".tmp-{os.urandom(8).hex()}{os.path.basename(path)}")
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as handle:

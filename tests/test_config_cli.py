@@ -529,12 +529,48 @@ def test_cli_overflowing_generator_exit3_no_output(tmp_path, capsys):
     assert not out.exists() or not list(out.iterdir())
 
 
+def _modules_after(code: str, *argv: str) -> tuple[int, set[str]]:
+    """Run ``code`` in a fresh interpreter: the exit status it leaves in ``status``
+    and the modules loaded at its end."""
+    code += "; import json; print(json.dumps(sorted(sys.modules))); sys.exit(status)"
+    env = dict(os.environ, PYTHONPATH=str(Path(torus_holonomy.__file__).parents[1]))
+    run = subprocess.run(
+        [sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True, timeout=120
+    )
+    return run.returncode, set(json.loads(run.stdout.strip().splitlines()[-1]))
+
+
+def _scipy(modules: set[str]) -> list[str]:
+    return sorted(m for m in modules if m == "scipy" or m.startswith("scipy."))
+
+
 def test_import_loads_no_heavy_optional_modules():
     # Every CLI run and benchmark set-up pays the package import.
     heavy = ("scipy.signal", "sympy", "hypothesis")
-    code = f"import sys, torus_holonomy; print([m for m in {heavy!r} if m in sys.modules])"
-    env = dict(os.environ, PYTHONPATH=str(Path(torus_holonomy.__file__).parents[1]))
-    run = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60, check=True
-    )
-    assert run.stdout.strip() == "[]"
+    code = "import sys, torus_holonomy, torus_holonomy.cli, torus_holonomy.harness, torus_holonomy.verify"
+    status, modules = _modules_after(code + "; status = 0")
+    assert status == 0
+    assert [m for m in heavy if m in modules] == []
+    assert _scipy(modules) == []
+
+
+@pytest.mark.parametrize(
+    "command,config,loads_scipy",
+    [
+        ("spectrum", "spectrum_quadratic.json", False),
+        ("classical", "classical_drift.json", False),
+        ("holonomy", "abelian_loop.json", False),
+        # the reference route of evolve stays on scipy.linalg.expm
+        ("evolve", "abelian_loop.json", True),
+    ],
+)
+def test_cli_commands_load_scipy_only_for_the_reference_route(tmp_path, command, config, loads_scipy):
+    config_path = Path(__file__).parents[1] / "configs" / config
+    code = "import sys; from torus_holonomy.cli import main; status = main(sys.argv[1:])"
+    argv = ("--config", str(config_path), "--out", str(tmp_path), "--quiet", command)
+    status, modules = _modules_after(code, *argv)
+    assert status == 0
+    if loads_scipy:
+        assert "scipy.linalg" in modules
+    else:
+        assert _scipy(modules) == []

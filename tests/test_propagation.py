@@ -2,6 +2,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from torus_holonomy import (
     ActionPolynomial,
@@ -14,6 +16,7 @@ from torus_holonomy import (
     TorusFourierField,
     TorusModel,
     WaveFunction,
+    WaypointPath,
     delta_generator,
     evolve_control,
     evolve_dynamic,
@@ -399,6 +402,43 @@ def test_holonomy_forward_then_reverse_is_identity():
     assert np.max(np.abs(bwd @ fwd - np.eye(fwd.shape[0]))) <= 1e-8
 
 
+@st.composite
+def _split_loop_cases(draw):
+    """A split model (m <= 3), a non-empty connection of bandwidth <= 2 and a closed loop."""
+    m = draw(st.integers(1, 3))
+    controlled = draw(st.sets(st.integers(0, m - 1), min_size=1))
+    offsets = draw(st.lists(st.floats(-1.0, 1.0), min_size=m, max_size=m))
+    model = TorusModel(m, tuple(sorted(controlled)), tuple(offsets), draw(st.sampled_from((2, 3))))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    bandwidth = draw(st.integers(0, 2))
+    conn = ControlConnection.empty(m, 2)
+    while not conn.components:
+        conn = _random_split_connection(rng, model, 2, bandwidth)
+    point = st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0))
+    if draw(st.booleans()):
+        loop = CirclePath.circle(draw(point), draw(st.floats(0.1, 1.0)), 1.0)
+        return model, conn, loop, draw(st.integers(4, 12))
+    corners = draw(st.lists(point, min_size=2, max_size=4))
+    # equal segments get equal step counts, so the reversed loop's grid mirrors the
+    # forward grid and the discrete reversal law is exact (see step_intervals)
+    steps = len(corners) * draw(st.integers(1, 3))
+    return model, conn, WaypointPath((*corners, corners[0]), 1.0), steps
+
+
+@settings(derandomize=True, max_examples=15, deadline=None)
+@given(_split_loop_cases())
+def test_holonomy_laws_on_random_split_models(case):
+    model, conn, loop, steps = case
+    forward = holonomy(model, conn, loop, steps)
+    assert forward.unitarity_defect <= 1e-10
+    backward = holonomy(model, conn, loop.reverse(), steps).operator.matrix
+    fwd = forward.operator.matrix
+    assert np.max(np.abs(backward @ fwd - np.eye(fwd.shape[0]))) <= 1e-8
+    full = evolve_control(model, conn, loop, steps).operator.matrix
+    di, _ = sublattice_index(model, model.dynamic)
+    assert np.all(full[di[:, None] != di[None, :]] == 0.0)
+
+
 def test_holonomy_block_independent_of_dynamic_label():
     model = _demo_model(3)
     conn = _nonabelian_connection(m=2)
@@ -600,6 +640,13 @@ def test_unitarity_defect_of_a_stack_is_its_worst_matrix():
     each = [propagation.unitarity_defect(u) for u in stack]
     assert propagation.unitarity_defect(stack) == pytest.approx(max(each), abs=1e-15)
     assert max(each) == each[2] > 1e-9
+
+
+def test_expm_is_scipy_expm():
+    rng = np.random.default_rng(17)
+    for shape in ((17, 17), (3, 5, 5)):
+        a = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        assert np.array_equal(propagation.expm(a), expm(a))
 
 
 def test_dynamic_propagator_defect_is_the_dense_defect():
