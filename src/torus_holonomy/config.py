@@ -12,10 +12,9 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Any
-
-import jsonschema
 
 from .curves import CirclePath, ParameterCurve, WaypointPath
 from .errors import ConfigError
@@ -166,18 +165,135 @@ _WAYPOINT_SCHEMA = {
 }
 
 
-# Built once: ``jsonschema.validate`` would re-check a schema against the
-# meta-schema on every call.  The tests check each schema once.
-_CONFIG_VALIDATOR, _CIRCLE_VALIDATOR, _WAYPOINT_VALIDATOR = (
-    jsonschema.Draft202012Validator(s) for s in (CONFIG_SCHEMA, _CIRCLE_SCHEMA, _WAYPOINT_SCHEMA)
-)
+# The schema dicts above are the only statement of the format.  They are
+# checked by ``_check`` below, which knows these keywords with their draft
+# 2020-12 meaning and jsonschema's error wording; a schema that uses any
+# other keyword is refused at import.
+_KEYWORDS = frozenset({
+    "$schema", "type", "const", "enum", "oneOf", "required", "properties",
+    "additionalProperties", "items", "minItems", "maxItems", "minimum", "exclusiveMinimum",
+})
+_TYPES = {
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "number": lambda v: isinstance(v, numbers.Number) and not isinstance(v, bool),
+    # 2.0 is an integer; True is not
+    "integer": lambda v: (isinstance(v, int) and not isinstance(v, bool))
+    or (isinstance(v, float) and v.is_integer()),
+}
 
 
-def _validate(validator: jsonschema.Draft202012Validator, payload: Any, where: str) -> None:
-    """Raise ``ConfigError`` for the error ``jsonschema.validate`` would raise."""
-    error = jsonschema.exceptions.best_match(validator.iter_errors(payload))
-    if error is not None:
-        raise ConfigError(f"{where}{_json_path(error)}: {error.message}") from error
+def _check_keywords(schema: dict) -> None:
+    """Raise ``ValueError`` if ``schema`` or a subschema steps outside what ``_check`` knows."""
+    if (
+        not _KEYWORDS.issuperset(schema)
+        or schema.get("type", "object") not in _TYPES
+        or schema.get("additionalProperties", False) is not False
+    ):
+        raise ValueError(f"schema outside the supported keywords: {schema!r}")
+    items = [schema["items"]] if "items" in schema else []
+    for sub in [*schema.get("properties", {}).values(), *schema.get("oneOf", ()), *items]:
+        _check_keywords(sub)
+
+
+for _schema in (CONFIG_SCHEMA, _CIRCLE_SCHEMA, _WAYPOINT_SCHEMA):
+    _check_keywords(_schema)
+
+
+def _equal(a: Any, b: Any) -> bool:
+    # const and enum hold scalars here; as in JSON, true is not 1
+    return isinstance(a, bool) == isinstance(b, bool) and a == b
+
+
+def _check(schema: dict, value: Any, path: tuple, errors: list) -> Any:
+    """Append ``value``'s violations of ``schema`` to ``errors``; return a copy of
+    ``value`` in which every value at an ``integer`` position is an ``int``.
+
+    An error is ``(path, message, keyword, mismatched, context)``, where
+    ``mismatched`` says ``value`` is not of the schema's type (or it has none)
+    and ``context`` holds the errors of the ``oneOf`` branches.
+    """
+    kind = schema.get("type")
+    mismatched = kind is None or not _TYPES[kind](value)
+    is_object, is_array = isinstance(value, dict), isinstance(value, list)
+    is_number = _TYPES["number"](value)
+    out = dict(value) if is_object else list(value) if is_array else value
+
+    def fail(keyword: str, message: str, context: list = ()) -> None:
+        errors.append((path, message, keyword, mismatched, context))
+
+    for keyword, arg in schema.items():
+        if keyword == "type" and mismatched:
+            fail(keyword, f"{value!r} is not of type {arg!r}")
+        elif keyword == "const" and not _equal(value, arg):
+            fail(keyword, f"{arg!r} was expected")
+        elif keyword == "enum" and not any(_equal(value, e) for e in arg):
+            fail(keyword, f"{value!r} is not one of {arg!r}")
+        elif keyword == "oneOf":
+            context: list = []
+            passed = []
+            for sub in arg:
+                branch: list = []
+                checked = _check(sub, value, path, branch)
+                context += branch
+                if not branch:
+                    passed.append((sub, checked))
+            if not passed:
+                fail(keyword, f"{value!r} is not valid under any of the given schemas", context)
+            elif len(passed) > 1:
+                reprs = ", ".join(repr(s) for s, _ in passed[1:] + passed[:1])
+                fail(keyword, f"{value!r} is valid under each of {reprs}")
+            else:
+                out = passed[0][1]
+        elif keyword == "required" and is_object:
+            for name in arg:
+                if name not in value:
+                    fail(keyword, f"{name!r} is a required property")
+        elif keyword == "properties" and is_object:
+            for name, sub in arg.items():
+                if name in value:
+                    out[name] = _check(sub, value[name], path + (name,), errors)
+        elif keyword == "additionalProperties" and is_object:
+            extras = sorted(set(value) - set(schema.get("properties", {})), key=str)
+            if extras:
+                verb = "was" if len(extras) == 1 else "were"
+                names = ", ".join(repr(e) for e in extras)
+                fail(keyword, f"Additional properties are not allowed ({names} {verb} unexpected)")
+        elif keyword == "items" and is_array:
+            out = [_check(arg, item, path + (i,), errors) for i, item in enumerate(value)]
+        elif keyword == "minItems" and is_array and len(value) < arg:
+            fail(keyword, f"{value!r} {'should be non-empty' if arg == 1 else 'is too short'}")
+        elif keyword == "maxItems" and is_array and len(value) > arg:
+            fail(keyword, f"{value!r} {'is expected to be empty' if arg == 0 else 'is too long'}")
+        elif keyword == "minimum" and is_number and value < arg:
+            fail(keyword, f"{value!r} is less than the minimum of {arg!r}")
+        elif keyword == "exclusiveMinimum" and is_number and value <= arg:
+            fail(keyword, f"{value!r} is less than or equal to the minimum of {arg!r}")
+    return int(value) if kind == "integer" and not mismatched else out
+
+
+def _relevance(error: tuple) -> tuple:
+    """jsonschema's ``relevance`` key: shallow paths, then later siblings, then
+    errors not from ``oneOf``, then errors whose value has the wrong type."""
+    path, _, keyword, mismatched, _ = error
+    return (-len(path), path, keyword != "oneOf", mismatched)
+
+
+def _validated(schema: dict, payload: Any, where: str) -> Any:
+    """The normalised copy of ``payload``, or ``ConfigError`` for the error
+    ``jsonschema.exceptions.best_match`` would pick."""
+    errors: list = []
+    normalised = _check(schema, payload, (), errors)
+    if not errors:
+        return normalised
+    best = max(errors, key=_relevance)
+    while best[4]:  # a oneOf error: descend to its deepest branch error, unless tied
+        first, *rest = sorted(best[4], key=_relevance)[:2]
+        if rest and _relevance(first) == _relevance(rest[0]):
+            break
+        best = first
+    path = "".join(f".{p}" if isinstance(p, str) else f"[{p}]" for p in best[0])
+    raise ConfigError(f"{where}{path}: {best[1]}")
 
 
 @dataclass(frozen=True)
@@ -272,8 +388,7 @@ def _build_connection(raw: dict | None, m: int) -> ControlConnection | None:
 def _build_curve(raw: dict | None) -> ParameterCurve | None:
     if raw is None:
         return None
-    validator = _CIRCLE_VALIDATOR if raw.get("type") == "circle" else _WAYPOINT_VALIDATOR
-    _validate(validator, raw, "curve")
+    raw = _validated(_CIRCLE_SCHEMA if raw.get("type") == "circle" else _WAYPOINT_SCHEMA, raw, "curve")
     try:
         if raw["type"] == "circle":
             if "u" in raw or "v" in raw:
@@ -312,10 +427,6 @@ def _build_initial(raw: dict | None, m: int) -> ClassicalState | None:
     return ClassicalState(raw["actions"], raw["angles"])
 
 
-def _json_path(exc: jsonschema.ValidationError) -> str:
-    return "".join(f".{p}" if isinstance(p, str) else f"[{p}]" for p in exc.absolute_path)
-
-
 def _non_finite_path(value: Any, path: str) -> str | None:
     """JSON path of the first non-finite float in ``value``, or None."""
     if isinstance(value, float):
@@ -337,7 +448,7 @@ def parse_config(payload: Any) -> ExperimentConfig:
     bad = _non_finite_path(payload, "config")
     if bad is not None:
         raise ConfigError(f"{bad}: non-finite number")
-    _validate(_CONFIG_VALIDATOR, payload, "config")
+    payload = _validated(CONFIG_SCHEMA, payload, "config")
     model = _build_model(payload["model"])
     run_raw = payload.get("run", {})
     run = RunSettings(

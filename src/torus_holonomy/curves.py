@@ -287,10 +287,14 @@ def step_intervals(curve: ParameterCurve, steps: int) -> np.ndarray:
 
     Steps are shared among smooth segments proportionally to their duration
     (largest-remainder rounding, at least one per segment).  Raises if there
-    are more segments than steps.
+    are more segments than steps.  A reversed curve steps on the mirror of
+    its base's grid, so a loop and its reverse multiply the same factors
+    and the discrete reversal law holds for every step count.
     """
     if steps < 1:
         raise StepCountError("steps must be >= 1")
+    if isinstance(curve, ReversedCurve):
+        return curve.duration - step_intervals(curve.base, steps)[::-1]
     edges = segment_edges(curve)
     nseg = len(edges) - 1
     if steps < nseg:

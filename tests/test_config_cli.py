@@ -1,3 +1,5 @@
+import copy
+import importlib.util
 import json
 import os
 import subprocess
@@ -13,8 +15,18 @@ from hypothesis import strategies as st
 import torus_holonomy
 from torus_holonomy import ConfigError, Trajectory
 from torus_holonomy.cli import main
-from torus_holonomy.config import _CIRCLE_SCHEMA, _WAYPOINT_SCHEMA, CONFIG_SCHEMA, parse_config
+from torus_holonomy.config import (
+    _CIRCLE_SCHEMA,
+    _WAYPOINT_SCHEMA,
+    CONFIG_SCHEMA,
+    _check_keywords,
+    _validated,
+    parse_config,
+)
 from torus_holonomy.harness import run_classical, run_holonomy, run_spectrum
+
+ROOT = Path(__file__).parents[1]
+CONFIGS = ROOT / "configs"
 
 
 def _write(path, payload):
@@ -153,8 +165,193 @@ def test_parse_rejects_non_finite_numbers(where, value, expected):
     "schema", [CONFIG_SCHEMA, _CIRCLE_SCHEMA, _WAYPOINT_SCHEMA], ids=["config", "circle", "waypoints"]
 )
 def test_schema_is_valid_draft_2020_12(schema):
-    # parse_config's validators are built once and skip the meta-schema check
+    # the package checks payloads with its own validator, never against the meta-schema
     jsonschema.Draft202012Validator.check_schema(schema)
+
+
+@pytest.mark.parametrize(
+    "schema",
+    [
+        {"type": "string"},
+        {"pattern": "x"},
+        {"additionalProperties": True},
+        {"type": "object", "properties": {"a": {"maxLength": 1}}},
+        {"oneOf": [{"type": "number"}, {"type": "array", "uniqueItems": True}]},
+        {"type": "array", "items": {"multipleOf": 2}},
+    ],
+)
+def test_schema_keyword_outside_the_supported_set_is_refused(schema):
+    with pytest.raises(ValueError, match="supported keywords"):
+        _check_keywords(schema)
+
+
+@pytest.mark.parametrize("value", [1, 1.5, "x"])
+def test_one_of_means_exactly_one(value):
+    # the shipped schemas have disjoint branches; overlapping ones must still fail on overlap
+    schema = {"oneOf": [{"type": "number"}, {"type": "integer"}]}
+    error = jsonschema.exceptions.best_match(jsonschema.Draft202012Validator(schema).iter_errors(value))
+    if error is None:
+        assert _validated(schema, value, "x") == value
+    else:
+        with pytest.raises(ConfigError) as info:
+            _validated(schema, value, "x")
+        assert str(info.value) == f"x: {error.message}"
+
+
+def _bench_configs() -> list[dict]:
+    """One config of each shape the benchmark generates."""
+    spec = importlib.util.spec_from_file_location("bench_workloads", ROOT / "bench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # its dataclasses look their module up while it loads
+    try:
+        spec.loader.exec_module(workloads)
+    finally:
+        del sys.modules[spec.name]
+    rng = np.random.default_rng(5)
+    return [
+        workloads.loop_config(rng, 3000),
+        workloads.evolve_config(rng, 8, 100),
+        workloads.trajectory_config(rng, 4000),
+        workloads.mode_config(rng, 3000),
+    ]
+
+
+_BASE_CONFIGS = [json.loads(p.read_text()) for p in sorted(CONFIGS.glob("*.json"))] + _bench_configs()
+_ODD_VALUES = (True, False, "x", None, [], [1.0], {}, 2.0, 2.5, 0, -1)
+_CURVE_FIELDS = ("type", "center", "radius", "axes", "u", "v", "duration", "turns", "phase", "points")
+_CURVE_VALUES = ("circle", "waypoints", "square", [0, 1], [0.0, 1.0, 2.0], [1.0, 0.0], [[0.0, 0.0]],
+                 [[0.0, 0.0], [1.0, "x"]], 0.5, -1.0, 0.0, *_ODD_VALUES)
+
+
+def _nodes(value, path=()):
+    """Every (path, value) pair of a JSON tree, the root first."""
+    yield path, value
+    children = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    for key, item in children:
+        yield from _nodes(item, path + (key,))
+
+
+def _at(payload, path):
+    for key in path:
+        payload = payload[key]
+    return payload
+
+
+def _fresh(draw, strategy):
+    # a copy, so that later edits of the payload never reach the shared value tables
+    return copy.deepcopy(draw(strategy))
+
+
+@st.composite
+def _mutated_configs(draw):
+    """A shipped or benchmark-shaped config with one or two faults (or fault-like edits)."""
+    payload = copy.deepcopy(draw(st.sampled_from(_BASE_CONFIGS)))
+    for _ in range(draw(st.integers(1, 2))):
+        nodes = list(_nodes(payload))
+        kind = draw(st.sampled_from(["drop", "add", "replace", "coefficient", "curve"]))
+        if kind == "drop":
+            path = draw(st.sampled_from([p for p, v in nodes if p and isinstance(_at(payload, p[:-1]), dict)]))
+            del _at(payload, path[:-1])[path[-1]]
+        elif kind == "add":
+            path = draw(st.sampled_from([p for p, v in nodes if isinstance(v, dict)]))
+            _at(payload, path)[draw(st.sampled_from(["extra", "Type", "m"]))] = 1
+        elif kind == "replace":
+            path = draw(st.sampled_from([p for p, _ in nodes if p]))
+            _at(payload, path[:-1])[path[-1]] = _fresh(draw, st.sampled_from(_ODD_VALUES))
+        elif kind == "coefficient":
+            paths = [p for p, _ in nodes if p and p[-1] == "coefficient"]
+            if paths:
+                value = st.one_of(st.floats(-1.0, 1.0), st.sampled_from(_ODD_VALUES))
+                path = draw(st.sampled_from(paths))
+                _at(payload, path[:-1])[path[-1]] = _fresh(draw, st.lists(value, min_size=1, max_size=3))
+        elif isinstance(payload.get("curve"), dict):
+            payload["curve"][draw(st.sampled_from(_CURVE_FIELDS))] = _fresh(draw, st.sampled_from(_CURVE_VALUES))
+        else:
+            payload["curve"] = {"type": "circle", "center": [0.0, 0.0], "radius": 1.0, "duration": 1.0}
+    return payload
+
+
+def _integer_values(schema, value):
+    """The values at ``integer`` positions of ``schema`` in a valid ``value``."""
+    if schema.get("type") == "integer":
+        yield value
+    for name, sub in schema.get("properties", {}).items():
+        if name in value:
+            yield from _integer_values(sub, value[name])
+    for item in value if "items" in schema else ():
+        yield from _integer_values(schema["items"], item)
+
+
+def _assert_agrees_with_jsonschema(schema, payload, where):
+    before = json.dumps(payload)
+    errors = list(jsonschema.Draft202012Validator(schema).iter_errors(payload))
+    try:
+        normalised = _validated(schema, payload, where)
+    except ConfigError as exc:
+        assert errors, f"accepted by jsonschema, refused here: {exc}"
+        if len(errors) == 1 and errors[0].validator != "oneOf":
+            (error,) = errors
+            path = "".join(f".{p}" if isinstance(p, str) else f"[{p}]" for p in error.absolute_path)
+            assert str(exc) == f"{where}{path}: {error.message}"
+    else:
+        assert not errors, f"refused by jsonschema: {errors[0].message}"
+        assert normalised == payload
+        assert all(type(v) is int for v in _integer_values(schema, normalised))
+    assert json.dumps(payload) == before  # the caller's payload is left as it was
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(_mutated_configs())
+def test_validator_agrees_with_jsonschema_on_mutated_configs(payload):
+    _assert_agrees_with_jsonschema(CONFIG_SCHEMA, payload, "config")
+    curve = payload.get("curve")
+    if isinstance(curve, dict):  # parse_config checks the curve's own schema next
+        schema = _CIRCLE_SCHEMA if curve.get("type") == "circle" else _WAYPOINT_SCHEMA
+        _assert_agrees_with_jsonschema(schema, curve, "curve")
+
+
+_COEFFICIENT = ("connection", "components", 0, "fourier", 0, "poly", 0, "coefficient")
+
+
+@pytest.mark.parametrize(
+    "faults, message",
+    [
+        ({("schema",): True}, "config.schema: 1 was expected"),
+        ({("model", "m"): True}, "config.model.m: True is not of type 'integer'"),
+        ({("model", "m"): 2.5}, "config.model.m: 2.5 is not of type 'integer'"),
+        ({("model", "m"): 0.0}, "config.model.m: 0.0 is less than the minimum of 1"),
+        ({("extra",): 1}, "config: Additional properties are not allowed ('extra' was unexpected)"),
+        ({("curve", "duration"): 0}, "curve.duration: 0 is less than or equal to the minimum of 0"),
+        ({_COEFFICIENT: [0.1]},
+         "config.connection.components[0].fourier[0].poly[0].coefficient: [0.1] is too short"),
+        ({_COEFFICIENT: True}, "config.connection.components[0].fourier[0].poly[0].coefficient: "
+                               "True is not valid under any of the given schemas"),
+        # of two faults at one depth, best_match reports the later sibling
+        ({("model", "m"): "x", ("model", "truncation"): "y"},
+         "config.model.truncation: 'y' is not of type 'integer'"),
+        ({("model", "m"): "x", ("run", "steps"): 0}, "config.run.steps: 0 is less than the minimum of 1"),
+    ],
+)
+def test_parse_reports_jsonschema_wording(faults, message):
+    payload = _holonomy_config()
+    for path, value in faults.items():
+        _at(payload, path[:-1])[path[-1]] = value
+    with pytest.raises(ConfigError) as info:
+        parse_config(payload)
+    assert str(info.value) == message
+
+
+def test_parse_normalises_integral_floats_without_touching_the_payload():
+    payload = _holonomy_config()
+    payload["model"].update(m=2.0, controlled=[0.0], truncation=3.0)
+    payload["curve"]["axes"] = [0.0, 1.0]
+    payload["run"]["steps"] = 400.0
+    before = json.dumps(payload)
+    config = parse_config(payload)
+    assert config == parse_config(_holonomy_config() | {"curve": payload["curve"] | {"axes": [0, 1]}})
+    assert type(config.model.m) is int and type(config.model.truncation) is int
+    assert type(config.run.steps) is int
+    assert json.dumps(payload) == before
 
 
 # --- spectrum driver --------------------------------------------------------------
@@ -294,6 +491,28 @@ def test_cli_schema_violation_exit2(tmp_path):
     cfg = _write(tmp_path / "cfg.json", payload)
     assert main(["--config", cfg, "--out", str(tmp_path), "--quiet", "spectrum"]) == 2
     assert not (tmp_path / "spectrum.json").exists()
+
+
+@pytest.mark.parametrize(
+    "command, config", [("spectrum", "spectrum_quadratic.json"), ("holonomy", "abelian_loop.json")]
+)
+def test_cli_integral_floats_at_integer_fields_run_as_integers(tmp_path, capsys, command, config):
+    raw = json.loads((CONFIGS / config).read_text())
+    outputs = []
+    for name, m, truncation in (("ints", 2, 8), ("floats", 2.0, 8.0)):
+        raw["model"].update(m=m, truncation=truncation)
+        out = tmp_path / name
+        argv = ["--config", _write(tmp_path / f"{name}.json", raw), "--out", str(out), "--quiet"]
+        assert main([*argv, "--steps", "200", command]) == 0
+        outputs.append({p.name: p.read_bytes() for p in out.iterdir()})
+    assert outputs[0] == outputs[1]
+    raw["model"]["m"] = 2.5
+    out = tmp_path / "half"
+    argv = ["--config", _write(tmp_path / "half.json", raw), "--out", str(out), "--quiet", command]
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "config error: config.model.m: 2.5 is not of type 'integer'\n"
+    assert not out.exists()
 
 
 def test_cli_open_curve_exit3(tmp_path):
@@ -540,8 +759,13 @@ def _modules_after(code: str, *argv: str) -> tuple[int, set[str]]:
     return run.returncode, set(json.loads(run.stdout.strip().splitlines()[-1]))
 
 
-def _scipy(modules: set[str]) -> list[str]:
-    return sorted(m for m in modules if m == "scipy" or m.startswith("scipy."))
+# jsonschema and the packages it loads; the tests use it as an oracle only
+_JSONSCHEMA = ("jsonschema", "referencing", "jsonschema_specifications", "rpds")
+
+
+def _loaded(modules: set[str], *packages: str) -> list[str]:
+    """The loaded modules that are one of ``packages`` or inside one."""
+    return sorted(m for m in modules if m.split(".")[0] in packages)
 
 
 def test_import_loads_no_heavy_optional_modules():
@@ -551,7 +775,7 @@ def test_import_loads_no_heavy_optional_modules():
     status, modules = _modules_after(code + "; status = 0")
     assert status == 0
     assert [m for m in heavy if m in modules] == []
-    assert _scipy(modules) == []
+    assert _loaded(modules, "scipy", *_JSONSCHEMA) == []
 
 
 @pytest.mark.parametrize(
@@ -565,12 +789,12 @@ def test_import_loads_no_heavy_optional_modules():
     ],
 )
 def test_cli_commands_load_scipy_only_for_the_reference_route(tmp_path, command, config, loads_scipy):
-    config_path = Path(__file__).parents[1] / "configs" / config
     code = "import sys; from torus_holonomy.cli import main; status = main(sys.argv[1:])"
-    argv = ("--config", str(config_path), "--out", str(tmp_path), "--quiet", command)
+    argv = ("--config", str(CONFIGS / config), "--out", str(tmp_path), "--quiet", command)
     status, modules = _modules_after(code, *argv)
     assert status == 0
+    assert _loaded(modules, *_JSONSCHEMA) == []
     if loads_scipy:
         assert "scipy.linalg" in modules
     else:
-        assert _scipy(modules) == []
+        assert _loaded(modules, "scipy") == []

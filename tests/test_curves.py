@@ -130,6 +130,14 @@ def test_step_intervals_deterministic():
     assert len(a) == 12
 
 
+def test_step_intervals_of_a_reversed_curve_mirror_its_base():
+    path = WaypointPath(((0.0,), (1.0,), (3.0,), (4.0,)), 3.0)
+    for curve in (path, concatenate(path, path.reverse())):
+        times = step_intervals(curve.reverse(), 11)
+        assert np.array_equal(times, curve.duration - step_intervals(curve, 11)[::-1])
+        assert set(curve.reverse().breakpoints) <= set(times)
+
+
 # --- line integral oracle ----------------------------------------------------
 
 

@@ -402,6 +402,17 @@ def test_holonomy_forward_then_reverse_is_identity():
     assert np.max(np.abs(bwd @ fwd - np.eye(fwd.shape[0]))) <= 1e-8
 
 
+def test_reversed_waypoint_loop_steps_on_the_mirrored_grid():
+    # 5 steps split 2, 2, 1 over three equal segments: the reverse walks 1, 2, 2,
+    # so the two products have the same factors in opposite order
+    model = TorusModel(1, (0,), (0.3,), 2)
+    conn = _nonabelian_connection(m=1)
+    loop = WaypointPath(((0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (0.0, 0.0)), 1.0)
+    fwd = holonomy(model, conn, loop, 5).operator.matrix
+    bwd = holonomy(model, conn, loop.reverse(), 5).operator.matrix
+    assert np.max(np.abs(bwd @ fwd - np.eye(fwd.shape[0]))) <= 1e-8
+
+
 @st.composite
 def _split_loop_cases(draw):
     """A split model (m <= 3), a non-empty connection of bandwidth <= 2 and a closed loop."""
@@ -419,9 +430,7 @@ def _split_loop_cases(draw):
         loop = CirclePath.circle(draw(point), draw(st.floats(0.1, 1.0)), 1.0)
         return model, conn, loop, draw(st.integers(4, 12))
     corners = draw(st.lists(point, min_size=2, max_size=4))
-    # equal segments get equal step counts, so the reversed loop's grid mirrors the
-    # forward grid and the discrete reversal law is exact (see step_intervals)
-    steps = len(corners) * draw(st.integers(1, 3))
+    steps = draw(st.integers(len(corners), 3 * len(corners)))
     return model, conn, WaypointPath((*corners, corners[0]), 1.0), steps
 
 
