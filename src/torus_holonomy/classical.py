@@ -19,7 +19,9 @@ and sample the path once per call (``CompiledConnection.along``): RK4 at
 every grid time and stage midpoint, the ordered products at the step
 midpoints.  Each RK4 stage of the perturbed flow evaluates the connection's
 waves once (``CompiledConnection.flow``) for both the action rate and the
-drift; the controlled-angle history reads the drift alone.  The two
+drift; the controlled-angle history reads the drift alone.  The RK4 steps
+work on lists of Python floats: their states hold a few numbers, where
+numpy's per-call overhead would cost more than the arithmetic.  The two
 ordered products walk their steps in chunks of at most
 ``operators.STACK_BYTES`` of generators, build a chunk's generators as
 one stack (the action transport's couplings from one
@@ -90,29 +92,48 @@ def evolve_free(hamiltonian: ActionPolynomial, state: ClassicalState, t: float) 
     return ClassicalState(state.actions, state.angles + t * omega)
 
 
-def _rk4_step(rhs, h: float, y: np.ndarray, s0, sm, s1) -> np.ndarray:
-    """One RK4 step of size h; ``rhs(s, y)`` gets the stage data s0, sm (twice), s1."""
+def _rk4_step(rhs, h: float, y: list, s0, sm, s1) -> list:
+    """One RK4 step of size h on a list of floats.
+
+    ``rhs(s, y)`` gets the stage data s0, sm (twice), s1 and returns a list.
+    """
+    half = 0.5 * h
     k1 = rhs(s0, y)
-    k2 = rhs(sm, y + 0.5 * h * k1)
-    k3 = rhs(sm, y + 0.5 * h * k2)
-    k4 = rhs(s1, y + h * k3)
-    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    k2 = rhs(sm, [a + half * b for a, b in zip(y, k1)])
+    k3 = rhs(sm, [a + half * b for a, b in zip(y, k2)])
+    k4 = rhs(s1, [a + h * b for a, b in zip(y, k3)])
+    sixth = h / 6.0
+    return [a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4) for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
 
 
-def _rk4_along(rhs, compiled: CompiledConnection, curve, times: np.ndarray, y0: np.ndarray):
+def _rk4_along(rhs, compiled: CompiledConnection, curve, times: np.ndarray, y0) -> np.ndarray:
     """Fixed-step RK4 over ``times``, each stage reading its row of one weight table.
 
-    The table holds the grid times and stage midpoints ``t0 + h/2``, interleaved.
+    The table holds the grid times and stage midpoints ``t0 + h/2``,
+    interleaved.  A step that starts at one of the curve's breakpoints reads
+    the curve's limit from the right there instead, so a velocity jump at a
+    joint costs no order.  A row becomes Python numbers when its step runs,
+    and each state is written to one preallocated (len(times), n) array.
     """
     h = np.diff(times)
     grid = np.empty(2 * len(times) - 1)
     grid[::2] = times
     grid[1::2] = times[:-1] + 0.5 * h
     w = compiled.along(curve, grid)
+    right = {}
+    starts = np.flatnonzero(np.isin(times[:-1], curve.breakpoints))
+    if starts.size:
+        rows = compiled.weights(*curve.sample(times[starts], right=True))
+        right = dict(zip(starts.tolist(), rows.tolist()))
     ys = np.empty((len(times), len(y0)))
     ys[0] = y0
-    for i in range(len(h)):
-        ys[i + 1] = _rk4_step(rhs, h[i], ys[i], w[2 * i], w[2 * i + 1], w[2 * i + 2])
+    y = ys[0].tolist()
+    s1 = w[0].tolist()
+    for i, step in enumerate(h.tolist()):
+        s0 = right.get(i, s1)
+        s1 = w[2 * i + 2].tolist()
+        y = _rk4_step(rhs, step, y, s0, w[2 * i + 1].tolist(), s1)
+        ys[i + 1] = y
     return ys
 
 
@@ -134,10 +155,10 @@ def evolve_perturbed(
         raise DimensionMismatchError("dimension mismatch between Hamiltonian, connection, state")
     compiled = compile_connection(connection)
 
-    def rhs(w: np.ndarray, y: np.ndarray) -> np.ndarray:
+    def rhs(w: list, y: list) -> list:
         actions, angles = y[:m], y[m:]
         rate, drift = compiled.flow(w, angles, actions)
-        return np.concatenate([rate, hamiltonian.gradient(actions) + drift])
+        return rate + [g + v for g, v in zip(hamiltonian.gradient_list(actions), drift)]
 
     times = step_intervals(curve, steps)
     ys = _rk4_along(rhs, compiled, curve, times, np.concatenate([state0.actions, state0.angles]))

@@ -5,7 +5,10 @@ may degrade), whether it closes, and ``sample(times)``: its points and
 velocities at an array of times, computed with arrays in every class.
 Integration grids are always aligned with breakpoints so ordered products
 and RK4 never step across a joint; that also makes the propagator group
-laws exact at the discrete level for matched step counts.
+laws exact at the discrete level for matched step counts.  Where the
+velocity jumps at a joint (a ``ChainedCurve``), ``sample`` gives the limit
+from the left, or from the right with ``right=True``, so that a step that
+starts at the joint can read the segment it steps along.
 """
 
 from __future__ import annotations
@@ -35,8 +38,12 @@ class ParameterCurve(abc.ABC):
     breakpoints: tuple[float, ...] = ()
 
     @abc.abstractmethod
-    def sample(self, times) -> tuple[np.ndarray, np.ndarray]:
-        """Points and velocities at a 1-D array of S times, two (S, d) arrays."""
+    def sample(self, times, right: bool = False) -> tuple[np.ndarray, np.ndarray]:
+        """Points and velocities at a 1-D array of S times, two (S, d) arrays.
+
+        At a joint the values are the limit from the left, or from the right
+        if ``right``; curves that are C^1 across their joints ignore the flag.
+        """
 
     def point(self, t: float) -> np.ndarray:
         return self.sample([t])[0][0]
@@ -108,7 +115,7 @@ class CirclePath(ParameterCurve):
         v[axes[1]] = radius
         return cls(tuple(center), tuple(u), tuple(v), duration, turns, phase)
 
-    def sample(self, times) -> tuple[np.ndarray, np.ndarray]:
+    def sample(self, times, right: bool = False) -> tuple[np.ndarray, np.ndarray]:
         theta = self.phase + 2.0 * np.pi * self.turns * np.asarray(times, dtype=float) / self.duration
         rate = 2.0 * np.pi * self.turns / self.duration
         cos, sin = np.cos(theta)[:, None], np.sin(theta)[:, None]
@@ -155,7 +162,7 @@ class WaypointPath(ParameterCurve):
             tuple(self.duration * i / segments for i in range(1, segments)),
         )
 
-    def sample(self, times) -> tuple[np.ndarray, np.ndarray]:
+    def sample(self, times, right: bool = False) -> tuple[np.ndarray, np.ndarray]:
         t = np.asarray(times, dtype=float)
         segments = len(self.points) - 1
         seg_dur = self.duration / segments
@@ -179,8 +186,9 @@ class ReversedCurve(ParameterCurve):
         object.__setattr__(self, "duration", T)
         object.__setattr__(self, "breakpoints", tuple(sorted(T - b for b in self.base.breakpoints)))
 
-    def sample(self, times) -> tuple[np.ndarray, np.ndarray]:
-        points, velocities = self.base.sample(self.duration - np.asarray(times, dtype=float))
+    def sample(self, times, right: bool = False) -> tuple[np.ndarray, np.ndarray]:
+        # the limit from one side is the base's limit from the other
+        points, velocities = self.base.sample(self.duration - np.asarray(times, dtype=float), not right)
         return points, -velocities
 
 
@@ -206,12 +214,12 @@ class ChainedCurve(ParameterCurve):
             tuple(self.first.breakpoints) + (t1,) + tuple(t1 + b for b in self.second.breakpoints),
         )
 
-    def sample(self, times) -> tuple[np.ndarray, np.ndarray]:
+    def sample(self, times, right: bool = False) -> tuple[np.ndarray, np.ndarray]:
         t = np.asarray(times, dtype=float)
-        head = t <= self.first.duration
+        head = t < self.first.duration if right else t <= self.first.duration
         points, velocities = np.empty((2, t.size, self.dimension))
-        points[head], velocities[head] = self.first.sample(t[head])
-        points[~head], velocities[~head] = self.second.sample(t[~head] - self.first.duration)
+        points[head], velocities[head] = self.first.sample(t[head], right)
+        points[~head], velocities[~head] = self.second.sample(t[~head] - self.first.duration, right)
         return points, velocities
 
 
@@ -261,9 +269,9 @@ class ReparameterizedCurve(ParameterCurve):
                 hi = mid
         return 0.5 * (lo + hi)
 
-    def sample(self, times) -> tuple[np.ndarray, np.ndarray]:
+    def sample(self, times, right: bool = False) -> tuple[np.ndarray, np.ndarray]:
         clock = np.array([(self.tau(t), self.tau_dot(t)) for t in np.asarray(times, float)]).reshape(-1, 2)
-        points, velocities = self.base.sample(clock[:, 0])
+        points, velocities = self.base.sample(clock[:, 0], right)
         return points, velocities * clock[:, 1:]
 
 

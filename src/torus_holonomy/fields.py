@@ -578,11 +578,16 @@ class ActionPolynomial:
         return _polynomial_value(self.terms, actions, 0.0)
 
     def gradient(self, actions: Sequence[float]) -> np.ndarray:
-        # Scalar products over the prebuilt table: at the few terms of a
-        # Hamiltonian, numpy's per-call overhead makes an array expression
-        # slower than this loop.
-        actions = np.asarray(actions, dtype=float)
-        grad = np.zeros(self.m)
+        return np.array(self.gradient_list(np.asarray(actions, dtype=float).tolist()))
+
+    def gradient_list(self, actions: Sequence[float]) -> list[float]:
+        """The gradient at a sequence of Python floats, as a list.
+
+        Scalar products over the prebuilt table: at the few terms of a
+        Hamiltonian, numpy's per-call overhead makes an array expression
+        slower than this loop.
+        """
+        grad = [0.0] * self.m
         for k, term, factors in self._derivative:
             for j, q in factors:
                 term *= actions[j] ** q

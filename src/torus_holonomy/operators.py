@@ -41,6 +41,7 @@ chunks of at most ``STACK_BYTES`` of generators.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -182,10 +183,15 @@ class CompiledConnection:
 
     with ``sigma^e`` the monomial of ``exponents[e]``, so that
     ``L_k(sigma, phi) . v = sum_{K: axes[K] = k} w_K exp(i c_K . phi)``.
-    No model or controlled/dynamic split is assumed.  ``drift``,
-    ``coupling`` and ``flow`` share one wave formula; ``flow`` gives the
-    perturbed flow's action rate and drift from a single evaluation of it.
-    ``by_axis`` is stored as float so that ``@`` does not cast it per call.
+    No model or controlled/dynamic split is assumed.
+
+    ``drift`` and ``flow`` evaluate one weight row for the RK4 stages: plain
+    loops over ``terms``, which holds each term's axis and the nonzero
+    ``(axis, c_K[axis])`` components of its shift as Python numbers.  On the
+    few terms of a connection numpy's per-call overhead would cost more than
+    the arithmetic.  ``coupling`` takes whole stacks of rows and stays an
+    array expression; ``by_axis`` is stored as float so that its ``@`` does
+    not cast it per call.
     """
 
     axes: np.ndarray  # (K,) torus axis of each term
@@ -193,6 +199,7 @@ class CompiledConnection:
     table: np.ndarray  # (K, d, E) sigma-polynomial coefficients
     exponents: np.ndarray  # (E, d) monomial exponents
     by_axis: np.ndarray  # (K, m) float one-hot of each term's axis
+    terms: tuple  # (axis, ((axis, shift component), ...)) of each term, Python numbers
 
     def weights(self, sigmas: np.ndarray, velocities: np.ndarray) -> np.ndarray:
         """Term weights at S parameter points, shape (S, K).
@@ -215,32 +222,44 @@ class CompiledConnection:
         """Term weights at the given times of ``curve``, shape (len(times), K)."""
         return self.weights(*curve.sample(times))
 
-    def _waves(self, weights: np.ndarray, phi: np.ndarray) -> np.ndarray:
-        """``w_K exp(i c_K . phi)`` of every term K, at one weight row or at S rows of both."""
-        return weights * np.exp(1j * (phi @ self.shifts.T))
-
-    def drift(self, weights: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    def drift(self, weights: Sequence[complex], phi: Sequence[float]) -> list[float]:
         """``L_k(sigma, phi) . v`` for every axis k, at one weight row."""
-        return self._waves(weights, phi).real @ self.by_axis
+        drift = [0.0] * len(phi)
+        for w, (axis, components) in zip(weights, self.terms):
+            angle = 0.0
+            for a, c in components:
+                angle += phi[a] * c
+            drift[axis] += (w * cmath.exp(1j * angle)).real
+        return drift
 
     def coupling(self, weights: np.ndarray, phi: np.ndarray) -> np.ndarray:
         """``G[a, k] = d_a L_k(sigma, phi) . v``, (m, m) at one weight row and angle.
 
         An (S, K) weight stack with (S, m) angles gives the (S, m, m) stack.
         """
-        waves = 1j * self._waves(weights, phi)
+        waves = 1j * (weights * np.exp(1j * (phi @ self.shifts.T)))
         return np.swapaxes((waves[..., None] * self.shifts).real, -1, -2) @ self.by_axis
 
     def flow(
-        self, weights: np.ndarray, phi: np.ndarray, actions: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """The action rate ``-G @ actions`` and the drift, from one wave evaluation.
+        self, weights: Sequence[complex], phi: Sequence[float], actions: Sequence[float]
+    ) -> tuple[list[float], list[float]]:
+        """The action rate ``-G @ actions`` and the drift, from one wave per term.
 
-        ``Re(i z) = -Im z``, so ``-G[a, k] I_k`` sums ``Im(waves_K) c_K[a] I_k``
+        ``Re(i z) = -Im z``, so ``-G[a, k] I_k`` sums ``Im(wave_K) c_K[a] I_k``
         over the terms K of axis k.
         """
-        waves = self._waves(weights, phi)
-        return self.shifts.T @ (waves.imag * actions[self.axes]), waves.real @ self.by_axis
+        rate = [0.0] * len(phi)
+        drift = [0.0] * len(phi)
+        for w, (axis, components) in zip(weights, self.terms):
+            angle = 0.0
+            for a, c in components:
+                angle += phi[a] * c
+            wave = w * cmath.exp(1j * angle)
+            drift[axis] += wave.real
+            pull = wave.imag * actions[axis]
+            for a, c in components:
+                rate[a] += c * pull
+        return rate, drift
 
 
 def compile_connection(connection: ControlConnection) -> CompiledConnection:
@@ -261,6 +280,7 @@ def compile_connection(connection: ControlConnection) -> CompiledConnection:
         table,
         np.array(exponents, dtype=np.int64).reshape(len(exponents), d),
         (axes[:, None] == np.arange(connection.m)).astype(float),
+        tuple((axis, tuple((a, float(x)) for a, x in enumerate(c) if x)) for c, axis in terms),
     )
 
 

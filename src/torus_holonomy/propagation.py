@@ -136,8 +136,13 @@ def _lift_controlled(model: TorusModel, block: np.ndarray) -> np.ndarray:
     di, dsize = sublattice_index(model, model.dynamic)
     if block.shape not in ((csize, csize), (dsize, csize, csize)):
         raise DimensionMismatchError("block size does not match the controlled sublattice")
-    blocks = np.broadcast_to(block, (dsize, csize, csize))
-    return blocks[di[:, None], ci[:, None], ci[None, :]] * (di[:, None] == di[None, :])
+    # where[j, c]: the full-lattice position of controlled index c at dynamic label j
+    where = np.empty((dsize, csize), dtype=np.int64)
+    where[di, ci] = np.arange(model.size)
+    lifted = np.zeros((model.size, model.size), dtype=block.dtype)
+    # + 0.0 turns the blocks' signed zeros into 0.0: the lift holds no -0.0
+    lifted[where[:, :, None], where[:, None, :]] = block + 0.0
+    return lifted
 
 
 def _control_block_product(

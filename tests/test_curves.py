@@ -288,3 +288,30 @@ def test_sample_empty_times(sampled_curve):
     points, velocities = sampled_curve.sample(np.zeros(0))
     assert points.shape == velocities.shape == (0, sampled_curve.dimension)
 
+
+
+def test_right_limit_moves_only_a_velocity_jump(sampled_curve):
+    times = _grid(sampled_curve)
+    points, velocities = sampled_curve.sample(times)
+    right_points, right_velocities = sampled_curve.sample(times, right=True)
+    jump = np.zeros(times.size, dtype=bool)
+    if isinstance(sampled_curve, ChainedCurve):
+        jump = times == sampled_curve.first.duration
+        assert jump.sum() == 1
+    assert np.array_equal(right_points[~jump], points[~jump])
+    assert np.array_equal(right_velocities[~jump], velocities[~jump])
+
+
+def test_chain_joint_limits_from_each_side():
+    chain = _chained()
+    t1 = chain.first.duration
+    _, left = chain.sample([t1])
+    _, right = chain.sample([t1], right=True)
+    assert np.array_equal(left[0], chain.first.velocity(t1))
+    assert np.array_equal(right[0], chain.second.velocity(0.0))
+    assert np.linalg.norm(left[0] - right[0]) > 1.0  # the circle moves, the waypoints start at rest
+    # walked backwards, the joint's left limit is the forward right limit
+    back = chain.reverse()
+    _, back_left = back.sample([back.duration - t1])
+    _, back_right = back.sample([back.duration - t1], right=True)
+    assert np.array_equal(back_left[0], -right[0]) and np.array_equal(back_right[0], -left[0])

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from torus_holonomy import (
     ActionPolynomial,
     CirclePath,
+    ClassicalState,
     ControlConnection,
     OpenCurveError,
     OperatorMatrix,
@@ -17,10 +18,12 @@ from torus_holonomy import (
     TorusModel,
     WaveFunction,
     WaypointPath,
+    classical_mode_transport,
     delta_generator,
     evolve_control,
     evolve_dynamic,
     evolve_full,
+    evolve_perturbed,
     holonomy,
     mode_iter,
     path_invariance_report,
@@ -31,6 +34,7 @@ from scipy.linalg import expm
 
 from torus_holonomy import BandwidthError, propagation, step_intervals
 from torus_holonomy.classical import _mode_basis
+from torus_holonomy.curves import segment_edges
 from torus_holonomy.lattice import mode_array, sublattice_index
 from torus_holonomy.serialize import operator_payload
 from torus_holonomy.operators import (
@@ -48,6 +52,15 @@ from torus_holonomy.verify import (
     _unit_circle,
     abelian_control_phases,
 )
+
+
+def _array_rk4_step(rhs, h, y, s0, sm, s1):
+    """Classical RK4 on arrays, kept apart from the package's kernel."""
+    k1 = rhs(s0, y)
+    k2 = rhs(sm, y + 0.5 * h * k1)
+    k3 = rhs(sm, y + 0.5 * h * k2)
+    k4 = rhs(s1, y + h * k3)
+    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 def _kappa_connection(m: int, kappa: float) -> ControlConnection:
@@ -115,8 +128,13 @@ def test_delta_requires_split():
 # --- compiled connection -----------------------------------------------------
 
 
-def _random_split_connection(rng, model: TorusModel, d: int, bandwidth: int) -> ControlConnection:
-    """Seeded connection on the controlled axes: shifts up to ``bandwidth``, degree <= 2."""
+def _random_split_connection(
+    rng, model: TorusModel, d: int, bandwidth: int, max_shifts: int = 3
+) -> ControlConnection:
+    """Seeded connection on the controlled axes: shifts up to ``bandwidth``, degree <= 2.
+
+    Each (axis, beta) component that is not left empty draws 1 to ``max_shifts`` shifts.
+    """
     controlled = model.controlled
     half = {}
     for axis in controlled:
@@ -124,7 +142,7 @@ def _random_split_connection(rng, model: TorusModel, d: int, bandwidth: int) -> 
             if rng.random() < 0.3:
                 continue  # leave some (axis, beta) components empty
             fourier = {}
-            for _ in range(rng.integers(1, 4)):
+            for _ in range(rng.integers(1, max_shifts + 1)):
                 shift = [0] * model.m
                 for a in controlled:
                     shift[a] = int(rng.integers(-bandwidth, bandwidth + 1))
@@ -222,10 +240,93 @@ def test_compiled_generator_matches_quantized_pairing():
                 assert np.max(np.abs(on_torus.coupling(w_torus, phi) - coupling)) <= 1e-14
                 actions = extra.uniform(-2.0, 2.0, size=model.m)
                 rate, fused_drift = on_torus.flow(w_torus, phi, actions)
-                assert rate.shape == fused_drift.shape == (model.m,)
+                assert np.shape(rate) == np.shape(fused_drift) == (model.m,)
                 assert np.max(np.abs(rate - -coupling @ actions)) <= 1e-14
                 assert np.max(np.abs(fused_drift - drift)) <= 1e-14
         assert np.max(np.abs(basis.generator(weights[2]))) == 0.0
+
+
+def _polynomial_gradient(ham, actions):
+    """grad H term by term from the exponent table."""
+    grad = np.zeros(ham.m)
+    for e, v in ham.terms.items():
+        for k, p in enumerate(e):
+            if p:
+                rest = [a ** (q - (j == k)) for j, (a, q) in enumerate(zip(actions, e))]
+                grad[k] += v * p * np.prod(rest)
+    return grad
+
+
+@st.composite
+def _rk4_cases(draw):
+    """A model (m <= 3), a split or non-split connection of bandwidth <= 2 (1 to
+    about 50 compiled terms), a polynomial Hamiltonian, a circle or waypoint
+    curve, an initial state and a step count."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    model = _random_split_model(rng)
+    split = rng.random() < 0.5
+    owner = model if split else replace(model, controlled=range(model.m))
+    d, bandwidth, max_shifts = int(rng.integers(1, 4)), int(rng.integers(0, 3)), int(rng.integers(1, 17))
+    conn = ControlConnection.empty(model.m, d)
+    while not conn.components:
+        conn = _random_split_connection(rng, owner, d, bandwidth, max_shifts)
+    exponents = rng.integers(0, 3, size=(int(rng.integers(0, 4)), model.m))
+    ham = ActionPolynomial(model.m, {tuple(map(int, e)): float(rng.uniform(-1.0, 1.0)) for e in exponents})
+    # the curve's reach shrinks with the term count, so that the rates stay
+    # moderate and a few RK4 steps stay stable
+    reach = 1.0 / len({(axis, c) for (axis, _), fourier in conn.components.items() for c in fourier})
+    center = rng.uniform(-1.0, 1.0, size=d)
+    if rng.random() < 0.5:
+        u, v = rng.uniform(-reach, reach, size=(2, d))
+        curve = CirclePath(tuple(center), tuple(u), tuple(v), 1.0, turns=float(rng.uniform(0.5, 2.0)))
+    else:
+        points = center + rng.uniform(-reach, reach, size=(int(rng.integers(2, 5)), d))
+        curve = WaypointPath(tuple(map(tuple, points)), 1.0)
+    state0 = ClassicalState(rng.uniform(-2.0, 2.0, size=model.m), rng.uniform(-np.pi, np.pi, size=model.m))
+    steps = draw(st.integers(len(segment_edges(curve)) - 1, 24))
+    return model, split, conn, ham, curve, state0, steps
+
+
+def _assert_rk4_steps(rhs, times, states):
+    """Each state is one array RK4 step of ``rhs`` from the one before, to 1e-12 of its size.
+
+    Stepping from the kernel's own states keeps rounding from being
+    amplified along trajectories that grow.
+    """
+    assert len(states) == len(times)
+    for t0, t1, y0, y1 in zip(times[:-1], times[1:], states[:-1], states[1:]):
+        h = float(t1 - t0)
+        expected = _array_rk4_step(rhs, h, y0, float(t0), float(t0) + 0.5 * h, float(t1))
+        assert np.max(np.abs(y1 - expected)) <= 1e-12 * max(1.0, np.max(np.abs(expected)))
+
+
+@settings(derandomize=True, max_examples=50, deadline=None)
+@given(_rk4_cases())
+def test_rk4_kernel_matches_array_rk4_of_the_field_oracle(case):
+    # the scalar RK4 kernel (compiled drift and flow on Python floats) against
+    # RK4 on arrays of the frozen component fields, on the same step grid
+    model, split, conn, ham, curve, state0, steps = case
+    m = model.m
+
+    def rhs(t, y):
+        drift, coupling = _field_drift_and_coupling(conn, curve.point(t), curve.velocity(t), y[m:])
+        return np.concatenate([-coupling @ y[:m], _polynomial_gradient(ham, y[:m]) + drift])
+
+    times = step_intervals(curve, steps)
+    traj = evolve_perturbed(ham, conn, curve, state0, steps)
+    _assert_rk4_steps(rhs, times, np.hstack([traj.actions, traj.angles]))
+    if not split:
+        return
+    sub = conn.restricted(model.controlled)
+    half_times = np.empty(2 * steps + 1)
+    half_times[::2] = times
+    half_times[1::2] = 0.5 * (times[:-1] + times[1:])
+    phi0 = state0.angles[list(model.controlled)]
+    _assert_rk4_steps(
+        lambda t, phi: _field_drift_and_coupling(sub, curve.point(t), curve.velocity(t), phi)[0],
+        half_times,
+        classical_mode_transport(model, conn, curve, phi0, steps).phi_history,
+    )
 
 
 def test_compiled_empty_connection():
@@ -356,8 +457,6 @@ def test_control_unitarity():
 def test_control_matches_rk4_matrix_ode():
     # independent route: classical RK4 on dU/dt = -i Delta(t) U, no matrix
     # exponentials anywhere, must meet the ordered product at fine steps.
-    from torus_holonomy.classical import _rk4_step
-
     model = TorusModel(1, (0,), (0.3,), 6)
     conn = _nonabelian_connection(m=1)
     curve = _unit_circle()
@@ -372,7 +471,7 @@ def test_control_matches_rk4_matrix_ode():
     times = np.linspace(0.0, curve.duration, steps + 1)
     for t0, t1 in zip(times[:-1], times[1:]):
         h = float(t1 - t0)
-        u = _rk4_step(rhs, h, u, float(t0), float(t0) + 0.5 * h, float(t1))
+        u = _array_rk4_step(rhs, h, u, float(t0), float(t0) + 0.5 * h, float(t1))
     assert np.max(np.abs(u - ordered)) <= 1e-6
 
 
