@@ -274,19 +274,21 @@ def evolve_full(
     h_blocks = np.zeros((dsize, csize, csize), dtype=complex)
     h_blocks[di, ci, ci] = energies
     times = step_intervals(curve, steps)
+    points, velocities = curve.sample(times)
+    # a step that starts at a joint averages from the curve's limit from the right
+    starts = np.flatnonzero(np.isin(times[:-1], curve.breakpoints))
+    right = dict(zip(starts.tolist(), zip(*curve.sample(times[starts], right=True))))
 
-    def block_delta(t: float) -> np.ndarray:
-        obs = sub_conn.as_observable(curve.point(t), curve.velocity(t))
-        return quantize_affine(sub_model, obs).matrix
+    def block_delta(point: np.ndarray, velocity: np.ndarray) -> np.ndarray:
+        return quantize_affine(sub_model, sub_conn.as_observable(point, velocity)).matrix
 
     U = np.broadcast_to(np.eye(csize, dtype=complex), h_blocks.shape)
-    previous = block_delta(float(times[0]))
-    for t0, t1 in zip(times[:-1], times[1:]):
-        dt = float(t1 - t0)
-        current = block_delta(float(t1))
-        gen = h_blocks + 0.5 * (previous + current)
+    end = block_delta(points[0], velocities[0])
+    for i, dt in enumerate(np.diff(times).tolist()):
+        start = block_delta(*right[i]) if i in right else end
+        end = block_delta(points[i + 1], velocities[i + 1])
+        gen = h_blocks + 0.5 * (start + end)
         U = expm(-1j * dt * gen) @ U
-        previous = current
     reference = PropagatorReport(
         OperatorMatrix(model, _lift_controlled(model, U), bandwidth=connection.bandwidth),
         len(times) - 1,

@@ -1,14 +1,20 @@
 """File formats and atomic output helpers.
 
 Operators ship as JSON with a model echo, the lexicographic layout tag and
-row-major [re, im] entries.  JSON files are one compact line with sorted
-keys, written without ``indent`` so that ``json`` uses its C encoder; a
-full-lattice operator is millions of numbers.  Trajectories ship as CSV with
-17 significant digits, each row formatted from Python floats by one format
-string; the bytes are those of formatting every value with ``:.17g``.  All
-writers go through a temp file plus atomic rename so failures never leave
-partial outputs.  JSON payloads with a non-finite number are refused before
-any file is created, since JSON has no form for them.
+row-major [re, im] entries.  A full-lattice operator is block diagonal and
+mostly zeros, so in memory its entries are ``(re, im)`` tuples of Python
+floats, built only at the nonzero positions, and every entry whose parts are
+both ``+0.0`` is one shared pair: a payload costs memory and time in
+proportion to its nonzero entries.  The files are the bytes a list per entry
+would give.  JSON files are one compact line with sorted keys, written
+without ``indent`` so that ``json`` uses its C encoder, and without its
+cycle check, since every payload is a tree the package builds.
+Trajectories ship as CSV with 17 significant digits, each row formatted
+from Python floats by one format string; the bytes are those of formatting
+every value with ``:.17g``.  All writers go through a temp file plus atomic
+rename so failures never leave partial outputs.  JSON payloads with a
+non-finite number are refused before any file is created, since JSON has
+no form for them.
 """
 
 from __future__ import annotations
@@ -34,8 +40,19 @@ def model_payload(model: TorusModel) -> dict:
     }
 
 
+# the entry of every +0.0 + 0.0j element; immutable, so sharing it cannot alias
+_ZERO_ENTRY = (0.0, 0.0)
+
+
 def operator_payload(op: OperatorMatrix) -> dict:
-    entries = np.stack((op.matrix.real, op.matrix.imag), -1).reshape(-1, 2).tolist()
+    # zeros are found on the raw words, so an entry with a -0.0 part keeps its own pair
+    flat = op.matrix.reshape(-1)
+    words = flat.view(np.uint64).reshape(-1, 2)
+    nonzero = np.flatnonzero(words[:, 0] | words[:, 1])
+    values = flat[nonzero]
+    entries = [_ZERO_ENTRY] * flat.size
+    for i, pair in zip(nonzero.tolist(), zip(values.real.tolist(), values.imag.tolist())):
+        entries[i] = pair
     return {
         "format": "operator",
         "model": model_payload(op.model),
@@ -88,7 +105,10 @@ def _numpy_value(value):
 def json_text(payload: Mapping) -> str:
     """Payload as JSON text; non-finite numbers have no JSON form and are refused."""
     try:
-        return json.dumps(payload, sort_keys=True, allow_nan=False, default=_numpy_value) + "\n"
+        text = json.dumps(
+            payload, sort_keys=True, allow_nan=False, check_circular=False, default=_numpy_value
+        )
+        return text + "\n"
     except ValueError as exc:
         raise TorusHolonomyError(f"payload cannot be written as JSON: {exc}") from exc
 

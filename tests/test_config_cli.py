@@ -493,6 +493,20 @@ def test_cli_schema_violation_exit2(tmp_path):
     assert not (tmp_path / "spectrum.json").exists()
 
 
+@pytest.mark.parametrize("truncation", ["1e300", "10000000000000000000"])
+def test_cli_unindexable_truncation_exit2(tmp_path, capsys, truncation):
+    # a box of more than intp-max modes is refused before any array is built
+    raw = json.loads((CONFIGS / "spectrum_quadratic.json").read_text())
+    raw["model"]["truncation"] = "@"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(raw).replace('"@"', truncation))
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg), "--out", str(out), "--quiet", "spectrum"]) == 2
+    err = capsys.readouterr().err
+    assert "truncation" in err and "Traceback" not in err
+    assert not out.exists() or not list(out.iterdir())
+
+
 @pytest.mark.parametrize(
     "command, config", [("spectrum", "spectrum_quadratic.json"), ("holonomy", "abelian_loop.json")]
 )
@@ -666,6 +680,60 @@ def test_atomic_write_json_refuses_non_finite(tmp_path):
     assert not list(tmp_path.iterdir())
 
 
+@st.composite
+def _payload_operators(draw):
+    """Complex operators up to 39x39: dense or block diagonal, with signed zeros."""
+    from torus_holonomy import OperatorMatrix, TorusModel
+
+    m, truncation = draw(st.sampled_from([(1, n) for n in range(1, 20)] + [(2, 1), (2, 2), (3, 1)]))
+    model = TorusModel(m, (0,), (0.0,) * m, truncation)
+    n = model.size
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # a scale of 1e-310 makes subnormals, and underflows some parts to a signed zero
+    scale = draw(st.sampled_from([1.0, 1e-310, 1e300]))
+    matrix = scale * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    kind = draw(st.sampled_from(["dense", "block diagonal", "signed zeros"]))
+    if kind != "dense":
+        labels = np.sort(rng.integers(0, max(1, n // 4), size=n))
+        matrix[labels[:, None] != labels[None, :]] = 0.0
+    if kind == "signed zeros":
+        for part in (matrix.real, matrix.imag):
+            mask = rng.random((n, n)) < 0.3
+            part[mask] = rng.choice([0.0, -0.0], size=int(mask.sum()))
+    bad = draw(st.sampled_from([None, None, float("nan"), float("inf"), -float("inf")]))
+    if bad is not None:
+        part = matrix.real if rng.random() < 0.5 else matrix.imag
+        part[tuple(rng.integers(0, n, size=2))] = bad
+    return OperatorMatrix(model, matrix), bad is not None
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(_payload_operators())
+def test_operator_payload_writes_the_list_form_bytes(case):
+    from torus_holonomy import TorusHolonomyError
+    from torus_holonomy.serialize import json_text, operator_payload
+
+    op, non_finite = case
+    payload = operator_payload(op)
+    # the oracle is the list-per-entry payload, encoded as json_text used to
+    lists = np.stack((op.matrix.real, op.matrix.imag), -1).reshape(-1, 2).tolist()
+    oracle = {**payload, "entries": lists}
+    entries = payload["entries"]
+    assert all(type(e) is tuple and list(map(type, e)) == [float, float] for e in entries)
+    words = op.matrix.reshape(-1).view(np.uint64).reshape(-1, 2)
+    zeros = [e for e, w in zip(entries, words.tolist()) if w == [0, 0]]
+    assert all(e is zeros[0] for e in zeros) and (not zeros or zeros[0] == (0.0, 0.0))
+    if non_finite:
+        with pytest.raises(ValueError):
+            json.dumps(oracle, sort_keys=True, allow_nan=False)
+        with pytest.raises(TorusHolonomyError):
+            json_text(payload)
+        return
+    # every part keeps its bits, the sign of a -0.0 included
+    assert np.array_equal(np.array(entries, dtype=float).view(np.uint64), words)
+    assert json_text(payload) == json.dumps(oracle, sort_keys=True, allow_nan=False) + "\n"
+
+
 def test_json_text_round_trips_numpy_values():
     from torus_holonomy.serialize import json_text
 
@@ -720,7 +788,7 @@ def test_cli_non_finite_result_exit3_no_output(tmp_path, capsys, monkeypatch, ba
     def run_with_nan(config):
         matrix, diagnostics = run_holonomy(config)
         if bad == "matrix":
-            matrix["entries"][0][0] = float("nan")
+            matrix["entries"][0] = (float("nan"), 0.0)
         else:
             diagnostics["refinement_deviation"] = float("inf")
         return matrix, diagnostics

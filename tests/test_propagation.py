@@ -617,6 +617,37 @@ def test_evolve_full_routes_converge():
     assert coarse.reference.unitarity_defect <= 1e-10
 
 
+def test_evolve_full_reference_keeps_second_order_across_a_velocity_jump():
+    # a unit circle still moving at its end, then a closed waypoint loop from
+    # rest: the step that starts at the joint must average from the second
+    # piece's velocity (order 1.1-1.2 when it read the joint's left limit)
+    from torus_holonomy import concatenate
+
+    circle = CirclePath.circle((0.0, 0.0), 1.0, 1.0, phase=0.3)
+    start = tuple(circle.point(0.0))
+    chain = concatenate(circle, WaypointPath((start, (0.0, 0.0), start), 2.0))
+    conn = ControlConnection.from_half_spectrum(
+        1,
+        2,
+        {
+            (0, 0): {
+                (0,): ParameterPolynomial(2, {(0, 0): 0.7}),
+                (1,): ParameterPolynomial(2, {(0, 0): 0.25}),
+            },
+            (0, 1): {(1,): ParameterPolynomial(2, {(1, 0): 0.3j})},
+        },
+    )
+    model = TorusModel(1, (0,), (0.0,), 3)
+    ham = ActionPolynomial.zero(1)
+    for curve in (chain, chain.reverse()):
+        ref = evolve_full(model, ham, conn, curve, 1600).reference.operator.matrix
+        errors = [
+            np.max(np.abs(evolve_full(model, ham, conn, curve, steps).reference.operator.matrix - ref))
+            for steps in (50, 100, 200, 400)
+        ]
+        assert min(np.log2(errors[i] / errors[i + 1]) for i in range(3)) >= 1.8
+
+
 def _dense_reference(model, hamiltonian, conn, curve, steps):
     """Endpoint-average ordered product of H_hat + Delta_hat(t) on the full lattice.
 
