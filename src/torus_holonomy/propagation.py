@@ -34,16 +34,21 @@ reference route loads it.
 
 ``evolve_full`` computes both of its routes per dynamic label, as
 (2N+1)^(m-l) blocks of size (2N+1)^l.  The factorized block of label j is
-``exp(-i E_j T) U2``.  The reference keeps the dynamic phase inside the
-exponent and steps the full generator H_hat + Delta_hat(t), but it never
-forms that generator on the full lattice: no entry of it couples two
-different dynamic labels, so its exponential is exactly block diagonal
-over them, and each step exponentiates the blocks as one stack.  The
-unitarity defects and the route deviation are measured on the stacks
-(``unitarity_defect`` takes one matrix or a stack), and each route is
-lifted to the full lattice once, for its reported operator.  No
-exponential and no defect in this module sees a matrix larger than
-(2N+1)^l.
+``exp(-i E_j T) U2``.  The reference steps the full generator
+H_hat + Delta_hat(t), but it never forms that generator on the full
+lattice: no entry of it couples two different dynamic labels, and on label
+j it is ``E_j I + D(t)`` with the same controlled block D(t) for every j.
+So each reference step is exactly ``exp(-i dt E_j) exp(-i dt D)``: one
+(2N+1)^l exponential per step, shared by all labels, and a phase angle
+``E_j * (sum of dt)`` per label, applied once at the end.  That the
+dynamic phase may leave the exponent is checked apart from this route: by
+``verify``'s ``perturbation_commutes`` and by the tests' dense oracle,
+which exponentiates ``diag(H) + Delta_hat`` on the full lattice.  The
+unitarity defects and the route deviation are measured on the
+(dsize, csize, csize) stacks (``unitarity_defect`` takes one matrix or a
+stack), and each route is lifted to the full lattice once, for its
+reported operator.  No exponential and no defect in this module sees a
+matrix larger than (2N+1)^l.
 """
 
 from __future__ import annotations
@@ -54,7 +59,7 @@ from typing import Sequence
 import numpy as np
 
 from .curves import ParameterCurve, reparameterize, step_intervals
-from .errors import DimensionMismatchError, OpenCurveError
+from .errors import DimensionMismatchError, OpenCurveError, SplitViolationError
 from .fields import ActionPolynomial, ControlConnection
 from .classical import require_split
 from .lattice import TorusModel, WaveFunction, controlled_submodel, sublattice_index
@@ -238,13 +243,17 @@ def evolve_full(
     commute under the split, so the routes agree in the limit).
 
     Under the split no entry of either route couples two different dynamic
-    labels: H_hat is diagonal and constant on each label, and Delta_hat is
-    the controlled block tensored with the dynamic identity.  Both routes
-    are therefore computed as (dsize, csize, csize) stacks, one (2N+1)^l
-    block per dynamic label j.  The factorized block is
-    ``exp(-i E_j T) U2`` with U2 from ``_control_block_product``.  The
-    reference exponentiates each label's block diag(H_j) + Delta_hat(t) as
-    one stack, with the dynamic phase H_j kept inside the exponent.  The
+    labels: H_hat is diagonal and equal to E_j on every mode of label j,
+    and Delta_hat is the controlled block D(t) tensored with the dynamic
+    identity.  Both routes are therefore computed as (dsize, csize, csize)
+    stacks, one (2N+1)^l block per dynamic label j.  The factorized block
+    is ``exp(-i E_j T) U2`` with U2 from ``_control_block_product``.  On
+    label j the reference's step generator is ``E_j I + D_avg``, whose
+    exponential is exactly ``exp(-i dt E_j) exp(-i dt D_avg)``; so each
+    step takes one ``expm`` of the controlled block D_avg, shared by every
+    label, into the product V, and the reference block of label j is
+    ``exp(-i E_j elapsed) V``.  A Hamiltonian whose spectrum is not
+    constant on a dynamic label raises ``SplitViolationError``.  The
     unitarity defects and the route deviation are taken over the stacks;
     the off-label entries they leave out are exact zeros in both routes.
     Each route's stack is lifted to the full lattice once, for its
@@ -255,14 +264,14 @@ def evolve_full(
     else:
         require_split(model, None, connection)
     energies = hamiltonian_spectrum(model, hamiltonian)
-    ci, csize = sublattice_index(model, model.controlled)
     di, dsize = sublattice_index(model, model.dynamic)
+    label_energy = np.empty(dsize)
+    label_energy[di] = energies
+    if not np.array_equal(label_energy[di], energies):
+        raise SplitViolationError("the Hamiltonian is not constant on each dynamic label")
 
     u2, used, sub_model = _control_block_product(model, connection, curve, steps)
-    # H is constant on each dynamic label, so every mode of a label writes the same phase
-    phases = np.empty(dsize, dtype=complex)
-    phases[di] = np.exp(-1j * energies * curve.duration)
-    factor_blocks = phases[:, None, None] * u2
+    factor_blocks = np.exp(-1j * label_energy * curve.duration)[:, None, None] * u2
     factorized = PropagatorReport(
         OperatorMatrix(model, _lift_controlled(model, factor_blocks), bandwidth=connection.bandwidth),
         used,
@@ -271,8 +280,6 @@ def evolve_full(
     )
 
     sub_conn = connection.restricted(model.controlled)
-    h_blocks = np.zeros((dsize, csize, csize), dtype=complex)
-    h_blocks[di, ci, ci] = energies
     times = step_intervals(curve, steps)
     points, velocities = curve.sample(times)
     # a step that starts at a joint averages from the curve's limit from the right
@@ -282,13 +289,18 @@ def evolve_full(
     def block_delta(point: np.ndarray, velocity: np.ndarray) -> np.ndarray:
         return quantize_affine(sub_model, sub_conn.as_observable(point, velocity)).matrix
 
-    U = np.broadcast_to(np.eye(csize, dtype=complex), h_blocks.shape)
+    # label j's phase angle is E_j times the summed steps: a product of
+    # per-step phases lets the modulus drift, and a per-step sum of dt * E_j
+    # rounds at the scale of the whole angle on every step
+    V = np.eye(sub_model.size, dtype=complex)
+    elapsed = 0.0
     end = block_delta(points[0], velocities[0])
     for i, dt in enumerate(np.diff(times).tolist()):
         start = block_delta(*right[i]) if i in right else end
         end = block_delta(points[i + 1], velocities[i + 1])
-        gen = h_blocks + 0.5 * (start + end)
-        U = expm(-1j * dt * gen) @ U
+        V = expm(-1j * dt * (0.5 * (start + end))) @ V
+        elapsed += dt
+    U = np.exp(-1j * (label_energy * elapsed))[:, None, None] * V
     reference = PropagatorReport(
         OperatorMatrix(model, _lift_controlled(model, U), bandwidth=connection.bandwidth),
         len(times) - 1,

@@ -12,9 +12,10 @@ cycle check, since every payload is a tree the package builds.
 Trajectories ship as CSV with 17 significant digits, each row formatted
 from Python floats by one format string; the bytes are those of formatting
 every value with ``:.17g``.  All writers go through a temp file plus atomic
-rename so failures never leave partial outputs.  JSON payloads with a
-non-finite number are refused before any file is created, since JSON has
-no form for them.
+rename so failures never leave partial outputs.  JSON payloads and
+trajectories with a non-finite number are refused before any file is
+created: JSON has no form for them, and such a trajectory means the flow
+did not stay bounded.
 """
 
 from __future__ import annotations
@@ -63,9 +64,12 @@ def operator_payload(op: OperatorMatrix) -> dict:
 
 
 def trajectory_csv(trajectory: Trajectory) -> str:
+    """Trajectory as CSV text; a table holding a non-finite number is refused."""
     m = trajectory.actions.shape[1]
     header = ["t"] + [f"I_{k + 1}" for k in range(m)] + [f"phi_{k + 1}" for k in range(m)]
     table = np.column_stack((trajectory.times, trajectory.actions, trajectory.angles))
+    if not np.all(np.isfinite(table)):
+        raise TorusHolonomyError("trajectory holds a non-finite number; the flow did not stay bounded")
     row = ",".join(["{:.17g}"] * (2 * m + 1))
     # one row of Python floats at a time: a whole-table tolist() costs peak memory
     lines = [",".join(header)]

@@ -620,6 +620,22 @@ def test_cli_classical_writes_csv(tmp_path):
     assert text.startswith("t,I_1,I_2,phi_1,phi_2\n")
 
 
+def test_cli_classical_unbounded_flow_exit3_no_output(tmp_path, capsys):
+    # a 1e3 Fourier term swept over 2000 parameter units: h * |L . v| is of
+    # order 1e3, RK4 blows up, and the nan rows are refused unwritten
+    payload = json.loads((CONFIGS / "classical_drift.json").read_text())
+    payload["connection"]["components"][0]["fourier"] = [
+        {"shift": [1, 0], "poly": [{"exponents": [0], "coefficient": 1e3}]}
+    ]
+    payload["curve"]["points"] = [[0.0], [2000.0]]
+    cfg = _write(tmp_path / "cfg.json", payload)
+    out = tmp_path / "out"
+    assert main(["--config", cfg, "--out", str(out), "--quiet", "classical"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "non-finite" in err and "Traceback" not in err
+    assert not out.exists() or not list(out.iterdir())
+
+
 def test_cli_evolve_writes_matrix_and_diagnostics(tmp_path):
     payload = _holonomy_config()
     payload["model"]["truncation"] = 2

@@ -653,7 +653,9 @@ def _dense_reference(model, hamiltonian, conn, curve, steps):
 
     The dense loop ``evolve_full`` used before it stepped per dynamic label,
     with Delta_hat quantized on the full lattice instead of lifted, so the
-    oracle shares no code with the lift it checks.
+    oracle shares no code with the lift it checks.  It keeps diag(H) inside
+    each step's exponent, so it also checks the factoring of the dynamic
+    phase out of the reference's steps.
     """
     energies = hamiltonian_spectrum(model, hamiltonian)
     times = step_intervals(curve, steps)
@@ -800,11 +802,11 @@ def test_dynamic_propagator_defect_is_the_dense_defect():
 
 
 def test_evolve_full_exponentiates_only_controlled_blocks(monkeypatch):
-    rows = []
+    shapes = []
     real_expm = propagation.expm
 
     def recording_expm(a):
-        rows.append(a.shape[-1])
+        shapes.append(a.shape)
         return real_expm(a)
 
     monkeypatch.setattr(propagation, "expm", recording_expm)
@@ -816,28 +818,57 @@ def test_evolve_full_exponentiates_only_controlled_blocks(monkeypatch):
         return real_exp_stack(a)
 
     monkeypatch.setattr(propagation, "exp_stack", recording_exp_stack)
-    for model in (_demo_model(4), TorusModel(3, (1,), (0.1, 0.25, -0.6), 2)):
+    steps = 5
+    models = (
+        _demo_model(4),
+        TorusModel(3, (1,), (0.1, 0.25, -0.6), 2),
+        # no dynamic axis: the one label is the whole box
+        TorusModel(1, (0,), (0.2,), 3),
+    )
+    for model in models:
         conn = _random_split_connection(np.random.default_rng(5), model, 2, 2)
-        evolve_full(model, ActionPolynomial.zero(model.m), conn, _unit_circle(), 5)
+        report = evolve_full(model, ActionPolynomial.zero(model.m), conn, _unit_circle(), steps)
         csize = propagation.controlled_submodel(model).size
-        assert rows and max(rows) <= csize < model.size
-        rows.clear()
+        # one (csize, csize) matrix per step, never a stack of dynamic labels
+        assert report.reference.steps == steps
+        assert shapes == [(csize, csize)] * steps
+        assert (csize < model.size) == bool(model.dynamic)
+        shapes.clear()
         assert stacked and max(stacked) <= csize
         stacked.clear()
+
+
+def test_evolve_full_refuses_a_spectrum_that_varies_within_a_dynamic_label(monkeypatch):
+    # the reference factors exp(-i dt E_j) out of each label's block, which
+    # holds only if every mode of label j carries the energy E_j
+    real_spectrum = propagation.hamiltonian_spectrum
+
+    def one_mode_off(model, hamiltonian):
+        energies = real_spectrum(model, hamiltonian).copy()
+        energies[7] += 1e-3
+        return energies
+
+    monkeypatch.setattr(propagation, "hamiltonian_spectrum", one_mode_off)
+    with pytest.raises(SplitViolationError):
+        evolve_full(_demo_model(4), _demo_hamiltonian(), _nonabelian_connection(m=2), _unit_circle(), 5)
+
+
+def _constant_generator_connection() -> ControlConnection:
+    # sigma_0 v_1 - sigma_1 v_0 is constant on the unit circle, so every step
+    # exponentiates the same non-Abelian generator and the midpoint and
+    # endpoint-average routes agree to rounding
+    coefficient = 0.3 + 0.2j
+    return ControlConnection.from_half_spectrum(2, 2, {
+        (0, 1): {(1, 0): ParameterPolynomial(2, {(1, 0): coefficient})},
+        (0, 0): {(1, 0): ParameterPolynomial(2, {(0, 1): -coefficient})},
+    })
 
 
 def test_route_deviation_cross_checks_the_stacked_exponentials(monkeypatch):
     # the reference route exponentiates with scipy, not with exp_stack: a
     # perturbed kernel moves the deviation but leaves the reference untouched
     model = _demo_model(4)
-    # sigma_0 v_1 - sigma_1 v_0 is constant on the unit circle, so every step
-    # exponentiates the same non-Abelian generator and the midpoint and
-    # endpoint-average routes agree to rounding
-    coefficient = 0.3 + 0.2j
-    conn = ControlConnection.from_half_spectrum(2, 2, {
-        (0, 1): {(1, 0): ParameterPolynomial(2, {(1, 0): coefficient})},
-        (0, 0): {(1, 0): ParameterPolynomial(2, {(0, 1): -coefficient})},
-    })
+    conn = _constant_generator_connection()
     ham = _demo_hamiltonian()
     clean = evolve_full(model, ham, conn, _unit_circle(), 40)
     assert clean.deviation <= 1e-12
@@ -846,6 +877,21 @@ def test_route_deviation_cross_checks_the_stacked_exponentials(monkeypatch):
     perturbed = evolve_full(model, ham, conn, _unit_circle(), 40)
     assert perturbed.deviation > 1e-10
     assert np.array_equal(perturbed.reference.operator.matrix, clean.reference.operator.matrix)
+
+
+def test_route_deviation_cross_checks_the_reference_exponentials(monkeypatch):
+    # the converse: the factorized route never calls scipy, so a perturbed
+    # reference exponential moves the deviation and leaves the payload untouched
+    model = _demo_model(4)
+    conn = _constant_generator_connection()
+    ham = _demo_hamiltonian()
+    clean = evolve_full(model, ham, conn, _unit_circle(), 40)
+    assert clean.deviation <= 1e-12
+    real_expm = propagation.expm
+    monkeypatch.setattr(propagation, "expm", lambda a: real_expm(a) + 1e-9)
+    perturbed = evolve_full(model, ham, conn, _unit_circle(), 40)
+    assert perturbed.deviation > 1e-10
+    assert np.array_equal(perturbed.factorized.operator.matrix, clean.factorized.operator.matrix)
 
 
 # --- group laws and path invariance ---------------------------------------------------
