@@ -39,6 +39,7 @@ from .errors import (
     BandwidthError,
     ConfigError,
     DimensionMismatchError,
+    NonFiniteError,
     OpenCurveError,
     SplitViolationError,
     StepCountError,
@@ -101,6 +102,7 @@ __all__ = [
     "FactorizationReport",
     "ModeIndex",
     "ModeTransport",
+    "NonFiniteError",
     "OpenCurveError",
     "OperatorMatrix",
     "ParameterCurve",

@@ -25,5 +25,9 @@ class OpenCurveError(TorusHolonomyError, ValueError):
     """An operation requiring a closed parameter loop received an open curve."""
 
 
+class NonFiniteError(TorusHolonomyError, ValueError):
+    """A number that must be finite is not: given as inf or nan, or overflowed in a run."""
+
+
 class ConfigError(TorusHolonomyError, ValueError):
     """An experiment configuration failed schema or range validation."""

@@ -21,7 +21,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import BandwidthError, DimensionMismatchError
+from .errors import BandwidthError, DimensionMismatchError, NonFiniteError
 
 _REALITY_TOL = 1e-12
 
@@ -86,7 +86,7 @@ class TorusFourierField:
     def _store(self, array: np.ndarray, real: bool) -> None:
         scale = np.abs(array).max()
         if not np.isfinite(scale):
-            raise ValueError("field coefficients must be finite")
+            raise NonFiniteError("field coefficients must be finite; one is inf or nan, or overflowed")
         C = array.shape[0] // 2
         keep = int(np.abs(np.argwhere(array) - C).max(initial=0))
         array = array[(slice(C - keep, C + keep + 1),) * array.ndim]

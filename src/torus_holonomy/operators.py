@@ -17,10 +17,10 @@ nonzero shifts of an observable are placed by one scatter over the stack
 of shifts, which yields (shift, target, source) for every in-box entry,
 and ``_affine_entries`` turns them into one (rows, cols, values) list.
 ``quantize_affine`` fills a dense matrix from that list for its callers;
-``dirac_residual`` builds sparse matrices from it and multiplies only
-their interior rows and columns, so the check forms no dense matrix of the
-full box.  Shifts that leave the box are dropped; identities involving
-shift operators are therefore asserted on interior modes only.
+``dirac_residual`` stores it by diagonals and multiplies only the interior
+rows and columns, so the check forms no dense matrix of the full box.
+Shifts that leave the box are dropped; identities involving shift
+operators are therefore asserted on interior modes only.
 
 A control connection's velocity pairing is linear in the velocity and
 polynomial in sigma: one term per (axis, Fourier shift) weighted by
@@ -35,7 +35,7 @@ The ordered products exponentiate their step generators in stacks:
 ``exp_stack`` is scaling and squaring with a truncated Taylor series whose
 degree comes from the backward-error bounds of Al-Mohy and Higham, so a
 chunk of steps costs a few batched matrix products instead of one
-``scipy.linalg.expm`` call per step.  ``step_chunks`` cuts the steps into
+matrix exponential call per step.  ``step_chunks`` cuts the steps into
 chunks of at most ``STACK_BYTES`` of generators.
 """
 
@@ -469,21 +469,47 @@ def dirac_residual(model: TorusModel, f: AffineObservable, g: AffineObservable) 
     The commutator of operators with bandwidths C_f, C_g is exact on modes
     deeper than C_f + C_g from the boundary, so rows and columns are
     restricted there (capped at the truncation).  The three operators are
-    sparse matrices built straight from their entries, and only the interior
-    rows of the left factors and interior columns of the right factors are
-    multiplied.
+    stored by diagonals, straight from their entries (``_diagonals``), and
+    only the interior rows of the left factors and interior columns of the
+    right factors are multiplied.  A diagonal a of A and a diagonal b of B
+    give A B the entries ``A[c + off_b + off_a, c + off_b] B[c + off_b, c]``
+    at ``(c + off_a + off_b, c)``: one elementwise product over the
+    interior columns c per pair, summed per result diagonal.  An interior
+    column lies C_f + C_g deep, or N deep, and both bound C_f and C_g, so
+    ``c + off_b`` stays in the box.
     """
-    # imported here, so that the propagators and the classical side do not pay for it
-    from scipy.sparse import csr_array
-
-    def sparse(observable: AffineObservable):
-        rows, cols, values = _affine_entries(model, observable)
-        return csr_array((values, (rows, cols)), shape=(model.size, model.size))
-
-    f_hat, g_hat, bracket = sparse(f), sparse(g), sparse(poisson_bracket(f, g))
+    (f_off, f_diag), (g_off, g_diag) = _diagonals(model, f), _diagonals(model, g)
+    b_off, b_diag = _diagonals(model, poisson_bracket(f, g))
     keep = interior_mask(model, min(f.bandwidth + g.bandwidth, model.truncation))
-    residual = f_hat[keep] @ g_hat[:, keep] - g_hat[keep] @ f_hat[:, keep] + 1j * bracket[keep][:, keep]
-    return float(np.max(np.abs(residual.toarray())))
+    inner = np.flatnonzero(keep)
+    # the result diagonals: each off_f + off_g, and the bracket's
+    offsets = np.unique(np.concatenate([(f_off[:, None] + g_off).ravel(), b_off]))
+    residual = np.zeros((offsets.size, inner.size), dtype=complex)
+    # one diagonal t of g at a time: F G and G F both put its pairs with every
+    # diagonal of f on the diagonals off_f + off_t, which are distinct
+    targets = np.searchsorted(offsets, g_off[:, None] + f_off)
+    f_inner, f_columns = f_diag[:, inner], inner + f_off[:, None]
+    for t, off_t in enumerate(g_off.tolist()):
+        residual[targets[t]] += f_diag[:, inner + off_t] * g_diag[t, inner] - g_diag[t, f_columns] * f_inner
+    residual[np.searchsorted(offsets, b_off)] += 1j * b_diag[:, inner]
+    rows = offsets[:, None] + inner
+    inside = (rows >= 0) & (rows < model.size)
+    inside[inside] = keep[rows[inside]]
+    return float(np.max(np.abs(residual[inside]), initial=0.0))
+
+
+def _diagonals(model: TorusModel, observable: AffineObservable) -> tuple[np.ndarray, np.ndarray]:
+    """The quantized observable by diagonals: ``(offsets, table)``.
+
+    ``table[s, j]`` is the entry at ``(j + offsets[s], j)``, zero where that
+    row leaves the box.  A (row, col) pair fixes the diagonal, so each entry
+    of ``_affine_entries`` has one place.
+    """
+    rows, cols, values = _affine_entries(model, observable)
+    offsets, which = np.unique(rows - cols, return_inverse=True)
+    table = np.zeros((offsets.size, model.size), dtype=complex)
+    table[which, cols] = values
+    return offsets, table
 
 
 @dataclass(frozen=True)

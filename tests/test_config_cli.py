@@ -818,15 +818,17 @@ def test_cli_non_finite_result_exit3_no_output(tmp_path, capsys, monkeypatch, ba
     assert not out.exists() or not list(out.iterdir())
 
 
-def test_cli_overflowing_generator_exit3_no_output(tmp_path, capsys):
+@pytest.mark.parametrize("command", ["holonomy", "evolve"])
+def test_cli_overflowing_generator_exit3_no_output(tmp_path, capsys, command):
     # a finite coefficient whose step weights overflow: the stacked
-    # exponentials give a non-finite holonomy, which is refused unwritten
-    payload = _holonomy_config(steps=20)
+    # exponentials give a non-finite operator, which is refused unwritten,
+    # and evolve's reference route refuses the overflowed generator field
+    payload = json.loads((CONFIGS / "abelian_loop.json").read_text())
     payload["connection"]["components"][0]["fourier"][0]["poly"][0]["coefficient"] = 1e308
     cfg = _write(tmp_path / "cfg.json", payload)
     out = tmp_path / "out"
     with np.errstate(all="ignore"):
-        assert main(["--config", cfg, "--out", str(out), "--quiet", "holonomy"]) == 3
+        assert main(["--config", cfg, "--out", str(out), "--quiet", command]) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
     assert not out.exists() or not list(out.iterdir())
@@ -863,22 +865,22 @@ def test_import_loads_no_heavy_optional_modules():
 
 
 @pytest.mark.parametrize(
-    "command,config,loads_scipy",
+    "command,config",
     [
-        ("spectrum", "spectrum_quadratic.json", False),
-        ("classical", "classical_drift.json", False),
-        ("holonomy", "abelian_loop.json", False),
-        # the reference route of evolve stays on scipy.linalg.expm
-        ("evolve", "abelian_loop.json", True),
+        ("spectrum", "spectrum_quadratic.json"),
+        ("classical", "classical_drift.json"),
+        ("holonomy", "abelian_loop.json"),
+        ("evolve", "abelian_loop.json"),
+        ("verify", None),
     ],
 )
-def test_cli_commands_load_scipy_only_for_the_reference_route(tmp_path, command, config, loads_scipy):
+def test_cli_commands_load_no_scipy(tmp_path, command, config):
+    # scipy is a test-only oracle: evolve's reference exponential and the
+    # Dirac residual that verify checks are numpy code
     code = "import sys; from torus_holonomy.cli import main; status = main(sys.argv[1:])"
-    argv = ("--config", str(CONFIGS / config), "--out", str(tmp_path), "--quiet", command)
+    argv = ("--out", str(tmp_path), "--quiet", command)
+    if config:
+        argv = ("--config", str(CONFIGS / config), *argv)
     status, modules = _modules_after(code, *argv)
     assert status == 0
-    assert _loaded(modules, *_JSONSCHEMA) == []
-    if loads_scipy:
-        assert "scipy.linalg" in modules
-    else:
-        assert _loaded(modules, "scipy") == []
+    assert _loaded(modules, "scipy", *_JSONSCHEMA) == []

@@ -1,3 +1,6 @@
+import itertools
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -350,6 +353,67 @@ def test_dirac_residual_matches_dense_route(m, truncation, bandwidths):
         sparse = dirac_residual(model, f, g)
         assert sparse <= 1e-10
         assert abs(sparse - _dense_dirac_residual(model, f, g)) <= 1e-12
+
+
+def _box_affine(rng, m: int, widths, scale: float) -> AffineObservable:
+    """Seeded real affine observable with |c_k| <= widths[k] in every part."""
+    zero = (0,) * m
+
+    def field():
+        half = {}
+        for c in itertools.product(*(range(-w, w + 1) for w in widths)):
+            if c >= zero:
+                half[c] = scale * complex(rng.normal(), rng.normal() if c > zero else 0.0)
+        return TorusFourierField.from_half_spectrum(m, half)
+
+    return AffineObservable(tuple(field() for _ in range(m)), field())
+
+
+@st.composite
+def _dirac_case(draw):
+    # the shapes come from a seeded generator: hypothesis would shrink them
+    # towards m = 1, N = 1 and zero bandwidths
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = int(rng.integers(1, 4))
+    N = int(rng.integers(1, 4 if m == 3 else 6))
+    offsets = tuple(draw(st.lists(st.floats(-1.0, 1.0), min_size=m, max_size=m)))
+
+    def observable():
+        # zero one time in eight; else bandwidths up to N on a random set of
+        # axes, so C_f + C_g may pass N with a bracket that still fits the box
+        if rng.random() < 0.125:
+            return AffineObservable.zero(m)
+        widths = [int(rng.integers(0, N + 1)) if rng.random() < 0.6 else 0 for _ in range(m)]
+        return _box_affine(rng, m, widths, 0.3)
+
+    return TorusModel(m, (0,), offsets, N), observable(), observable()
+
+
+# 200 examples: 157 compared (52 with C_f + C_g > N, 31 with a zero observable),
+# 43 brackets refused, in about 2 s
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(_dirac_case())
+def test_dirac_residual_matches_dense_products(case):
+    # the oracle: full quantize_affine products, sliced to the interior
+    from torus_holonomy import operators
+
+    model, f, g = case
+    try:
+        bm = quantize_affine(model, poisson_bracket(f, g)).matrix
+    except BandwidthError:
+        # a bracket wider than the box is refused by both routes
+        with pytest.raises(BandwidthError):
+            dirac_residual(model, f, g)
+        return
+    fm, gm = quantize_affine(model, f).matrix, quantize_affine(model, g).matrix
+    keep = np.ix_(*[interior_mask(model, min(f.bandwidth + g.bandwidth, model.truncation))] * 2)
+    fg_minus_gf = (fm @ gm - gm @ fm)[keep]
+    assert abs(dirac_residual(model, f, g) - np.max(np.abs(fg_minus_gf + 1j * bm[keep]))) <= 1e-12
+    # with the bracket taken out the residual is the commutator itself, which
+    # is not small: this compares the products, not two roundings of zero
+    with mock.patch.object(operators, "poisson_bracket", lambda f, g: AffineObservable.zero(f.m)):
+        alone = dirac_residual(model, f, g)
+    assert abs(alone - np.max(np.abs(fg_minus_gf))) <= 1e-12 * max(1.0, alone)
 
 
 def test_dirac_residual_builds_no_dense_operator(monkeypatch):

@@ -783,11 +783,52 @@ def test_unitarity_defect_of_a_stack_is_its_worst_matrix():
     assert max(each) == each[2] > 1e-9
 
 
-def test_expm_is_scipy_expm():
-    rng = np.random.default_rng(17)
-    for shape in ((17, 17), (3, 5, 5)):
-        a = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-        assert np.array_equal(propagation.expm(a), expm(a))
+# 1-norms in the range of each Padé degree 3, 5, 7, 9, 13, then two that need scaling
+_PADE_NORMS = (1e-8, 1e-3, 0.1, 0.6, 1.5, 4.0, 12.0, 100.0)
+
+
+def _general(rng, n):
+    return rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+
+
+def _skew_hermitian(rng, n):
+    x = _general(rng, n)
+    return x - x.conj().T
+
+
+def _real(rng, n):
+    return rng.normal(size=(n, n))
+
+
+# Real non-normal matrices of order 2 and 3 stay out: at 1-norms of 4 to 100
+# scipy misses the exponential by up to 7e-12 there, and this expm by 4e-14
+# (both against mpmath at 40 digits).
+@pytest.mark.parametrize(
+    "kind, n",
+    [(kind, n) for kind in (_general, _skew_hermitian) for n in (1, 2, 17, 40)]
+    + [(_real, n) for n in (1, 17, 40)],
+)
+def test_expm_matches_scipy_expm(kind, n):
+    thetas = [theta for theta, _ in propagation._PADE.values()]
+    assert sorted(set(np.searchsorted(thetas, _PADE_NORMS))) == [0, 1, 2, 3, 4, 5]
+    rng = np.random.default_rng(n)
+    for norm in _PADE_NORMS:
+        a = kind(rng, n)
+        a = a * (norm / np.max(np.abs(a).sum(axis=0)))
+        got = propagation.expm(a)
+        assert got.shape == a.shape and got.dtype == a.dtype
+        want = expm(a)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_expm_non_finite_input_gives_all_nan(bad, dtype):
+    a = np.zeros((4, 4), dtype=dtype)
+    a[2, 0] = bad
+    got = propagation.expm(a)
+    assert got.shape == a.shape and np.all(np.isnan(got))
+    assert not np.all(np.isfinite(expm(a)))
 
 
 def test_dynamic_propagator_defect_is_the_dense_defect():
@@ -865,8 +906,8 @@ def _constant_generator_connection() -> ControlConnection:
 
 
 def test_route_deviation_cross_checks_the_stacked_exponentials(monkeypatch):
-    # the reference route exponentiates with scipy, not with exp_stack: a
-    # perturbed kernel moves the deviation but leaves the reference untouched
+    # the reference route exponentiates with its Padé expm, not with exp_stack:
+    # a perturbed kernel moves the deviation but leaves the reference untouched
     model = _demo_model(4)
     conn = _constant_generator_connection()
     ham = _demo_hamiltonian()
@@ -880,7 +921,7 @@ def test_route_deviation_cross_checks_the_stacked_exponentials(monkeypatch):
 
 
 def test_route_deviation_cross_checks_the_reference_exponentials(monkeypatch):
-    # the converse: the factorized route never calls scipy, so a perturbed
+    # the converse: the factorized route never calls expm, so a perturbed
     # reference exponential moves the deviation and leaves the payload untouched
     model = _demo_model(4)
     conn = _constant_generator_connection()
