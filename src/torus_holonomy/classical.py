@@ -16,18 +16,18 @@ cross-checked.
 
 All of these read the connection through ``operators.compile_connection``
 and sample the path once per call (``CompiledConnection.along``): RK4 at
-every grid time and stage midpoint, the ordered products at the step
-midpoints.  Each RK4 stage of the perturbed flow evaluates the connection's
-waves once (``CompiledConnection.flow``) for both the action rate and the
-drift; the controlled-angle history reads the drift alone.  The RK4 steps
-work on lists of Python floats: their states hold a few numbers, where
-numpy's per-call overhead would cost more than the arithmetic.  The two
-ordered products walk their steps in chunks of at most
-``operators.STACK_BYTES`` of generators, build a chunk's generators as
-one stack (the action transport's couplings from one
-``CompiledConnection.coupling`` call over the chunk's rows), exponentiate
-it with one ``operators.exp_stack`` call, then apply the exponentials one
-step at a time, in step order.  The frozen component fields
+every grid time and stage midpoint, each step on the curve segment of its
+midpoint, and the ordered products at the step midpoints.  Each RK4 stage of
+the perturbed flow evaluates the connection's waves once
+(``CompiledConnection.flow``) for both the action rate and the drift; the
+controlled-angle history reads the drift alone.  The RK4 steps work on lists
+of Python floats: their states hold a few numbers, where numpy's per-call
+overhead would cost more than the arithmetic.  The two ordered products walk
+their steps in chunks of at most ``operators.STACK_BYTES`` of generators,
+build a chunk's generators as one stack (the action transport's couplings
+from one ``CompiledConnection.coupling`` call over the chunk's rows),
+exponentiate it with one ``operators.exp_stack`` call, then apply the
+exponentials one step at a time, in step order.  The frozen component fields
 (``ControlConnection.field``) stay independent as the tests' reference.
 """
 
@@ -109,30 +109,24 @@ def _rk4_step(rhs, h: float, y: list, s0, sm, s1) -> list:
 def _rk4_along(rhs, compiled: CompiledConnection, curve, times: np.ndarray, y0) -> np.ndarray:
     """Fixed-step RK4 over ``times``, each stage reading its row of one weight table.
 
-    The table holds the grid times and stage midpoints ``t0 + h/2``,
-    interleaved.  A step that starts at one of the curve's breakpoints reads
-    the curve's limit from the right there instead, so a velocity jump at a
-    joint costs no order.  A row becomes Python numbers when its step runs,
-    and each state is written to one preallocated (len(times), n) array.
+    Each step reads the curve segment of its midpoint (``step_segments``), so
+    a velocity jump at a joint costs no order.  The table holds the step ends,
+    the stage midpoints ``t0 + h/2`` and the starts of the steps that begin a
+    segment; a row becomes Python numbers when its step runs, and each state
+    is written to one preallocated (len(times), n) array.
     """
-    h = np.diff(times)
-    grid = np.empty(2 * len(times) - 1)
-    grid[::2] = times
-    grid[1::2] = times[:-1] + 0.5 * h
-    w = compiled.along(curve, grid)
-    right = {}
-    starts = np.flatnonzero(np.isin(times[:-1], curve.breakpoints))
-    if starts.size:
-        rows = compiled.weights(*curve.sample(times[starts], right=True))
-        right = dict(zip(starts.tolist(), rows.tolist()))
+    h, n = np.diff(times), len(times) - 1
+    segments, starts = curve.step_segments(times)
+    grid = np.concatenate([times[1:], times[:-1] + 0.5 * h, times[starts]])
+    w = compiled.along(curve, grid, np.concatenate([segments, segments, segments[starts]]))
+    restart = dict(zip(starts.tolist(), range(2 * n, len(grid))))
     ys = np.empty((len(times), len(y0)))
     ys[0] = y0
     y = ys[0].tolist()
-    s1 = w[0].tolist()
     for i, step in enumerate(h.tolist()):
-        s0 = right.get(i, s1)
-        s1 = w[2 * i + 2].tolist()
-        y = _rk4_step(rhs, step, y, s0, w[2 * i + 1].tolist(), s1)
+        s0 = w[restart[i]].tolist() if i in restart else s1
+        s1 = w[i].tolist()
+        y = _rk4_step(rhs, step, y, s0, w[n + i].tolist(), s1)
         ys[i + 1] = y
     return ys
 
@@ -223,13 +217,13 @@ class ModeTransport:
     phi_history: np.ndarray
 
 
-def _compile_controlled(model: TorusModel, connection: ControlConnection) -> CompiledConnection:
+def compile_controlled(model: TorusModel, connection: ControlConnection) -> CompiledConnection:
     require_split(model, None, connection)
     return compile_connection(connection.restricted(model.controlled))
 
 
 def _mode_basis(model: TorusModel, compiled: CompiledConnection) -> ShiftBasis:
-    """d/dt psi_n = i sum_c (n . L_c) psi_{n+c} is driven by ``generator(w).T``.
+    """d/dt psi_n = i sum_c (n . L_c) psi_{n+c} is driven by the transposed ``generators(w)``.
 
     Mode n is fed by mode n+c with a weight indexed by the receiving mode;
     feeds from outside the box are dropped (the documented truncation loss).
@@ -252,7 +246,7 @@ def classical_mode_transport(
     route two propagates the truncated linear mode system with per-step
     exponentials of the midpoint generator.  Both use the same step grid.
     """
-    compiled = _compile_controlled(model, connection)
+    compiled = compile_controlled(model, connection)
     sub_model = controlled_submodel(model)
     phi0 = np.asarray(phi0, dtype=float)
     if phi0.shape != (sub_model.m,):
@@ -300,7 +294,7 @@ def classical_action_transport(
     produced by :func:`classical_mode_transport`).  Returns the final
     controlled actions.
     """
-    compiled = _compile_controlled(model, connection)
+    compiled = compile_controlled(model, connection)
     l = len(model.controlled)
     actions = np.asarray(actions0, dtype=float).copy()
     phi_history = np.asarray(phi_history, dtype=float)

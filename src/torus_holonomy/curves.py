@@ -6,9 +6,10 @@ velocities at an array of times, computed with arrays in every class.
 Integration grids are always aligned with breakpoints so ordered products
 and RK4 never step across a joint; that also makes the propagator group
 laws exact at the discrete level for matched step counts.  Where the
-velocity jumps at a joint (a ``ChainedCurve``), ``sample`` gives the limit
-from the left, or from the right with ``right=True``, so that a step that
-starts at the joint can read the segment it steps along.
+velocity jumps at a joint (a ``ChainedCurve``), ``sample(times, segment)``
+reads time i on segment ``segment[i]``, the k-th ending at ``breakpoints[k]``.
+A stepper takes a step's segment from its midpoint, so no float has to land
+on a joint; derived curves carry the index through to their bases.
 """
 
 from __future__ import annotations
@@ -38,12 +39,22 @@ class ParameterCurve(abc.ABC):
     breakpoints: tuple[float, ...] = ()
 
     @abc.abstractmethod
-    def sample(self, times, right: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    def sample(self, times, segment=None) -> tuple[np.ndarray, np.ndarray]:
         """Points and velocities at a 1-D array of S times, two (S, d) arrays.
 
-        At a joint the values are the limit from the left, or from the right
-        if ``right``; curves that are C^1 across their joints ignore the flag.
+        Time i is read on segment ``segment[i]`` (default: ``segments(times)``),
+        so at a joint the two adjacent segments give the one-sided limits;
+        curves that are C^1 across their joints ignore the index.
         """
+
+    def segments(self, times, segment=None) -> np.ndarray:
+        """``segment`` as an array; by default each time's segment, at a joint the one that ends there."""
+        return np.searchsorted(self.breakpoints, times) if segment is None else np.asarray(segment)
+
+    def step_segments(self, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Each step's segment (its midpoint's), and the steps that start one: step 0 and each after a joint."""
+        segments = self.segments(0.5 * (times[:-1] + times[1:]))
+        return segments, np.flatnonzero(np.diff(segments, prepend=-1))
 
     def point(self, t: float) -> np.ndarray:
         return self.sample([t])[0][0]
@@ -115,7 +126,7 @@ class CirclePath(ParameterCurve):
         v[axes[1]] = radius
         return cls(tuple(center), tuple(u), tuple(v), duration, turns, phase)
 
-    def sample(self, times, right: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    def sample(self, times, segment=None) -> tuple[np.ndarray, np.ndarray]:
         theta = self.phase + 2.0 * np.pi * self.turns * np.asarray(times, dtype=float) / self.duration
         rate = 2.0 * np.pi * self.turns / self.duration
         cos, sin = np.cos(theta)[:, None], np.sin(theta)[:, None]
@@ -162,7 +173,7 @@ class WaypointPath(ParameterCurve):
             tuple(self.duration * i / segments for i in range(1, segments)),
         )
 
-    def sample(self, times, right: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    def sample(self, times, segment=None) -> tuple[np.ndarray, np.ndarray]:
         t = np.asarray(times, dtype=float)
         segments = len(self.points) - 1
         seg_dur = self.duration / segments
@@ -186,9 +197,11 @@ class ReversedCurve(ParameterCurve):
         object.__setattr__(self, "duration", T)
         object.__setattr__(self, "breakpoints", tuple(sorted(T - b for b in self.base.breakpoints)))
 
-    def sample(self, times, right: bool = False) -> tuple[np.ndarray, np.ndarray]:
-        # the limit from one side is the base's limit from the other
-        points, velocities = self.base.sample(self.duration - np.asarray(times, dtype=float), not right)
+    def sample(self, times, segment=None) -> tuple[np.ndarray, np.ndarray]:
+        t = np.asarray(times, dtype=float)
+        # segment k walks the base's segment len(breakpoints) - k backwards
+        k = self.segments(t, segment)
+        points, velocities = self.base.sample(self.duration - t, len(self.breakpoints) - k)
         return points, -velocities
 
 
@@ -208,18 +221,17 @@ class ChainedCurve(ParameterCurve):
         t1 = self.first.duration
         object.__setattr__(self, "dimension", self.first.dimension)
         object.__setattr__(self, "duration", t1 + self.second.duration)
-        object.__setattr__(
-            self,
-            "breakpoints",
-            tuple(self.first.breakpoints) + (t1,) + tuple(t1 + b for b in self.second.breakpoints),
-        )
+        joints = tuple(self.first.breakpoints) + (t1,) + tuple(t1 + b for b in self.second.breakpoints)
+        object.__setattr__(self, "breakpoints", joints)
 
-    def sample(self, times, right: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    def sample(self, times, segment=None) -> tuple[np.ndarray, np.ndarray]:
         t = np.asarray(times, dtype=float)
-        head = t < self.first.duration if right else t <= self.first.duration
+        k = self.segments(t, segment)
+        split = len(self.first.breakpoints) + 1  # the second piece's segment 0
+        head, tail = k < split, k >= split
         points, velocities = np.empty((2, t.size, self.dimension))
-        points[head], velocities[head] = self.first.sample(t[head], right)
-        points[~head], velocities[~head] = self.second.sample(t[~head] - self.first.duration, right)
+        points[head], velocities[head] = self.first.sample(t[head], k[head])
+        points[tail], velocities[tail] = self.second.sample(t[tail] - self.first.duration, k[tail] - split)
         return points, velocities
 
 
@@ -253,11 +265,7 @@ class ReparameterizedCurve(ParameterCurve):
             raise ValueError("tau must be monotone non-decreasing")
         object.__setattr__(self, "dimension", self.base.dimension)
         # Breakpoints pull back through tau; invert by bisection (tau monotone).
-        object.__setattr__(
-            self,
-            "breakpoints",
-            tuple(self._preimage(b) for b in self.base.breakpoints),
-        )
+        object.__setattr__(self, "breakpoints", tuple(self._preimage(b) for b in self.base.breakpoints))
 
     def _preimage(self, target: float) -> float:
         lo, hi = 0.0, self.duration
@@ -269,9 +277,10 @@ class ReparameterizedCurve(ParameterCurve):
                 hi = mid
         return 0.5 * (lo + hi)
 
-    def sample(self, times, right: bool = False) -> tuple[np.ndarray, np.ndarray]:
-        clock = np.array([(self.tau(t), self.tau_dot(t)) for t in np.asarray(times, float)]).reshape(-1, 2)
-        points, velocities = self.base.sample(clock[:, 0], right)
+    def sample(self, times, segment=None) -> tuple[np.ndarray, np.ndarray]:
+        t = np.asarray(times, dtype=float)
+        clock = np.array([(self.tau(s), self.tau_dot(s)) for s in t]).reshape(-1, 2)
+        points, velocities = self.base.sample(clock[:, 0], self.segments(t, segment))
         return points, velocities * clock[:, 1:]
 
 

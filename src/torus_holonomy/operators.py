@@ -146,9 +146,6 @@ def _affine_entries(
     if observable.m != model.m:
         raise DimensionMismatchError("observable dimension differs from model")
     C = observable.bandwidth
-    N = model.truncation
-    if C > N:
-        raise BandwidthError(f"field bandwidth {C} exceeds truncation {N}")
     modes = mode_array(model)
     offsets = np.asarray(model.offsets)
     parts = observable.stacked(C)
@@ -165,8 +162,14 @@ def _affine_entries(
     return rows, cols, values
 
 
+def _require_fits(model: TorusModel, *observables: AffineObservable) -> None:
+    if (C := max(observable.bandwidth for observable in observables)) > model.truncation:
+        raise BandwidthError(f"field bandwidth {C} exceeds truncation {model.truncation}")
+
+
 def quantize_affine(model: TorusModel, observable: AffineObservable) -> OperatorMatrix:
     """Matrix of the quantized affine observable via the element formula above."""
+    _require_fits(model, observable)
     rows, cols, values = _affine_entries(model, observable)
     matrix = np.zeros((model.size, model.size), dtype=complex)
     matrix[rows, cols] = values
@@ -218,9 +221,9 @@ class CompiledConnection:
         monomials = np.prod(sigmas[:, None, :] ** self.exponents[None, :, :], axis=2)
         return np.einsum("kbe,sb,se->sk", self.table, velocities, monomials)
 
-    def along(self, curve, times) -> np.ndarray:
-        """Term weights at the given times of ``curve``, shape (len(times), K)."""
-        return self.weights(*curve.sample(times))
+    def along(self, curve, times, segment=None) -> np.ndarray:
+        """Term weights at the given times of ``curve`` (on ``segment``), shape (len(times), K)."""
+        return self.weights(*curve.sample(times, segment))
 
     def drift(self, weights: Sequence[complex], phi: Sequence[float]) -> list[float]:
         """``L_k(sigma, phi) . v`` for every axis k, at one weight row."""
@@ -309,10 +312,6 @@ class ShiftBasis:
         flat[:, self.support] = values
         return flat.reshape(-1, self.size, self.size)
 
-    def generator(self, weights: np.ndarray) -> np.ndarray:
-        """Dense generator for one row of term weights."""
-        return self.generators(np.asarray(weights)[None])[0]
-
 
 def shift_basis(
     model: TorusModel,
@@ -339,7 +338,7 @@ def quantized_basis(model: TorusModel, compiled: CompiledConnection) -> ShiftBas
     """Shift basis of the quantized velocity pairing on ``model``.
 
     Block K holds ``n_k + c_k/2 - offset_k`` at ``(n + c, n)``, so at any
-    (sigma, v) ``generator(weights)`` equals
+    (sigma, v) a row of ``generators(weights)`` equals
     ``quantize_affine(model, connection.as_observable(sigma, v))`` up to
     rounding.  The connection must live on the model's own torus, as a
     restricted connection on the controlled submodel does.
@@ -476,8 +475,9 @@ def dirac_residual(model: TorusModel, f: AffineObservable, g: AffineObservable) 
     at ``(c + off_a + off_b, c)``: one elementwise product over the
     interior columns c per pair, summed per result diagonal.  An interior
     column lies C_f + C_g deep, or N deep, and both bound C_f and C_g, so
-    ``c + off_b`` stays in the box.
+    ``c + off_b`` stays in the box.  f and g must fit the box; their bracket need not.
     """
+    _require_fits(model, f, g)
     (f_off, f_diag), (g_off, g_diag) = _diagonals(model, f), _diagonals(model, g)
     b_off, b_diag = _diagonals(model, poisson_bracket(f, g))
     keep = interior_mask(model, min(f.bandwidth + g.bandwidth, model.truncation))

@@ -60,11 +60,10 @@ import numpy as np
 from .curves import ParameterCurve, reparameterize, step_intervals
 from .errors import DimensionMismatchError, OpenCurveError, SplitViolationError
 from .fields import ActionPolynomial, ControlConnection
-from .classical import require_split
+from .classical import compile_controlled, require_split
 from .lattice import TorusModel, WaveFunction, controlled_submodel, sublattice_index
 from .operators import (
     OperatorMatrix,
-    compile_connection,
     exp_stack,
     hamiltonian_spectrum,
     quantize_affine,
@@ -229,9 +228,8 @@ def _control_block_product(
     One ``exp_stack`` call per chunk of steps; the product takes the
     chunk's exponentials one at a time, left-multiplied in step order.
     """
-    require_split(model, None, connection)
     sub_model = controlled_submodel(model)
-    compiled = compile_connection(connection.restricted(model.controlled))
+    compiled = compile_controlled(model, connection)
     basis = quantized_basis(sub_model, compiled)
     times = step_intervals(curve, steps)
     weights = compiled.along(curve, 0.5 * (times[:-1] + times[1:]))
@@ -311,7 +309,8 @@ def evolve_full(
     H_hat + Delta_hat(t) sampled as the endpoint average on each step: a
     deliberately different discretization, so the reported deviation is a
     genuine cross-check that shrinks under refinement (the generators
-    commute under the split, so the routes agree in the limit).
+    commute under the split, so the routes agree in the limit).  A step
+    reads both ends on its midpoint's segment (``step_segments``).
 
     Under the split no entry of either route couples two different dynamic
     labels: H_hat is diagonal and equal to E_j on every mode of label j,
@@ -352,10 +351,9 @@ def evolve_full(
 
     sub_conn = connection.restricted(model.controlled)
     times = step_intervals(curve, steps)
-    points, velocities = curve.sample(times)
-    # a step that starts at a joint averages from the curve's limit from the right
-    starts = np.flatnonzero(np.isin(times[:-1], curve.breakpoints))
-    right = dict(zip(starts.tolist(), zip(*curve.sample(times[starts], right=True))))
+    segments, starts = curve.step_segments(times)
+    points, velocities = curve.sample(times[1:], segments)
+    restart = dict(zip(starts.tolist(), zip(*curve.sample(times[starts], segments[starts]))))
 
     def block_delta(point: np.ndarray, velocity: np.ndarray) -> np.ndarray:
         return quantize_affine(sub_model, sub_conn.as_observable(point, velocity)).matrix
@@ -365,10 +363,9 @@ def evolve_full(
     # rounds at the scale of the whole angle on every step
     V = np.eye(sub_model.size, dtype=complex)
     elapsed = 0.0
-    end = block_delta(points[0], velocities[0])
     for i, dt in enumerate(np.diff(times).tolist()):
-        start = block_delta(*right[i]) if i in right else end
-        end = block_delta(points[i + 1], velocities[i + 1])
+        start = block_delta(*restart[i]) if i in restart else end
+        end = block_delta(points[i], velocities[i])
         V = expm(-1j * dt * (0.5 * (start + end))) @ V
         elapsed += dt
     U = np.exp(-1j * (label_energy * elapsed))[:, None, None] * V

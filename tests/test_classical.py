@@ -96,7 +96,9 @@ def test_perturbed_constant_drift_closed_form(monkeypatch):
     s0 = ClassicalState([1.2], [0.7])
     sampled = []
     sample = WaypointPath.sample
-    monkeypatch.setattr(WaypointPath, "sample", lambda self, t: sampled.append(len(t)) or sample(self, t))
+    monkeypatch.setattr(
+        WaypointPath, "sample", lambda self, t, segment=None: sampled.append(len(t)) or sample(self, t, segment)
+    )
     traj = evolve_perturbed(ham, conn, curve, s0, 600)
     # one weight table: each grid time and RK4 stage midpoint sampled once, in one call
     assert sampled == [2 * 600 + 1]
@@ -172,19 +174,34 @@ def test_perturbed_step_refinement_order():
     assert min(orders) >= 3.5
 
 
-def _kinked_chain():
+def _kinked_chain(circle_duration: float = 1.0, loop_duration: float = 2.0):
     # a unit circle still moving at its end, then a closed waypoint loop that
-    # starts at rest: the velocity jumps at the joint t = 1
-    circle = CirclePath.circle((0.0, 0.0), 1.0, 1.0, phase=0.3)
+    # starts at rest: the velocity jumps at the joint t = circle_duration
+    circle = CirclePath.circle((0.0, 0.0), 1.0, circle_duration, phase=0.3)
     start = tuple(circle.point(0.0))
-    return concatenate(circle, WaypointPath((start, (0.0, 0.0), start), 2.0))
+    return concatenate(circle, WaypointPath((start, (0.0, 0.0), start), loop_duration))
+
+
+def _derived_kinked_curves():
+    """Reversed, reparameterized, chained and reversed chained kinked chains.
+
+    The durations 0.9 and 1.1 are not dyadic, so each float map of a time
+    (T - t, tau, t - t1) misses a joint by an ulp: a stepper that found its
+    joints by comparing step times with breakpoints fell to first order on
+    all four.
+    """
+    chain = _kinked_chain(0.9, 1.1)
+    T = chain.duration
+    twice = concatenate(chain, chain)
+    warped = reparameterize(chain, lambda t: T * (t / T) ** 2, lambda t: 2.0 * t / T, T)
+    return chain.reverse(), warped, twice, twice.reverse()
 
 
 def test_perturbed_flow_keeps_fourth_order_across_a_velocity_jump():
-    # the step that starts at the joint reads the second piece's velocity;
-    # with one constant component the exact angle change on the closed path
-    # is 0, which RK4 then meets at rounding (first order, 7e-3 at 100 steps,
-    # when the joint's left limit fed that step)
+    # every stage of a step reads the segment of the step's midpoint; with
+    # one constant component the exact angle change on the closed path is 0,
+    # which RK4 then meets at rounding (first order, 7e-3 at 100 steps, when
+    # the joint's left limit fed the step that starts there)
     ham = ActionPolynomial.zero(1)
     s0 = ClassicalState([1.0], [0.2])
     chain = _kinked_chain()
@@ -202,15 +219,18 @@ def test_perturbed_flow_keeps_fourth_order_across_a_velocity_jump():
             (0, 1): {(1,): ParameterPolynomial(2, {(1, 0): 0.3j})},
         },
     )
-    for curve in (chain, chain.reverse()):
-        ref = evolve_perturbed(ham, conn, curve, s0, 12800).final
+    # the derived curves against references at 4x the finest step count, whose
+    # error is 1/256 of the finest's: about 1 s for the four
+    cases = [(chain, 12800, 6400), (chain.reverse(), 12800, 6400)]
+    for curve, rk4_ref, mode_ref in cases + [(curve, 3200, 1600) for curve in _derived_kinked_curves()]:
+        ref = evolve_perturbed(ham, conn, curve, s0, rk4_ref).final
         errors = []
         for steps in (100, 200, 400, 800):
             fin = evolve_perturbed(ham, conn, curve, s0, steps).final
             errors.append(max(abs(fin.angles[0] - ref.angles[0]), abs(fin.actions[0] - ref.actions[0])))
         assert min(np.log2(errors[i] / errors[i + 1]) for i in range(3)) >= 3.5
         model = TorusModel(1, (0,), (0.0,), 4)
-        ref_phi = classical_mode_transport(model, conn, curve, [0.2], 6400).phi_history[-1, 0]
+        ref_phi = classical_mode_transport(model, conn, curve, [0.2], mode_ref).phi_history[-1, 0]
         errors = [
             abs(classical_mode_transport(model, conn, curve, [0.2], steps).phi_history[-1, 0] - ref_phi)
             for steps in (50, 100, 200, 400)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from torus_holonomy import (
     CirclePath,
@@ -291,27 +293,104 @@ def test_sample_empty_times(sampled_curve):
 
 
 def test_right_limit_moves_only_a_velocity_jump(sampled_curve):
+    # the limit from the right at a joint is the next segment's
     times = _grid(sampled_curve)
     points, velocities = sampled_curve.sample(times)
-    right_points, right_velocities = sampled_curve.sample(times, right=True)
-    jump = np.zeros(times.size, dtype=bool)
+    segments = sampled_curve.segments(times)
+    joint = np.isin(times, sampled_curve.breakpoints)
+    # by default a time reads the segment that contains it; a joint, the one that ends there
+    edges = np.concatenate([[-np.inf], sampled_curve.breakpoints, [np.inf]])
+    assert np.all((edges[segments] < times) & (times < edges[segments + 1]) | joint)
+    assert np.array_equal(times[joint], edges[segments[joint] + 1])
+    # at a joint the next segment moves only a velocity that jumps
+    next_points, next_velocities = sampled_curve.sample(times[joint], segments[joint] + 1)
+    jump = np.zeros(joint.sum(), dtype=bool)
     if isinstance(sampled_curve, ChainedCurve):
-        jump = times == sampled_curve.first.duration
+        jump = times[joint] == sampled_curve.first.duration
         assert jump.sum() == 1
-    assert np.array_equal(right_points[~jump], points[~jump])
-    assert np.array_equal(right_velocities[~jump], velocities[~jump])
+    assert np.array_equal(next_points[~jump], points[joint][~jump])
+    assert np.array_equal(next_velocities[~jump], velocities[joint][~jump])
 
 
 def test_chain_joint_limits_from_each_side():
     chain = _chained()
     t1 = chain.first.duration
-    _, left = chain.sample([t1])
-    _, right = chain.sample([t1], right=True)
+    k = chain.breakpoints.index(t1)  # the segment that ends at t1
+    _, left = chain.sample([t1], [k])
+    _, right = chain.sample([t1], [k + 1])
     assert np.array_equal(left[0], chain.first.velocity(t1))
     assert np.array_equal(right[0], chain.second.velocity(0.0))
     assert np.linalg.norm(left[0] - right[0]) > 1.0  # the circle moves, the waypoints start at rest
-    # walked backwards, the joint's left limit is the forward right limit
+    # walked backwards, the segments swap sides: the joint's left limit is the
+    # forward right limit, and the velocities change sign
     back = chain.reverse()
-    _, back_left = back.sample([back.duration - t1])
-    _, back_right = back.sample([back.duration - t1], right=True)
+    j = len(back.breakpoints) - 1 - k
+    assert back.breakpoints[j] == back.duration - t1
+    _, back_left = back.sample([back.duration - t1], [j])
+    _, back_right = back.sample([back.duration - t1], [j + 1])
     assert np.array_equal(back_left[0], -right[0]) and np.array_equal(back_right[0], -left[0])
+    # off the joints the index passed down is the one the chain picks itself
+    times = np.linspace(0.0, back.duration, 301)
+    off = ~np.isin(times, back.breakpoints)
+    back_points, back_velocities = back.sample(times[off])
+    points, velocities = chain.sample(back.duration - times[off])
+    assert np.array_equal(back_points, points) and np.array_equal(back_velocities, -velocities)
+    # segments of a nested curve, by hand: the chain's are circle | loop | loop
+    # (joints 1 and 2), and chaining its reverse after it appends them mirrored
+    nested = concatenate(chain, back)
+    assert nested.breakpoints == (1.0, 2.0, 3.0, 4.0, 5.0)
+    assert nested.segments([0.5, 1.0, 1.5, 3.0, 3.5, 4.0, 5.5, 6.0]).tolist() == [0, 0, 1, 2, 3, 3, 5, 5]
+
+
+# --- one-sided limits at the joints of nested derived curves ---------------------
+
+# Non-dyadic durations, so the float maps of the derived curves (T - t, tau,
+# t - t1) do not land exactly on a joint
+_DURATIONS = (0.3, 0.7, 1.3)
+_HOME = (1.0, 0.0)
+
+
+@st.composite
+def _loop_at_home(draw, depth: int):
+    """A loop through _HOME: a circle or waypoint loop, or a derived curve of such loops.
+
+    Every drawn curve starts and ends at _HOME, so any two of them chain.
+    """
+    if depth == 0 or draw(st.integers(0, 2)) == 0:
+        duration = draw(st.sampled_from(_DURATIONS))
+        if draw(st.booleans()):
+            radius = draw(st.sampled_from((0.4, 1.3)))
+            turns = draw(st.sampled_from((1.0, -1.0, 2.0)))
+            return CirclePath.circle((1.0 - radius, 0.0), radius, duration, turns=turns)
+        inner = st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0))
+        return WaypointPath((_HOME, draw(inner), draw(inner), _HOME), duration)
+    base = draw(_loop_at_home(depth - 1))
+    operation = draw(st.sampled_from(("concatenate", "reverse", "reparameterize")))
+    if operation == "concatenate":
+        return concatenate(base, draw(_loop_at_home(depth - 1)))
+    if operation == "reverse":
+        return base.reverse()
+    # tau(t) = T (a s + (1 - a) s^2) with s = t / duration: monotone, ends fixed
+    a, duration, T = draw(st.sampled_from((0.3, 1.0))), draw(st.sampled_from(_DURATIONS)), base.duration
+    return reparameterize(
+        base,
+        lambda t: T * (a * t / duration + (1.0 - a) * (t / duration) ** 2),
+        lambda t: T / duration * (a + 2.0 * (1.0 - a) * t / duration),
+        duration,
+    )
+
+
+# 100 examples, about 1 s
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(_loop_at_home(3))
+def test_segments_give_the_one_sided_limits_of_nested_curves(curve):
+    # Segments k and k + 1 at joint k must give the velocities just before and
+    # just after it.  The oracle samples delta off the joint and passes no
+    # segment; it misses by the acceleration times delta, at most 5e3 delta
+    # over these examples, while the velocity jumps among them are 1.9 or more.
+    delta = 1e-8
+    for k, b in enumerate(curve.breakpoints):
+        for segment, t in ((k, b - delta), (k + 1, b + delta)):
+            _, limit = curve.sample([b], [segment])
+            _, near = curve.sample([t])
+            assert np.max(np.abs(limit[0] - near[0])) <= 1e6 * delta, (k, segment)

@@ -389,8 +389,8 @@ def _dirac_case(draw):
     return TorusModel(m, (0,), offsets, N), observable(), observable()
 
 
-# 200 examples: 157 compared (52 with C_f + C_g > N, 31 with a zero observable),
-# 43 brackets refused, in about 2 s
+# 200 examples, all compared: 83 with C_f + C_g > N, 47 of them with a
+# bracket wider than the box, and 51 with a zero observable, in about 2.5 s
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(_dirac_case())
 def test_dirac_residual_matches_dense_products(case):
@@ -398,22 +398,35 @@ def test_dirac_residual_matches_dense_products(case):
     from torus_holonomy import operators
 
     model, f, g = case
-    try:
-        bm = quantize_affine(model, poisson_bracket(f, g)).matrix
-    except BandwidthError:
-        # a bracket wider than the box is refused by both routes
-        with pytest.raises(BandwidthError):
-            dirac_residual(model, f, g)
-        return
+    bracket = poisson_bracket(f, g)
+    inner = interior_mask(model, min(f.bandwidth + g.bandwidth, model.truncation))
+    keep = np.ix_(inner, inner)
+    if bracket.bandwidth <= model.truncation:
+        bm = quantize_affine(model, bracket).matrix[keep]
+    else:
+        # quantize_affine refuses a bracket wider than the box: its interior
+        # entries come from the torus quadrature, which shares no code with
+        # the element formula
+        modes = mode_array(model)[inner]
+        bm = np.array([[quadrature_matrix_element(model, bracket, r, c) for c in modes] for r in modes])
     fm, gm = quantize_affine(model, f).matrix, quantize_affine(model, g).matrix
-    keep = np.ix_(*[interior_mask(model, min(f.bandwidth + g.bandwidth, model.truncation))] * 2)
     fg_minus_gf = (fm @ gm - gm @ fm)[keep]
-    assert abs(dirac_residual(model, f, g) - np.max(np.abs(fg_minus_gf + 1j * bm[keep]))) <= 1e-12
+    assert abs(dirac_residual(model, f, g) - np.max(np.abs(fg_minus_gf + 1j * bm))) <= 1e-12
     # with the bracket taken out the residual is the commutator itself, which
     # is not small: this compares the products, not two roundings of zero
     with mock.patch.object(operators, "poisson_bracket", lambda f, g: AffineObservable.zero(f.m)):
         alone = dirac_residual(model, f, g)
     assert abs(alone - np.max(np.abs(fg_minus_gf))) <= 1e-12 * max(1.0, alone)
+
+
+def test_dirac_residual_refuses_factors_wider_than_the_box():
+    # only the bracket may pass the box; f and g are quantized on it
+    rng = np.random.default_rng(6)
+    model = TorusModel(2, (0,), (0.25, 0.5), 2)
+    narrow, wide = random_affine(rng, 2, 1), random_affine(rng, 2, 3)
+    for f, g in ((wide, narrow), (narrow, wide)):
+        with pytest.raises(BandwidthError, match="bandwidth 3 exceeds truncation 2"):
+            dirac_residual(model, f, g)
 
 
 def test_dirac_residual_builds_no_dense_operator(monkeypatch):
@@ -586,4 +599,4 @@ def test_shift_basis_generators_stack_rows_equal_generator():
         stack = basis.generators(weights)
         assert stack.shape == (count, 17, 17)
         for k in range(count):
-            assert np.array_equal(stack[k], basis.generator(weights[k]))
+            assert np.array_equal(stack[k], basis.generators(weights[k][None])[0])

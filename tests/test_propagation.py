@@ -224,13 +224,13 @@ def test_compiled_generator_matches_quantized_pairing():
         velocities[2] = 0.0
         weights = compiled.weights(sigmas, velocities)
         for sigma, v, w in zip(sigmas, velocities, weights):
-            gen = basis.generator(w)
+            gen = basis.generators(w[None])[0]
             direct = quantize_affine(sub_model, sub_conn.as_observable(sigma, v)).matrix
             assert np.max(np.abs(gen - direct)) <= 1e-14
             full = delta_generator(model, conn, sigma, v).matrix
             assert np.max(np.abs(propagation._lift_controlled(model, gen) - full)) <= 1e-14
             looped = _scatter_loop_mode_generator(sub_model, sub_conn, sigma, v)
-            assert np.max(np.abs(modes.generator(w).T - looped)) <= 1e-14
+            assert np.max(np.abs(modes.generators(w[None])[0].T - looped)) <= 1e-14
             for whole in (conn, broken):
                 phi = extra.uniform(-np.pi, np.pi, size=model.m)
                 on_torus = compile_connection(whole)
@@ -243,7 +243,7 @@ def test_compiled_generator_matches_quantized_pairing():
                 assert np.shape(rate) == np.shape(fused_drift) == (model.m,)
                 assert np.max(np.abs(rate - -coupling @ actions)) <= 1e-14
                 assert np.max(np.abs(fused_drift - drift)) <= 1e-14
-        assert np.max(np.abs(basis.generator(weights[2]))) == 0.0
+        assert np.max(np.abs(basis.generators(weights[2][None])[0])) == 0.0
 
 
 def _polynomial_gradient(ham, actions):
@@ -334,7 +334,7 @@ def test_compiled_empty_connection():
     compiled = compile_connection(ControlConnection.empty(2, 3))
     weights = compiled.weights(np.ones((5, 3)), np.ones((5, 3)))
     assert weights.shape == (5, 0)
-    generator = quantized_basis(sub_model, compiled).generator(weights[0])
+    generator = quantized_basis(sub_model, compiled).generators(weights[:1])[0]
     assert np.array_equal(generator, np.zeros((25, 25)))
     rate, drift = compiled.flow(weights[0], np.array([0.3, -1.1]), np.array([1.5, 0.7]))
     assert np.array_equal(rate, np.zeros(2)) and np.array_equal(drift, np.zeros(2))
@@ -620,12 +620,20 @@ def test_evolve_full_routes_converge():
 def test_evolve_full_reference_keeps_second_order_across_a_velocity_jump():
     # a unit circle still moving at its end, then a closed waypoint loop from
     # rest: the step that starts at the joint must average from the second
-    # piece's velocity (order 1.1-1.2 when it read the joint's left limit)
-    from torus_holonomy import concatenate
+    # piece's velocity (order 1.1-1.2 when it read the joint's left limit).
+    # The derived curves of the 0.9 + 1.1 chain miss their joints by an ulp
+    # under T - t, tau and t - t1, which fed that step the left limit too
+    from torus_holonomy import concatenate, reparameterize
 
-    circle = CirclePath.circle((0.0, 0.0), 1.0, 1.0, phase=0.3)
-    start = tuple(circle.point(0.0))
-    chain = concatenate(circle, WaypointPath((start, (0.0, 0.0), start), 2.0))
+    def kinked_chain(circle_duration, loop_duration):
+        circle = CirclePath.circle((0.0, 0.0), 1.0, circle_duration, phase=0.3)
+        start = tuple(circle.point(0.0))
+        return concatenate(circle, WaypointPath((start, (0.0, 0.0), start), loop_duration))
+
+    chain, odd = kinked_chain(1.0, 2.0), kinked_chain(0.9, 1.1)
+    T = odd.duration
+    twice = concatenate(odd, odd)
+    warped = reparameterize(odd, lambda t: T * (t / T) ** 2, lambda t: 2.0 * t / T, T)
     conn = ControlConnection.from_half_spectrum(
         1,
         2,
@@ -646,6 +654,15 @@ def test_evolve_full_reference_keeps_second_order_across_a_velocity_jump():
             for steps in (50, 100, 200, 400)
         ]
         assert min(np.log2(errors[i] / errors[i + 1]) for i in range(3)) >= 1.8
+    # the derived curves: three step counts against 4x the finest, about 1 s
+    # for the four (a fourth level would cost about 3 s more)
+    for curve in (odd.reverse(), warped, twice, twice.reverse()):
+        ref = evolve_full(model, ham, conn, curve, 800).reference.operator.matrix
+        errors = [
+            np.max(np.abs(evolve_full(model, ham, conn, curve, steps).reference.operator.matrix - ref))
+            for steps in (50, 100, 200)
+        ]
+        assert min(np.log2(errors[i] / errors[i + 1]) for i in range(2)) >= 1.8
 
 
 def _dense_reference(model, hamiltonian, conn, curve, steps):

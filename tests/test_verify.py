@@ -80,7 +80,9 @@ def test_abelian_oracle_independent_of_curve_sample(monkeypatch):
     loop = CirclePath.circle((0.0, 0.0), 1.0, 1.0)
     expected = abelian_control_phases(model, conn, loop)
     sample = CirclePath.sample
-    monkeypatch.setattr(CirclePath, "sample", lambda self, t: tuple(1.01 * a for a in sample(self, t)))
+    monkeypatch.setattr(
+        CirclePath, "sample", lambda self, t, segment=None: tuple(1.01 * a for a in sample(self, t, segment))
+    )
     assert np.array_equal(abelian_control_phases(model, conn, loop), expected)
     measured = np.max(np.abs(holonomy(model, conn, loop, 1000).operator.matrix - np.diag(expected)))
     assert measured > ABELIAN_TOL
