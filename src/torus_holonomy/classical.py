@@ -17,7 +17,8 @@ cross-checked.
 All of these read the connection through ``operators.compile_connection``
 and sample the path once per call (``CompiledConnection.along``): RK4 at
 every grid time and stage midpoint, each step on the curve segment of its
-midpoint, and the ordered products at the step midpoints.  Each RK4 stage of
+midpoint; the mode transport's product reads its midpoints from that
+table, and the action transport samples its own.  Each RK4 stage of
 the perturbed flow evaluates the connection's waves once
 (``CompiledConnection.flow``) for both the action rate and the drift; the
 controlled-angle history reads the drift alone.  The RK4 steps work on lists
@@ -106,14 +107,15 @@ def _rk4_step(rhs, h: float, y: list, s0, sm, s1) -> list:
     return [a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4) for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
 
 
-def _rk4_along(rhs, compiled: CompiledConnection, curve, times: np.ndarray, y0) -> np.ndarray:
+def _rk4_along(rhs, compiled: CompiledConnection, curve, times: np.ndarray, y0) -> tuple[np.ndarray, ...]:
     """Fixed-step RK4 over ``times``, each stage reading its row of one weight table.
 
     Each step reads the curve segment of its midpoint (``step_segments``), so
-    a velocity jump at a joint costs no order.  The table holds the step ends,
-    the stage midpoints ``t0 + h/2`` and the starts of the steps that begin a
-    segment; a row becomes Python numbers when its step runs, and each state
-    is written to one preallocated (len(times), n) array.
+    a velocity jump at a joint costs no order.  The table, returned beside
+    the states, holds the step ends (row i ends step i), the stage midpoints
+    ``t0 + h/2`` and the starts of the steps that begin a segment; a row
+    becomes Python numbers when its step runs, and each state is written to
+    one preallocated (len(times), n) array.
     """
     h, n = np.diff(times), len(times) - 1
     segments, starts = curve.step_segments(times)
@@ -128,7 +130,7 @@ def _rk4_along(rhs, compiled: CompiledConnection, curve, times: np.ndarray, y0) 
         s1 = w[i].tolist()
         y = _rk4_step(rhs, step, y, s0, w[n + i].tolist(), s1)
         ys[i + 1] = y
-    return ys
+    return ys, w
 
 
 def evolve_perturbed(
@@ -155,7 +157,7 @@ def evolve_perturbed(
         return rate + [g + v for g, v in zip(hamiltonian.gradient_list(actions), drift)]
 
     times = step_intervals(curve, steps)
-    ys = _rk4_along(rhs, compiled, curve, times, np.concatenate([state0.actions, state0.angles]))
+    ys, _ = _rk4_along(rhs, compiled, curve, times, np.concatenate([state0.actions, state0.angles]))
     return Trajectory(times, ys[:, :m], ys[:, m:])
 
 
@@ -204,16 +206,15 @@ class ModeTransport:
     truncated to the box.  Truncation contaminates the ordered route from
     the boundary inward (roughly factorially damped with depth), so the
     reported discrepancy is taken over modes at least ``guard`` sites from
-    the boundary.  ``phi_history`` holds the controlled angles at half-step
-    resolution (2*steps+1 samples) for reuse by the action transport.
+    the boundary (``classical_mode_transport``'s ``guard``).  ``phi_history``
+    holds the controlled angles at half-step resolution (2*steps+1 samples)
+    for reuse by the action transport.
     """
 
     modes: np.ndarray
     direct: np.ndarray
     ordered: np.ndarray
     discrepancy: float
-    guard: int
-    times: np.ndarray
     phi_history: np.ndarray
 
 
@@ -244,7 +245,9 @@ def classical_mode_transport(
     ``phi0`` lists the initial controlled angles (ordered by controlled
     axis).  Route one integrates the angle equation and exponentiates;
     route two propagates the truncated linear mode system with per-step
-    exponentials of the midpoint generator.  Both use the same step grid.
+    exponentials of the midpoint generator.  Both use the same step grid,
+    and route two reads its midpoints from route one's table: a full step's
+    midpoint ends an even-numbered half step.
     """
     compiled = compile_controlled(model, connection)
     sub_model = controlled_submodel(model)
@@ -261,12 +264,14 @@ def classical_mode_transport(
     half_times[::2] = times
     half_times[1::2] = 0.5 * (times[:-1] + times[1:])
     # route one: RK4 of the angle equation alone (actions do not feed back) on the half steps
-    phis = _rk4_along(compiled.drift, compiled, curve, half_times, phi0)
+    phis, table = _rk4_along(compiled.drift, compiled, curve, half_times, phi0)
     modes = mode_array(sub_model)
     direct = np.exp(1j * (modes @ phis[-1]))
 
     basis = _mode_basis(sub_model, compiled)
-    weights = compiled.along(curve, half_times[1::2])
+    # a copy, so that the half-step table is freed before the product
+    weights = table[0 : 2 * steps : 2].copy()
+    del table
     scales = 1j * np.diff(times)
     psi = np.exp(1j * (modes @ phi0))
     for chunk in step_chunks(len(scales), sub_model.size):
@@ -276,7 +281,7 @@ def classical_mode_transport(
 
     keep = np.all(np.abs(modes) <= model.truncation - guard, axis=1)
     discrepancy = float(np.max(np.abs(direct[keep] - psi[keep]))) if keep.any() else 0.0
-    return ModeTransport(modes, direct, psi, discrepancy, guard, times, phis)
+    return ModeTransport(modes, direct, psi, discrepancy, phis)
 
 
 def classical_action_transport(

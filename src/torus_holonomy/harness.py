@@ -108,12 +108,12 @@ def run_evolve(config: ExperimentConfig) -> tuple[dict, dict]:
     )
     diagnostics = {
         "format": "evolve-diagnostics",
-        "steps": report.factorized.steps,
-        "factorized_unitarity_defect": report.factorized.unitarity_defect,
-        "reference_unitarity_defect": report.reference.unitarity_defect,
+        "steps": report.steps,
+        "factorized_unitarity_defect": report.factorized_unitarity_defect,
+        "reference_unitarity_defect": report.reference_unitarity_defect,
         "route_deviation": report.deviation,
     }
-    return operator_payload(report.factorized.operator), diagnostics
+    return operator_payload(report.operator), diagnostics
 
 
 def run_verify(config: ExperimentConfig | None = None) -> dict:

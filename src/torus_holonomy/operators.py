@@ -58,7 +58,6 @@ class OperatorMatrix:
 
     model: TorusModel
     matrix: np.ndarray
-    bandwidth: int = 0
 
     def __post_init__(self):
         mat = np.asarray(self.matrix, dtype=np.complex128)
@@ -173,7 +172,7 @@ def quantize_affine(model: TorusModel, observable: AffineObservable) -> Operator
     rows, cols, values = _affine_entries(model, observable)
     matrix = np.zeros((model.size, model.size), dtype=complex)
     matrix[rows, cols] = values
-    return OperatorMatrix(model, matrix, bandwidth=observable.bandwidth)
+    return OperatorMatrix(model, matrix)
 
 
 @dataclass(frozen=True)
@@ -453,7 +452,7 @@ def multiplication_operator(model: TorusModel, shift: Iterable[int]) -> Operator
     _, rows, cols = _shift_scatter(model, [c])
     matrix = np.zeros((model.size, model.size), dtype=complex)
     matrix[rows, cols] = 1.0
-    return OperatorMatrix(model, matrix, bandwidth=max((abs(x) for x in c), default=0))
+    return OperatorMatrix(model, matrix)
 
 
 def commutator(a: OperatorMatrix, b: OperatorMatrix) -> np.ndarray:

@@ -45,9 +45,9 @@ dynamic phase may leave the exponent is checked apart from this route: by
 which exponentiates ``diag(H) + Delta_hat`` on the full lattice.  The
 unitarity defects and the route deviation are measured on the
 (dsize, csize, csize) stacks (``unitarity_defect`` takes one matrix or a
-stack), and each route is lifted to the full lattice once, for its
-reported operator.  No exponential and no defect in this module sees a
-matrix larger than (2N+1)^l.
+stack), and the report keeps both stacks: only the factorized one is
+lifted to the full lattice, for the ``evolution.json`` payload.  No
+exponential and no defect in this module sees a matrix larger than (2N+1)^l.
 """
 
 from __future__ import annotations
@@ -79,7 +79,7 @@ class PropagatorReport:
     operator: OperatorMatrix
     steps: int
     unitarity_defect: float
-    method: str  # "ordered-product" | "diagonal-exact" | "reference"
+    method: str  # "ordered-product" | "diagonal-exact"
 
 
 # Coefficients b_0 .. b_m of the diagonal [m/m] Padé approximant
@@ -222,7 +222,7 @@ def _lift_controlled(model: TorusModel, block: np.ndarray) -> np.ndarray:
 
 def _control_block_product(
     model: TorusModel, connection: ControlConnection, curve: ParameterCurve, steps: int
-) -> tuple[np.ndarray, int, TorusModel]:
+) -> tuple[np.ndarray, TorusModel]:
     """Ordered product of midpoint-generator exponentials on the controlled box.
 
     One ``exp_stack`` call per chunk of steps; the product takes the
@@ -238,7 +238,7 @@ def _control_block_product(
     for chunk in step_chunks(len(scales), sub_model.size):
         for step in exp_stack(scales[chunk, None, None] * basis.generators(weights[chunk])):
             U = step @ U
-    return U, len(times) - 1, sub_model
+    return U, sub_model
 
 
 def evolve_control(
@@ -249,9 +249,9 @@ def evolve_control(
     The lift copies the block onto every dynamic label and puts zeros
     between labels, so the block's unitarity defect is the lifted one.
     """
-    block, used, _ = _control_block_product(model, connection, curve, steps)
-    op = OperatorMatrix(model, _lift_controlled(model, block), bandwidth=connection.bandwidth)
-    return PropagatorReport(op, used, unitarity_defect(block), "ordered-product")
+    block, _ = _control_block_product(model, connection, curve, steps)
+    op = OperatorMatrix(model, _lift_controlled(model, block))
+    return PropagatorReport(op, steps, unitarity_defect(block), "ordered-product")
 
 
 def holonomy(
@@ -265,9 +265,9 @@ def holonomy(
     """
     if not loop.is_closed:
         raise OpenCurveError("holonomy requires a closed parameter loop")
-    block, used, sub_model = _control_block_product(model, connection, loop, steps)
-    op = OperatorMatrix(sub_model, block, bandwidth=connection.bandwidth)
-    return PropagatorReport(op, used, unitarity_defect(block), "ordered-product")
+    block, sub_model = _control_block_product(model, connection, loop, steps)
+    op = OperatorMatrix(sub_model, block)
+    return PropagatorReport(op, steps, unitarity_defect(block), "ordered-product")
 
 
 def restrict_to_eigenspace(full: OperatorMatrix, dynamic_label: Sequence[int]) -> np.ndarray:
@@ -289,11 +289,20 @@ def restrict_to_eigenspace(full: OperatorMatrix, dynamic_label: Sequence[int]) -
 
 @dataclass(frozen=True)
 class FactorizationReport:
-    """Factorized route versus an independent full-generator reference."""
+    """Factorized route versus an independent reference, as (dsize, csize, csize) stacks."""
 
-    factorized: PropagatorReport
-    reference: PropagatorReport
+    model: TorusModel
+    factorized: np.ndarray
+    reference: np.ndarray
+    steps: int
+    factorized_unitarity_defect: float
+    reference_unitarity_defect: float
     deviation: float
+
+    @property
+    def operator(self) -> OperatorMatrix:
+        """The factorized route lifted to the full lattice (one lift per access)."""
+        return OperatorMatrix(self.model, _lift_controlled(self.model, self.factorized))
 
 
 def evolve_full(
@@ -326,8 +335,7 @@ def evolve_full(
     constant on a dynamic label raises ``SplitViolationError``.  The
     unitarity defects and the route deviation are taken over the stacks;
     the off-label entries they leave out are exact zeros in both routes.
-    Each route's stack is lifted to the full lattice once, for its
-    reported operator.
+    Only the report's ``operator`` lifts, and only the factorized stack.
     """
     if isinstance(hamiltonian, ActionPolynomial):
         require_split(model, hamiltonian, connection)
@@ -340,14 +348,8 @@ def evolve_full(
     if not np.array_equal(label_energy[di], energies):
         raise SplitViolationError("the Hamiltonian is not constant on each dynamic label")
 
-    u2, used, sub_model = _control_block_product(model, connection, curve, steps)
-    factor_blocks = np.exp(-1j * label_energy * curve.duration)[:, None, None] * u2
-    factorized = PropagatorReport(
-        OperatorMatrix(model, _lift_controlled(model, factor_blocks), bandwidth=connection.bandwidth),
-        used,
-        unitarity_defect(factor_blocks),
-        "ordered-product",
-    )
+    u2, sub_model = _control_block_product(model, connection, curve, steps)
+    factorized = np.exp(-1j * label_energy * curve.duration)[:, None, None] * u2
 
     sub_conn = connection.restricted(model.controlled)
     times = step_intervals(curve, steps)
@@ -368,15 +370,10 @@ def evolve_full(
         end = block_delta(points[i], velocities[i])
         V = expm(-1j * dt * (0.5 * (start + end))) @ V
         elapsed += dt
-    U = np.exp(-1j * (label_energy * elapsed))[:, None, None] * V
-    reference = PropagatorReport(
-        OperatorMatrix(model, _lift_controlled(model, U), bandwidth=connection.bandwidth),
-        len(times) - 1,
-        unitarity_defect(U),
-        "reference",
-    )
-    deviation = float(np.max(np.abs(factor_blocks - U)))
-    return FactorizationReport(factorized, reference, deviation)
+    reference = np.exp(-1j * (label_energy * elapsed))[:, None, None] * V
+    deviation = float(np.max(np.abs(factorized - reference)))
+    return FactorizationReport(model, factorized, reference, steps, unitarity_defect(factorized),
+                               unitarity_defect(reference), deviation)
 
 
 def path_invariance_report(
@@ -388,18 +385,12 @@ def path_invariance_report(
 ) -> float:
     """Max pairwise deviation of U2 across clock maps of the same path.
 
-    ``reparameterizations`` may contain ready curves or
-    ``(tau, tau_dot, duration)`` triples applied to ``curve``; each entry
-    must be smooth, monotone and endpoint-preserving (validated on
-    construction).  The base curve itself is always included.
+    ``reparameterizations`` holds ``(tau, tau_dot, duration)`` triples
+    applied to ``curve``; each must be smooth, monotone and
+    endpoint-preserving (validated on construction).  The base curve itself
+    is always included.
     """
-    variants: list[ParameterCurve] = [curve]
-    for item in reparameterizations:
-        if isinstance(item, ParameterCurve):
-            variants.append(item)
-        else:
-            tau, tau_dot, duration = item
-            variants.append(reparameterize(curve, tau, tau_dot, duration))
+    variants = [curve] + [reparameterize(curve, *clock) for clock in reparameterizations]
     blocks = [_control_block_product(model, connection, c, steps)[0] for c in variants]
     worst = 0.0
     for i in range(len(blocks)):

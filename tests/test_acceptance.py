@@ -180,10 +180,10 @@ def test_criterion_08_unitarity_and_eigenspaces(factorization_runs):
     u2 = evolve_control(model, conn, _circle(), 1000)
     worst_unitarity = max(
         u2.unitarity_defect,
-        coarse.factorized.unitarity_defect,
-        coarse.reference.unitarity_defect,
-        fine.factorized.unitarity_defect,
-        fine.reference.unitarity_defect,
+        coarse.factorized_unitarity_defect,
+        coarse.reference_unitarity_defect,
+        fine.factorized_unitarity_defect,
+        fine.reference_unitarity_defect,
     )
     di, _ = sublattice_index(model, model.dynamic)
     off = u2.operator.matrix[di[:, None] != di[None, :]]

@@ -332,7 +332,15 @@ def test_mode_transport_constant_component_closed_form(monkeypatch):
     kappa, displacement, phi0 = 0.7, 2.0, 0.3
     conn = _const_connection(1, 0, kappa)
     curve = WaypointPath(((0.0,), (displacement,)), 1.0)
+    sampled = []
+    sample = WaypointPath.sample
+    monkeypatch.setattr(
+        WaypointPath, "sample", lambda self, t, segment=None: sampled.append(len(t)) or sample(self, t, segment)
+    )
     result = classical_mode_transport(model, conn, curve, [phi0], 200, guard=0)
+    # one weight table: the RK4 route's half-step ends, stage midpoints and
+    # start; the ordered product reads the full steps' midpoints from it
+    assert sampled == [4 * 200 + 1]
     expected = np.exp(1j * result.modes[:, 0] * (phi0 + kappa * displacement))
     assert np.max(np.abs(result.direct - expected)) < 1e-12
     assert np.max(np.abs(result.ordered - expected)) < 1e-12

@@ -654,6 +654,24 @@ def test_cli_evolve_writes_matrix_and_diagnostics(tmp_path):
     assert diag["factorized_unitarity_defect"] <= 1e-10
 
 
+def test_run_evolve_lifts_only_the_factorized_route(monkeypatch):
+    # the payload is the one full-lattice matrix evolve builds; the reference
+    # route stays a stack of controlled blocks
+    from torus_holonomy import harness, propagation
+
+    lifted = []
+    lift = propagation._lift_controlled
+    monkeypatch.setattr(
+        propagation, "_lift_controlled", lambda model, block: lifted.append(block.shape) or lift(model, block)
+    )
+    payload = _holonomy_config(steps=16)
+    payload["model"]["truncation"] = 2
+    payload["hamiltonian"] = {"terms": [{"exponents": [0, 2], "coefficient": 0.5}]}
+    matrix, diagnostics = harness.run_evolve(parse_config(payload))
+    assert lifted == [(5, 5, 5)]
+    assert matrix["shape"] == [25, 25] and diagnostics["steps"] == 16
+
+
 def test_operator_payload_roundtrip():
     # entries are row-major [re, im] pairs under a model echo
     from torus_holonomy import TorusModel, action_operator

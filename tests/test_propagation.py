@@ -593,8 +593,8 @@ def test_evolve_full_reduces_to_dynamic_phase():
     report = evolve_full(model, _demo_hamiltonian(), conn, _unit_circle(), 40)
     energies = np.diag(hamiltonian_operator(model, _demo_hamiltonian()).matrix).real
     u1 = np.diag(np.exp(-1j * energies * 1.0))
-    assert np.allclose(report.factorized.operator.matrix, u1, atol=1e-12)
-    assert np.allclose(report.reference.operator.matrix, u1, atol=1e-12)
+    assert np.allclose(report.operator.matrix, u1, atol=1e-12)
+    assert np.allclose(propagation._lift_controlled(model, report.reference), u1, atol=1e-12)
 
 
 def test_evolve_full_commuting_generators():
@@ -613,8 +613,8 @@ def test_evolve_full_routes_converge():
     coarse = evolve_full(model, _demo_hamiltonian(), conn, _unit_circle(), 250)
     fine = evolve_full(model, _demo_hamiltonian(), conn, _unit_circle(), 500)
     assert fine.deviation < coarse.deviation
-    assert coarse.factorized.unitarity_defect <= 1e-10
-    assert coarse.reference.unitarity_defect <= 1e-10
+    assert coarse.factorized_unitarity_defect <= 1e-10
+    assert coarse.reference_unitarity_defect <= 1e-10
 
 
 def test_evolve_full_reference_keeps_second_order_across_a_velocity_jump():
@@ -648,18 +648,18 @@ def test_evolve_full_reference_keeps_second_order_across_a_velocity_jump():
     model = TorusModel(1, (0,), (0.0,), 3)
     ham = ActionPolynomial.zero(1)
     for curve in (chain, chain.reverse()):
-        ref = evolve_full(model, ham, conn, curve, 1600).reference.operator.matrix
+        ref = evolve_full(model, ham, conn, curve, 1600).reference
         errors = [
-            np.max(np.abs(evolve_full(model, ham, conn, curve, steps).reference.operator.matrix - ref))
+            np.max(np.abs(evolve_full(model, ham, conn, curve, steps).reference - ref))
             for steps in (50, 100, 200, 400)
         ]
         assert min(np.log2(errors[i] / errors[i + 1]) for i in range(3)) >= 1.8
     # the derived curves: three step counts against 4x the finest, about 1 s
     # for the four (a fourth level would cost about 3 s more)
     for curve in (odd.reverse(), warped, twice, twice.reverse()):
-        ref = evolve_full(model, ham, conn, curve, 800).reference.operator.matrix
+        ref = evolve_full(model, ham, conn, curve, 800).reference
         errors = [
-            np.max(np.abs(evolve_full(model, ham, conn, curve, steps).reference.operator.matrix - ref))
+            np.max(np.abs(evolve_full(model, ham, conn, curve, steps).reference - ref))
             for steps in (50, 100, 200)
         ]
         assert min(np.log2(errors[i] / errors[i + 1]) for i in range(2)) >= 1.8
@@ -730,7 +730,7 @@ def test_evolve_full_reference_matches_dense_oracle():
             conn = _random_split_connection(rng, model, 2, int(rng.integers(1, 3)))
         steps = int(rng.integers(3, 9))
         report = evolve_full(model, ham, conn, loop, steps)
-        got = report.reference.operator.matrix
+        got = propagation._lift_controlled(model, report.reference)
         assert np.max(np.abs(got - _dense_reference(model, ham, conn, loop, steps))) <= 1e-12
         di, _ = sublattice_index(model, model.dynamic)
         assert np.all(got[di[:, None] != di[None, :]] == 0.0)
@@ -754,20 +754,20 @@ def test_evolve_full_per_label_matches_dense_route():
         steps = int(rng.integers(5, 12))
         report = evolve_full(model, ham, conn, loop, steps)
 
-        u2, _, _ = propagation._control_block_product(model, conn, loop, steps)
+        u2, _ = propagation._control_block_product(model, conn, loop, steps)
         phases = np.exp(-1j * hamiltonian_spectrum(model, ham) * loop.duration)
         dense = np.diag(phases) @ propagation._lift_controlled(model, u2)
-        reference = report.reference.operator.matrix
+        reference = propagation._lift_controlled(model, report.reference)
         eye = np.eye(model.size)
-        payload = report.factorized.operator.matrix
+        payload = report.operator.matrix
         assert np.max(np.abs(payload - dense)) <= 1e-15
         dense_defect = np.max(np.abs(dense.conj().T @ dense - eye))
-        assert abs(report.factorized.unitarity_defect - dense_defect) <= 1e-15
+        assert abs(report.factorized_unitarity_defect - dense_defect) <= 1e-15
         reference_defect = np.max(np.abs(reference.conj().T @ reference - eye))
-        assert abs(report.reference.unitarity_defect - reference_defect) <= 1e-15
+        assert abs(report.reference_unitarity_defect - reference_defect) <= 1e-15
         assert abs(report.deviation - np.max(np.abs(dense - reference))) <= 1e-15
 
-        written = operator_payload(report.factorized.operator)
+        written = operator_payload(report.operator)
         entries = np.asarray(written["entries"])
         matrix = (entries[:, 0] + 1j * entries[:, 1]).reshape(written["shape"])
         di, _ = sublattice_index(model, model.dynamic)
@@ -888,7 +888,7 @@ def test_evolve_full_exponentiates_only_controlled_blocks(monkeypatch):
         report = evolve_full(model, ActionPolynomial.zero(model.m), conn, _unit_circle(), steps)
         csize = propagation.controlled_submodel(model).size
         # one (csize, csize) matrix per step, never a stack of dynamic labels
-        assert report.reference.steps == steps
+        assert report.steps == steps
         assert shapes == [(csize, csize)] * steps
         assert (csize < model.size) == bool(model.dynamic)
         shapes.clear()
@@ -934,7 +934,7 @@ def test_route_deviation_cross_checks_the_stacked_exponentials(monkeypatch):
     monkeypatch.setattr(propagation, "exp_stack", lambda a: real_exp_stack(a) + 1e-9)
     perturbed = evolve_full(model, ham, conn, _unit_circle(), 40)
     assert perturbed.deviation > 1e-10
-    assert np.array_equal(perturbed.reference.operator.matrix, clean.reference.operator.matrix)
+    assert np.array_equal(perturbed.reference, clean.reference)
 
 
 def test_route_deviation_cross_checks_the_reference_exponentials(monkeypatch):
@@ -949,7 +949,7 @@ def test_route_deviation_cross_checks_the_reference_exponentials(monkeypatch):
     monkeypatch.setattr(propagation, "expm", lambda a: real_expm(a) + 1e-9)
     perturbed = evolve_full(model, ham, conn, _unit_circle(), 40)
     assert perturbed.deviation > 1e-10
-    assert np.array_equal(perturbed.factorized.operator.matrix, clean.factorized.operator.matrix)
+    assert np.array_equal(perturbed.operator.matrix, clean.operator.matrix)
 
 
 # --- group laws and path invariance ---------------------------------------------------
