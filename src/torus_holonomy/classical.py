@@ -39,9 +39,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curves import ParameterCurve, step_intervals
-from .errors import DimensionMismatchError, SplitViolationError
+from .errors import DimensionMismatchError
 from .fields import ActionPolynomial, ControlConnection
-from .lattice import ClassicalState, TorusModel, controlled_submodel, mode_array
+from .lattice import ClassicalState, TorusModel, controlled_submodel, interior_mask, mode_array
 from .operators import (
     CompiledConnection,
     ShiftBasis,
@@ -167,7 +167,9 @@ def split_residual(
     """Count of structural violations of the controlled/dynamic split.
 
     Zero iff the Hamiltonian touches no controlled action and the connection
-    lives entirely on controlled axes (component index and Fourier support).
+    lives entirely on controlled axes (component index and Fourier support),
+    which is exactly when ``hamiltonian_spectrum`` and ``controlled_connection``
+    accept them; those refuse by naming the first offender.
     """
     if hamiltonian.m != model.m or connection.m != model.m:
         raise DimensionMismatchError("model dimension mismatch")
@@ -185,16 +187,16 @@ def split_residual(
     return violations
 
 
-def require_split(
-    model: TorusModel,
-    hamiltonian: ActionPolynomial | None,
-    connection: ControlConnection | None,
-) -> None:
-    h = hamiltonian if hamiltonian is not None else ActionPolynomial.zero(model.m)
-    c = connection if connection is not None else ControlConnection.empty(model.m, 1)
-    n = split_residual(model, h, c)
-    if n:
-        raise SplitViolationError(f"{n} structural violation(s) of the controlled/dynamic split")
+def controlled_connection(model: TorusModel, connection: ControlConnection) -> ControlConnection:
+    """The connection on the controlled sub-torus: the gate of the controlled/dynamic split.
+
+    ``ControlConnection.restricted`` refuses a component on a dynamic axis or
+    a Fourier shift that touches one, naming it (``SplitViolationError``);
+    ``split_residual`` counts the same violations.
+    """
+    if connection.m != model.m:
+        raise DimensionMismatchError(f"connection has m={connection.m}, model has m={model.m}")
+    return connection.restricted(model.controlled)
 
 
 @dataclass(frozen=True)
@@ -219,8 +221,7 @@ class ModeTransport:
 
 
 def compile_controlled(model: TorusModel, connection: ControlConnection) -> CompiledConnection:
-    require_split(model, None, connection)
-    return compile_connection(connection.restricted(model.controlled))
+    return compile_connection(controlled_connection(model, connection))
 
 
 def _mode_basis(model: TorusModel, compiled: CompiledConnection) -> ShiftBasis:
@@ -254,10 +255,7 @@ def classical_mode_transport(
     phi0 = np.asarray(phi0, dtype=float)
     if phi0.shape != (sub_model.m,):
         raise DimensionMismatchError(f"expected {sub_model.m} controlled angles, got {phi0.shape}")
-    if guard is None:
-        guard = model.truncation // 2
-    if not 0 <= guard <= model.truncation:
-        raise ValueError("guard must lie in [0, truncation]")
+    keep = interior_mask(sub_model, model.truncation // 2 if guard is None else guard)
 
     times = step_intervals(curve, steps)
     half_times = np.empty(2 * steps + 1)
@@ -279,8 +277,7 @@ def classical_mode_transport(
         for step in exp_stack(scales[chunk, None, None] * gens):
             psi = step @ psi
 
-    keep = np.all(np.abs(modes) <= model.truncation - guard, axis=1)
-    discrepancy = float(np.max(np.abs(direct[keep] - psi[keep]))) if keep.any() else 0.0
+    discrepancy = float(np.max(np.abs(direct[keep] - psi[keep])))
     return ModeTransport(modes, direct, psi, discrepancy, phis)
 
 

@@ -10,7 +10,7 @@ class DimensionMismatchError(TorusHolonomyError, ValueError):
 
 
 class BandwidthError(TorusHolonomyError, ValueError):
-    """A Fourier field is wider than the mode box (or a declared cap) allows."""
+    """A Fourier field is wider than the mode box allows."""
 
 
 class SplitViolationError(TorusHolonomyError, ValueError):

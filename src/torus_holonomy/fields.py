@@ -21,7 +21,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import BandwidthError, DimensionMismatchError, NonFiniteError
+from .errors import DimensionMismatchError, NonFiniteError, SplitViolationError
 
 _REALITY_TOL = 1e-12
 
@@ -274,9 +274,7 @@ class AffineObservable:
         return parts
 
 
-def poisson_bracket(
-    f: AffineObservable, g: AffineObservable, max_bandwidth: int | None = None
-) -> AffineObservable:
+def poisson_bracket(f: AffineObservable, g: AffineObservable) -> AffineObservable:
     """Closed-form bracket ``{f, g} = d^k f d_k g - d_k f d^k g`` (I-derivative up).
 
     The bracket of two affine observables is again affine:
@@ -284,9 +282,7 @@ def poisson_bracket(
         a_r(result) = sum_k ( a_k(f) d_k a_r(g) - a_k(g) d_k a_r(f) )
         b(result)   = sum_k ( a_k(f) d_k b(g)   - a_k(g) d_k b(f) )
 
-    Coefficient arithmetic is exact; nothing is truncated.  If
-    ``max_bandwidth`` is given, a result wider than it is rejected instead
-    of being clipped.
+    Coefficient arithmetic is exact; nothing is truncated.
 
     The m+1 parts of each observable are padded to one bandwidth C and
     stacked, so every axis k costs two stacked convolutions, each a loop
@@ -315,12 +311,7 @@ def poisson_bracket(
         total += convolve(fp[k], gp * 1j * along)
         total -= convolve(gp[k], fp * 1j * along)
     parts = [TorusFourierField._from_array(part, True) for part in total]
-    result = AffineObservable(tuple(parts[:m]), parts[m])
-    if max_bandwidth is not None and result.bandwidth > max_bandwidth:
-        raise BandwidthError(
-            f"bracket bandwidth {result.bandwidth} exceeds declared cap {max_bandwidth}"
-        )
-    return result
+    return AffineObservable(tuple(parts[:m]), parts[m])
 
 
 def _polynomial_terms(terms: Mapping[tuple[int, ...], complex], n: int, kind: type) -> dict:
@@ -400,9 +391,8 @@ class ControlConnection:
 
     Reality for real sigma requires ``poly_{-c} = conj(poly_c)`` and is
     enforced here.  Whether the support respects a model's
-    controlled/dynamic split is *not* enforced at construction: it is
-    checked where it matters (``split_residual`` counts violations,
-    operator builders raise).
+    controlled/dynamic split is *not* enforced at construction:
+    ``restricted`` refuses a violation, ``split_residual`` counts them.
     """
 
     m: int
@@ -509,8 +499,6 @@ class ControlConnection:
         Requires every component axis and every Fourier shift to live on
         ``axes``; anything else would be silently dropped and is rejected.
         """
-        from .errors import SplitViolationError
-
         axes = tuple(axes)
         pos = {a: i for i, a in enumerate(axes)}
         comps: dict[tuple[int, int], dict[tuple[int, ...], ParameterPolynomial]] = {}

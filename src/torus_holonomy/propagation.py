@@ -59,8 +59,8 @@ import numpy as np
 
 from .curves import ParameterCurve, reparameterize, step_intervals
 from .errors import DimensionMismatchError, OpenCurveError, SplitViolationError
-from .fields import ActionPolynomial, ControlConnection
-from .classical import compile_controlled, require_split
+from .fields import ControlConnection
+from .classical import compile_controlled, controlled_connection
 from .lattice import TorusModel, WaveFunction, controlled_submodel, sublattice_index
 from .operators import (
     OperatorMatrix,
@@ -176,9 +176,11 @@ def delta_generator(
     """Full-lattice generator of the control term at one parameter point.
 
     Equal to the quantization of the connection's velocity pairing:
-    Hermitian, and the identity on the dynamic mode factor.
+    Hermitian, and the identity on the dynamic mode factor.  It passes the
+    split's gate (``controlled_connection``) but quantizes on the full
+    lattice, as the independent reference of ``perturbation_commutes``.
     """
-    require_split(model, None, connection)
+    controlled_connection(model, connection)
     return quantize_affine(model, connection.as_observable(sigma, velocity))
 
 
@@ -331,16 +333,16 @@ def evolve_full(
     exponential is exactly ``exp(-i dt E_j) exp(-i dt D_avg)``; so each
     step takes one ``expm`` of the controlled block D_avg, shared by every
     label, into the product V, and the reference block of label j is
-    ``exp(-i E_j elapsed) V``.  A Hamiltonian whose spectrum is not
-    constant on a dynamic label raises ``SplitViolationError``.  The
-    unitarity defects and the route deviation are taken over the stacks;
-    the off-label entries they leave out are exact zeros in both routes.
+    ``exp(-i E_j elapsed) V``.  The split is refused where each object's
+    rule lives: the connection by ``controlled_connection``, a polynomial
+    Hamiltonian on a controlled action by ``hamiltonian_spectrum``; a
+    spectrum that is not constant on a dynamic label raises
+    ``SplitViolationError`` here.  The unitarity defects and the route
+    deviation are taken over the stacks; the off-label entries they leave
+    out are exact zeros in both routes.
     Only the report's ``operator`` lifts, and only the factorized stack.
     """
-    if isinstance(hamiltonian, ActionPolynomial):
-        require_split(model, hamiltonian, connection)
-    else:
-        require_split(model, None, connection)
+    sub_conn = controlled_connection(model, connection)
     energies = hamiltonian_spectrum(model, hamiltonian)
     di, dsize = sublattice_index(model, model.dynamic)
     label_energy = np.empty(dsize)
@@ -351,7 +353,6 @@ def evolve_full(
     u2, sub_model = _control_block_product(model, connection, curve, steps)
     factorized = np.exp(-1j * label_energy * curve.duration)[:, None, None] * u2
 
-    sub_conn = connection.restricted(model.controlled)
     times = step_intervals(curve, steps)
     segments, starts = curve.step_segments(times)
     points, velocities = curve.sample(times[1:], segments)

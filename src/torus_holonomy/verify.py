@@ -24,7 +24,7 @@ from .fields import (
     ParameterPolynomial,
     TorusFourierField,
 )
-from .lattice import TorusModel, mode_array, sublattice_index
+from .lattice import TorusModel, controlled_submodel, mode_array, sublattice_index
 
 DEFAULT_SEED = 1234
 
@@ -45,10 +45,9 @@ def abelian_control_phases(
     curve.  Evaluated here without any time stepping; the line integral is
     exact for polynomial components on circles and waypoint paths.
     """
-    if not connection.is_angle_independent():
+    sub = classical.controlled_connection(model, connection)
+    if not sub.is_angle_independent():
         raise ValueError("closed-form phases require an angle-independent connection")
-    classical.require_split(model, None, connection)
-    sub = connection.restricted(model.controlled)
     zero_shift = (0,) * sub.m
     integrals = np.zeros(sub.m)
     for axis in range(sub.m):
@@ -59,9 +58,8 @@ def abelian_control_phases(
         }
         if polys:
             integrals[axis] = line_integral(polys, curve)
-    modes = mode_array(propagation.controlled_submodel(model))
-    offsets = np.array([model.offsets[a] for a in model.controlled])
-    return np.exp(-1j * (modes - offsets) @ integrals)
+    sub_model = controlled_submodel(model)
+    return np.exp(-1j * (mode_array(sub_model) - np.array(sub_model.offsets)) @ integrals)
 
 
 def quadrature_matrix_element(

@@ -13,14 +13,18 @@ from torus_holonomy import (
     WaypointPath,
     classical_action_transport,
     classical_mode_transport,
+    delta_generator,
     evolve_control,
     evolve_free,
+    evolve_full,
     evolve_perturbed,
+    holonomy,
     reparameterize,
     split_residual,
 )
 from torus_holonomy import classical, concatenate
-from torus_holonomy.operators import CompiledConnection
+from torus_holonomy.operators import CompiledConnection, hamiltonian_spectrum
+from torus_holonomy.verify import abelian_control_phases
 
 
 def _array_rk4_step(rhs, h, y, s0, sm, s1):
@@ -307,6 +311,93 @@ def test_split_residual_detects_connection_violations():
     assert split_residual(model, ham, dynamic_angle_mode) >= 1
 
 
+def _accepts(gate) -> bool:
+    try:
+        gate()
+    except SplitViolationError:
+        return False
+    return True
+
+
+def _random_split_case(rng):
+    """A model with m <= 3, a connection and a Hamiltonian, each free to break the split."""
+    m = int(rng.integers(1, 4))
+    controlled = tuple(a for a in range(m) if rng.random() < 0.6)
+    model = TorusModel(m, controlled, (0.0,) * m, 1)
+    comps: dict = {}
+    for _ in range(int(rng.integers(0, 4))):
+        shift = tuple(int(x) for x in rng.integers(-1, 2, size=m))
+        key = (int(rng.integers(0, m)), int(rng.integers(0, 2)))
+        poly = ParameterPolynomial(2, {(0, 0): float(rng.normal())})
+        comps.setdefault(key, {}).update({shift: poly, tuple(-x for x in shift): poly})
+    terms = {tuple(int(x) for x in rng.integers(0, 3, size=m)): 1.0 for _ in range(rng.integers(0, 3))}
+    return model, ControlConnection(m, 2, comps), ActionPolynomial(m, terms)
+
+
+def test_split_residual_is_zero_exactly_where_the_gates_accept():
+    # the count and the two refusing checks state one rule: the connection's
+    # gate (controlled_connection) and the Hamiltonian's (hamiltonian_spectrum)
+    rng = np.random.default_rng(23)
+    seen = set()
+    for _ in range(1000):
+        model, conn, ham = _random_split_case(rng)
+        zero, empty = ActionPolynomial.zero(model.m), ControlConnection.empty(model.m, 2)
+        conn_ok = _accepts(lambda: classical.controlled_connection(model, conn))
+        ham_ok = _accepts(lambda: hamiltonian_spectrum(model, ham))
+        assert conn_ok == (split_residual(model, zero, conn) == 0)
+        assert ham_ok == (split_residual(model, ham, empty) == 0)
+        seen.update({("connection", conn_ok), ("hamiltonian", ham_ok)})
+    assert len(seen) == 4  # both gates both accepted and refused
+
+
+_POLY = ParameterPolynomial(2, {(0, 0): 0.3})
+# connections that break the split of a model with m=2 and axis 0 controlled,
+# with the error and message each must be refused with
+_VIOLATIONS = {
+    "component-on-dynamic-axis": (
+        ControlConnection(2, 2, {(1, 0): {(0, 0): _POLY}}),
+        SplitViolationError,
+        r"component on axis 1 outside \(0,\)",
+    ),
+    "shift-touching-dynamic-axis": (
+        ControlConnection.from_half_spectrum(2, 2, {(0, 0): {(1, 1): _POLY}}),
+        SplitViolationError,
+        r"Fourier shift \(-?1, -?1\) touches axes outside \(0,\)",
+    ),
+    "connection-of-another-m": (
+        ControlConnection(3, 2, {(0, 0): {(0, 0, 0): _POLY}}),
+        DimensionMismatchError,
+        "connection has m=3, model has m=2",
+    ),
+}
+
+_ENTRY_POINTS = {
+    "holonomy": lambda model, conn, loop: holonomy(model, conn, loop, 8),
+    "evolve_control": lambda model, conn, loop: evolve_control(model, conn, loop, 8),
+    "evolve_full": lambda model, conn, loop: evolve_full(
+        model, ActionPolynomial(2, {(0, 2): 0.5}), conn, loop, 8
+    ),
+    "delta_generator": lambda model, conn, loop: delta_generator(model, conn, [1.0, 0.0], [0.0, 1.0]),
+    "classical_mode_transport": lambda model, conn, loop: classical_mode_transport(
+        model, conn, loop, [0.1], 8
+    ),
+    "classical_action_transport": lambda model, conn, loop: classical_action_transport(
+        model, conn, loop, [1.0], np.zeros((17, 1)), 8
+    ),
+    "abelian_control_phases": lambda model, conn, loop: abelian_control_phases(model, conn, loop),
+}
+
+
+@pytest.mark.parametrize("entry", list(_ENTRY_POINTS))
+@pytest.mark.parametrize("kind", list(_VIOLATIONS))
+def test_every_entry_point_refuses_a_split_violation_by_name(kind, entry):
+    conn, error, message = _VIOLATIONS[kind]
+    model = TorusModel(2, (0,), (0.0, 0.0), 2)
+    loop = CirclePath.circle((0.0, 0.0), 1.0, 1.0)
+    with pytest.raises(error, match=message):
+        _ENTRY_POINTS[entry](model, conn, loop)
+
+
 # --- mode transport ----------------------------------------------------------
 
 
@@ -375,13 +466,24 @@ def test_mode_transport_consistency_improves_with_steps():
     assert fine.discrepancy < coarse.discrepancy / 16
 
 
-def test_mode_transport_requires_split():
-    model = TorusModel(2, (0,), (0.0, 0.0), 4)
-    bad = ControlConnection.from_half_spectrum(
-        2, 1, {(1, 0): {(0, 0): ParameterPolynomial(1, {(0,): 1.0})}}
-    )
-    with pytest.raises(SplitViolationError):
-        classical_mode_transport(model, bad, WaypointPath(((0.0,), (1.0,)), 1.0), [0.0, 0.0][:1], 10)
+@pytest.mark.parametrize("guard", [-1, 5])
+def test_mode_transport_refuses_a_guard_outside_the_box_before_stepping(monkeypatch, guard):
+    def fail(*args):
+        raise AssertionError("a refused guard reached the RK4 route")
+
+    monkeypatch.setattr(classical, "_rk4_along", fail)
+    model = TorusModel(1, (0,), (0.0,), 4)
+    curve = WaypointPath(((0.0,), (1.0,)), 1.0)
+    with pytest.raises(ValueError, match="guard"):
+        classical_mode_transport(model, _cos_connection(0.5), curve, [0.3], 10, guard=guard)
+
+
+def test_mode_transport_guard_at_truncation_compares_mode_zero():
+    model = TorusModel(1, (0,), (0.0,), 4)
+    curve = WaypointPath(((0.0,), (1.0,)), 1.0)
+    result = classical_mode_transport(model, _cos_connection(0.5), curve, [0.3], 50, guard=4)
+    i0 = [tuple(r) for r in result.modes].index((0,))
+    assert result.discrepancy == abs(result.direct[i0] - result.ordered[i0])
 
 
 def test_mode_transport_accepts_bandwidth_over_truncation():

@@ -537,6 +537,19 @@ def test_cli_open_curve_exit3(tmp_path):
     assert not (tmp_path / "holonomy.json").exists()
 
 
+@pytest.mark.parametrize("command", ["holonomy", "evolve"])
+def test_cli_split_violation_exit3_names_the_shift(tmp_path, capsys, command):
+    payload = _holonomy_config(steps=16)
+    payload["hamiltonian"] = {"terms": [{"exponents": [0, 2], "coefficient": 0.5}]}
+    payload["connection"]["components"][0]["fourier"][0]["shift"] = [1, 1]
+    cfg = _write(tmp_path / "cfg.json", payload)
+    out = tmp_path / "out"
+    assert main(["--config", cfg, "--out", str(out), "--quiet", command]) == 3
+    err = capsys.readouterr().err
+    assert err == "precondition error: Fourier shift (1, 1) touches axes outside (0,)\n"
+    assert not out.exists()
+
+
 def _square_loop_config(tmp_path) -> str:
     payload = _holonomy_config()
     square = [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0], [0.0, 0.0]]

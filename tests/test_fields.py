@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from torus_holonomy import (
     ActionPolynomial,
     AffineObservable,
-    BandwidthError,
     ControlConnection,
     DimensionMismatchError,
     ParameterPolynomial,
@@ -374,14 +373,6 @@ def test_bracket_reality_preserved():
     result = poisson_bracket(random_affine(rng, 2, 2), random_affine(rng, 2, 2))
     assert result.scalar.real
     assert all(a.real for a in result.action_coeffs)
-
-
-def test_bracket_bandwidth_cap():
-    f = AffineObservable.from_parts(1, {0: TorusFourierField.cosine(1, 0)})
-    g = AffineObservable.from_parts(1, {0: TorusFourierField.sine(1, 0)}, TorusFourierField.cosine(1, 0))
-    poisson_bracket(f, g, max_bandwidth=2)
-    with pytest.raises(BandwidthError):
-        poisson_bracket(f, g, max_bandwidth=0)
 
 
 def test_bracket_dimension_mismatch():

@@ -116,15 +116,6 @@ def test_delta_equals_quantized_pairing():
     assert np.max(np.abs(direct - direct.conj().T)) == 0.0
 
 
-def test_delta_requires_split():
-    model = TorusModel(2, (0,), (0.0, 0.0), 2)
-    bad = ControlConnection.from_half_spectrum(
-        2, 1, {(1, 0): {(0, 0): ParameterPolynomial(1, {(0,): 1.0})}}
-    )
-    with pytest.raises(SplitViolationError):
-        delta_generator(model, bad, [0.0], [1.0])
-
-
 # --- compiled connection -----------------------------------------------------
 
 
