@@ -97,16 +97,24 @@ def hamiltonian_spectrum(
     dynamic components of ``n - offsets`` (ordered by dynamic axis), which
     enforces the split structurally.
     """
-    shifted = mode_array(model) - np.asarray(model.offsets)
+    return _spectrum(model, hamiltonian, mode_array(model) - np.asarray(model.offsets))
+
+
+def _spectrum(
+    model: TorusModel,
+    hamiltonian: ActionPolynomial | Callable[[np.ndarray], float],
+    actions: np.ndarray,
+) -> np.ndarray:
+    """H at each row of an (S, m) array of action values, by ``hamiltonian_spectrum``'s rule."""
     if isinstance(hamiltonian, ActionPolynomial):
         if hamiltonian.m != model.m:
             raise DimensionMismatchError("Hamiltonian dimension differs from model")
         bad = hamiltonian.action_axes() & set(model.controlled)
         if bad:
             raise SplitViolationError(f"Hamiltonian depends on controlled action axes {sorted(bad)}")
-        return np.array([hamiltonian.evaluate(row) for row in shifted])
+        return np.array([hamiltonian.evaluate(row) for row in actions])
     dyn = list(model.dynamic)
-    return np.array([float(hamiltonian(row[dyn])) for row in shifted])
+    return np.array([float(hamiltonian(row[dyn])) for row in actions])
 
 
 def hamiltonian_operator(
@@ -589,18 +597,8 @@ def halfform_equivalence(
         dev = max(dev, float(np.max(np.abs(anti - periodic))))
         compared += modes.shape[0]
     if hamiltonian is not None:
-        anti_vals = np.asarray(
-            [_halfform_value(hamiltonian, model, row, half) for row in modes]
-        )
+        anti_vals = _spectrum(model, hamiltonian, modes - np.asarray(model.offsets) + half)
         periodic_vals = hamiltonian_spectrum(shifted_model, hamiltonian)
         dev = max(dev, float(np.max(np.abs(anti_vals - periodic_vals))))
         compared += modes.shape[0]
     return SpectralComparison(dev, compared, "halfform")
-
-
-def _halfform_value(hamiltonian, model, mode, half) -> float:
-    shifted = mode - np.asarray(model.offsets) + half
-    if isinstance(hamiltonian, ActionPolynomial):
-        return hamiltonian.evaluate(shifted)
-    dyn = list(model.dynamic)
-    return float(hamiltonian(shifted[dyn]))

@@ -25,11 +25,16 @@ the step count: each chunk's generators are contracted from its weight
 rows as one stack (``ShiftBasis.generators``), exponentiated by one
 ``operators.exp_stack`` call, and left-multiplied onto the product one
 step at a time, in step order.
-``delta_generator`` and the reference route of ``evolve_full`` stay on the
-independent ``quantize_affine(as_observable(...))`` assembly and on
+``delta_generator`` stays on the independent
+``quantize_affine(as_observable(...))`` assembly.  The reference route of
+``evolve_full`` uses that the pairing is linear in the velocity and
+polynomial in sigma: it quantizes one field per (component, sigma-monomial)
+with ``quantize_affine`` once per call, sums them with the step weights
+``v_beta sigma^e``, and exponentiates each chunk of steps with one call of
 ``expm``, a diagonal Padé approximant with scaling and squaring (Higham
-2005) in numpy, so the reported route deviation also cross-checks the
-compiled kernel and the Taylor series of the stacked exponentials.
+2005) in numpy.  It reads neither the compiled table nor its shift basis,
+so the reported route deviation also cross-checks the compiled kernel and
+the Taylor series of the stacked exponentials.
 
 ``evolve_full`` computes both of its routes per dynamic label, as
 (2N+1)^(m-l) blocks of size (2N+1)^l.  The factorized block of label j is
@@ -38,12 +43,12 @@ H_hat + Delta_hat(t), but it never forms that generator on the full
 lattice: no entry of it couples two different dynamic labels, and on label
 j it is ``E_j I + D(t)`` with the same controlled block D(t) for every j.
 So each reference step is exactly ``exp(-i dt E_j) exp(-i dt D)``: one
-(2N+1)^l exponential per step, shared by all labels, and a phase angle
-``E_j * (sum of dt)`` per label, applied once at the end.  That the
-dynamic phase may leave the exponent is checked apart from this route: by
-``verify``'s ``perturbation_commutes`` and by the tests' dense oracle,
-which exponentiates ``diag(H) + Delta_hat`` on the full lattice.  The
-unitarity defects and the route deviation are measured on the
+(2N+1)^l exponential per step, shared by all labels and computed in the
+chunk's stack, and a phase angle ``E_j * (sum of dt)`` per label, applied
+once at the end.  That the dynamic phase may leave the exponent is checked
+apart from this route: by ``verify``'s ``perturbation_commutes`` and by the
+tests' dense oracle, which exponentiates ``diag(H) + Delta_hat`` on the
+full lattice.  The unitarity defects and the route deviation are measured on the
 (dsize, csize, csize) stacks (``unitarity_defect`` takes one matrix or a
 stack), and the report keeps both stacks: only the factorized one is
 lifted to the full lattice, for the ``evolution.json`` payload.  No
@@ -59,11 +64,12 @@ import numpy as np
 
 from .curves import ParameterCurve, reparameterize, step_intervals
 from .errors import DimensionMismatchError, OpenCurveError, SplitViolationError
-from .fields import ControlConnection
+from .fields import AffineObservable, ControlConnection, TorusFourierField
 from .classical import compile_controlled, controlled_connection
 from .lattice import TorusModel, WaveFunction, controlled_submodel, sublattice_index
 from .operators import (
     OperatorMatrix,
+    _add_identity,
     exp_stack,
     hamiltonian_spectrum,
     quantize_affine,
@@ -102,26 +108,32 @@ _PADE = {
 
 
 def expm(a: np.ndarray) -> np.ndarray:
-    """Matrix exponential of one (n, n) matrix, for the reference route.
+    """Matrix exponential of one (n, n) matrix or of each matrix of an (S, n, n) stack.
 
     Scaling and squaring with a diagonal Padé approximant (Higham 2005,
     Algorithm 2.3): the degree is the smallest m of 3, 5, 7, 9, 13 with the
-    1-norm at most theta_m; above theta_13 the matrix is scaled by 2**-s
-    first and the result squared s times.  With U and V the odd and even
-    parts of the numerator, the approximant ``(V - U)^-1 (V + U)`` is
-    formed as ``I + 2 (V - U)^-1 U`` by one LU solve: with the identity kept
-    out of the solve, a step near I stays unitary to rounding (2e-16 per
-    17x17 step of the bench evolve config, against 7e-16 for the plain
-    quotient).  A rational function, so it shares no algorithm with the
-    Taylor series of ``exp_stack``.  A non-finite entry gives an all-NaN
-    result.
+    largest 1-norm of the stack at most theta_m; above theta_13 the stack is
+    scaled by 2**-s first and the result squared s times.  One degree and
+    one s serve the whole stack, as in ``exp_stack``, so a chunk of steps
+    costs a few batched products and one batched LU solve.  With U and V
+    the odd and even parts of the numerator, the approximant
+    ``(V - U)^-1 (V + U)`` is formed as ``I + 2 (V - U)^-1 U``: with the
+    identity kept out of the solve, a step near I stays unitary to rounding
+    (2e-16 per 17x17 step of the bench evolve config, against 7e-16 for the
+    plain quotient).  A rational function, so it shares no algorithm with
+    the Taylor series of ``exp_stack``.  A non-finite entry anywhere gives
+    an all-NaN result of the argument's shape.
     """
     a = np.asarray(a)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionMismatchError(f"expected an (n, n) matrix, got shape {a.shape}")
+    if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]:
+        raise DimensionMismatchError(
+            f"expected an (n, n) matrix or an (S, n, n) stack, got shape {a.shape}"
+        )
     a = np.asarray(a, dtype=np.result_type(a, float))
-    n = a.shape[0]
-    norm = float(np.abs(a).sum(axis=0).max(initial=0.0))
+    if not a.size:
+        return a.copy()
+    stack = a if a.ndim == 3 else a[None]
+    norm = float(np.max(np.abs(stack).sum(axis=1)))
     if not np.isfinite(norm):
         return np.full_like(a, np.nan)
     s = 0
@@ -130,21 +142,20 @@ def expm(a: np.ndarray) -> np.ndarray:
     if norm > theta:
         s = int(np.ceil(np.log2(norm / theta)))
         s += norm * 2.0**-s > theta  # in case log2 rounded down
-        a = a * 2.0**-s
-    diagonal = slice(None, None, n + 1)
+        stack = stack * 2.0**-s
 
     def series(coefficients, powers):
         """``c_0 I + c_1 A^2 + c_2 A^4 + ...`` from the even powers."""
         out = coefficients[1] * powers[0]
         for c, power in zip(coefficients[2:], powers[1:]):
             out += c * power
-        out.ravel()[diagonal] += coefficients[0]
+        _add_identity(out, coefficients[0])
         return out
 
     # U = A * (odd coefficients over I, A^2, ..), V = even coefficients over them;
     # degree 13 stops at A^6 and adds A^6 times a second series (Higham 2005, (2.11))
     count = m // 2 if m < 13 else 3
-    powers = [a @ a]
+    powers = [stack @ stack]
     while len(powers) < count:
         powers.append(powers[-1] @ powers[0])
     u = series(b[1 : 2 * count + 2 : 2], powers)
@@ -153,12 +164,12 @@ def expm(a: np.ndarray) -> np.ndarray:
         a2, a4, a6 = powers
         u += a6 @ (b[9] * a2 + b[11] * a4 + b[13] * a6)
         v += a6 @ (b[8] * a2 + b[10] * a4 + b[12] * a6)
-    u = a @ u
+    u = stack @ u
     result = 2.0 * np.linalg.solve(v - u, u)
-    result.ravel()[diagonal] += 1.0
+    _add_identity(result, 1.0)
     for _ in range(s):
         result = result @ result
-    return result
+    return result.reshape(a.shape)
 
 
 def unitarity_defect(matrix: np.ndarray) -> float:
@@ -289,6 +300,43 @@ def restrict_to_eigenspace(full: OperatorMatrix, dynamic_label: Sequence[int]) -
     return full.matrix[np.ix_(keep, keep)]
 
 
+def _pairing_terms(
+    model: TorusModel, connection: ControlConnection
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The quantized velocity pairing by linearity: ``sum_K v_beta sigma^e Q_K``.
+
+    One term K per component (axis, beta) of ``connection`` and exponent e of
+    its sigma-polynomials; Q_K is ``quantize_affine`` on ``model`` of the
+    observable whose only part, on ``axis``, is the field of the component's
+    e-th monomial coefficients.  Returns the Q_K as (K, n*n) rows, each
+    term's parameter axis beta, shape (K,), and the (K, d) exponents.
+
+    A connection's mirrored coefficients agree only to its reality
+    tolerance, which is relative to each whole polynomial, so a monomial's
+    field takes the real part ``(F_c + conj F_-c) / 2`` of each pair: the
+    field's own check, relative to its smaller scale, would refuse a valid
+    connection.  Where the mirrors are exact, that is F_c itself.
+    """
+    rows, betas, exponents = [], [], []
+    for (axis, beta), fourier in sorted(connection.components.items()):
+        for e in sorted({e for poly in fourier.values() for e in poly.coefficients}):
+            given = {c: poly.coefficients.get(e, 0.0) for c, poly in fourier.items()}
+            monomial = {
+                c: 0.5 * v + 0.5 * given[tuple(-x for x in c)].conjugate() for c, v in given.items()
+            }
+            part = TorusFourierField(connection.m, monomial)
+            observable = AffineObservable.from_parts(connection.m, {axis: part})
+            rows.append(quantize_affine(model, observable).matrix.reshape(-1))
+            betas.append(beta)
+            exponents.append(e)
+    K, d = len(rows), connection.parameter_dim
+    return (
+        np.array(rows, dtype=complex).reshape(K, model.size**2),
+        np.array(betas, dtype=np.int64),
+        np.array(exponents, dtype=np.int64).reshape(K, d),
+    )
+
+
 @dataclass(frozen=True)
 class FactorizationReport:
     """Factorized route versus an independent reference, as (dsize, csize, csize) stacks."""
@@ -321,7 +369,11 @@ def evolve_full(
     deliberately different discretization, so the reported deviation is a
     genuine cross-check that shrinks under refinement (the generators
     commute under the split, so the routes agree in the limit).  A step
-    reads both ends on its midpoint's segment (``step_segments``).
+    reads both ends on its midpoint's segment (``step_segments``).  The
+    generator is linear in the pairing's terms (``_pairing_terms``), so the
+    endpoint average is taken on the term weights, and a chunk of steps
+    (``step_chunks``) is one product of its weight rows with the quantized
+    terms, exponentiated by one stacked ``expm`` call.
 
     Under the split no entry of either route couples two different dynamic
     labels: H_hat is diagonal and equal to E_j on every mode of label j,
@@ -331,13 +383,13 @@ def evolve_full(
     is ``exp(-i E_j T) U2`` with U2 from ``_control_block_product``.  On
     label j the reference's step generator is ``E_j I + D_avg``, whose
     exponential is exactly ``exp(-i dt E_j) exp(-i dt D_avg)``; so each
-    step takes one ``expm`` of the controlled block D_avg, shared by every
-    label, into the product V, and the reference block of label j is
-    ``exp(-i E_j elapsed) V``.  The split is refused where each object's
-    rule lives: the connection by ``controlled_connection``, a polynomial
-    Hamiltonian on a controlled action by ``hamiltonian_spectrum``; a
-    spectrum that is not constant on a dynamic label raises
-    ``SplitViolationError`` here.  The unitarity defects and the route
+    step takes one exponential of the controlled block D_avg, shared by
+    every label, into the product V, one step at a time in step order, and
+    the reference block of label j is ``exp(-i E_j elapsed) V``.  The split
+    is refused where each object's rule lives: the connection by
+    ``controlled_connection``, a polynomial Hamiltonian on a controlled
+    action by ``hamiltonian_spectrum``; a spectrum that is not constant on a
+    dynamic label raises ``SplitViolationError`` here.  The unitarity defects and the route
     deviation are taken over the stacks; the off-label entries they leave
     out are exact zeros in both routes.
     Only the report's ``operator`` lifts, and only the factorized stack.
@@ -353,24 +405,29 @@ def evolve_full(
     u2, sub_model = _control_block_product(model, connection, curve, steps)
     factorized = np.exp(-1j * label_energy * curve.duration)[:, None, None] * u2
 
+    n = sub_model.size
+    basis, betas, exponents = _pairing_terms(sub_model, sub_conn)
+
+    def weights(points: np.ndarray, velocities: np.ndarray) -> np.ndarray:
+        """``v_beta sigma^e`` of every term at S samples, shape (S, K)."""
+        return velocities[:, betas] * np.prod(points[:, None, :] ** exponents, axis=2)
+
     times = step_intervals(curve, steps)
     segments, starts = curve.step_segments(times)
-    points, velocities = curve.sample(times[1:], segments)
-    restart = dict(zip(starts.tolist(), zip(*curve.sample(times[starts], segments[starts]))))
-
-    def block_delta(point: np.ndarray, velocity: np.ndarray) -> np.ndarray:
-        return quantize_affine(sub_model, sub_conn.as_observable(point, velocity)).matrix
-
+    ends = weights(*curve.sample(times[1:], segments))
+    begins = np.empty_like(ends)
+    begins[1:] = ends[:-1]
+    begins[starts] = weights(*curve.sample(times[starts], segments[starts]))
+    dt = np.diff(times)
+    scaled = (-1j * dt)[:, None] * (0.5 * (begins + ends))
+    V = np.eye(n, dtype=complex)
+    for chunk in step_chunks(len(dt), n):
+        for step in expm((scaled[chunk] @ basis).reshape(-1, n, n)):
+            V = step @ V
     # label j's phase angle is E_j times the summed steps: a product of
     # per-step phases lets the modulus drift, and a per-step sum of dt * E_j
     # rounds at the scale of the whole angle on every step
-    V = np.eye(sub_model.size, dtype=complex)
-    elapsed = 0.0
-    for i, dt in enumerate(np.diff(times).tolist()):
-        start = block_delta(*restart[i]) if i in restart else end
-        end = block_delta(points[i], velocities[i])
-        V = expm(-1j * dt * (0.5 * (start + end))) @ V
-        elapsed += dt
+    elapsed = sum(dt.tolist())
     reference = np.exp(-1j * (label_energy * elapsed))[:, None, None] * V
     deviation = float(np.max(np.abs(factorized - reference)))
     return FactorizationReport(model, factorized, reference, steps, unitarity_defect(factorized),

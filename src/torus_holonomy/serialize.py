@@ -8,7 +8,10 @@ both ``+0.0`` is one shared pair: a payload costs memory and time in
 proportion to its nonzero entries.  The files are the bytes a list per entry
 would give.  JSON files are one compact line with sorted keys, written
 without ``indent`` so that ``json`` uses its C encoder, and without its
-cycle check, since every payload is a tree the package builds.
+cycle check, since every payload is a tree the package builds.  An operator
+payload's entries are the one part written without the encoder: each shared
+zero pair is one constant text and every other part is ``float.__repr__``,
+so writing a payload also costs time in proportion to its nonzero entries.
 Trajectories ship as CSV with 17 significant digits, each row formatted
 from Python floats by one format string; the bytes are those of formatting
 every value with ``:.17g``.  All writers go through a temp file plus atomic
@@ -106,13 +109,51 @@ def _numpy_value(value):
     raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
+def _dumps(value) -> str:
+    return json.dumps(
+        value, sort_keys=True, allow_nan=False, check_circular=False, default=_numpy_value
+    )
+
+
+def _operator_text(payload: Mapping) -> str:
+    """An operator payload as ``_dumps`` writes it, its entries rendered pair by pair.
+
+    Every shared ``_ZERO_ENTRY`` is one constant text, and every other part
+    goes through ``float.__repr__``, which is what the encoder writes for a
+    float, so the entries cost time in proportion to the nonzero ones.  The
+    other keys go through ``_dumps``, and all pieces are joined once, so the
+    text is built once.  ``float.__repr__`` spells a non-finite part ``nan``,
+    ``inf`` or ``-inf``, and no finite part holds an ``n``: one search of
+    the entries' span of the text finds them.
+    """
+    keys = sorted(payload)
+    at = keys.index("entries")
+    head = "".join(f"{_dumps(key)}: {_dumps(payload[key])}, " for key in keys[:at])
+    tail = "".join(f", {_dumps(key)}: {_dumps(payload[key])}" for key in keys[at + 1 :])
+    prefix, suffix = f'{{{head}"entries": [', f"]{tail}}}\n"
+    number = float.__repr__
+    pieces = [
+        "[0.0, 0.0]" if pair is _ZERO_ENTRY else f"[{number(pair[0])}, {number(pair[1])}]"
+        for pair in payload["entries"]
+    ]
+    pieces[0] = prefix + pieces[0]
+    pieces[-1] += suffix
+    joined = ", ".join(pieces)
+    if joined.find("n", len(prefix), len(joined) - len(suffix)) >= 0:
+        raise ValueError("Out of range float values are not JSON compliant")
+    return joined
+
+
 def json_text(payload: Mapping) -> str:
-    """Payload as JSON text; non-finite numbers have no JSON form and are refused."""
+    """Payload as JSON text; non-finite numbers have no JSON form and are refused.
+
+    An ``operator`` payload's entries are rendered by ``_operator_text``;
+    its bytes are those of ``json.dumps`` with sorted keys.
+    """
     try:
-        text = json.dumps(
-            payload, sort_keys=True, allow_nan=False, check_circular=False, default=_numpy_value
-        )
-        return text + "\n"
+        if payload.get("format") == "operator":
+            return _operator_text(payload)
+        return _dumps(payload) + "\n"
     except ValueError as exc:
         raise TorusHolonomyError(f"payload cannot be written as JSON: {exc}") from exc
 

@@ -781,6 +781,21 @@ def test_operator_payload_writes_the_list_form_bytes(case):
     assert json_text(payload) == json.dumps(oracle, sort_keys=True, allow_nan=False) + "\n"
 
 
+def test_json_text_writes_operator_keys_around_the_entries_in_sorted_order():
+    # an operator payload's entries are rendered apart from its other keys;
+    # keys that sort before and after "entries" keep json.dumps' order and form
+    from torus_holonomy import OperatorMatrix, TorusModel
+    from torus_holonomy.serialize import _numpy_value, json_text, operator_payload
+
+    model = TorusModel(1, (0,), (0.25,), 1)
+    matrix = np.diag([1.5, -0.0, 2.0**-1074]).astype(complex)
+    matrix[0, 2] = complex(-3.0, 1e300)
+    payload = {**operator_payload(OperatorMatrix(model, matrix)),
+               "alpha": [np.float64(0.1), "entries"], "zeta": {"n": np.int64(-2)}}
+    want = json.dumps(payload, sort_keys=True, allow_nan=False, default=_numpy_value) + "\n"
+    assert json_text(payload) == want
+
+
 def test_json_text_round_trips_numpy_values():
     from torus_holonomy.serialize import json_text
 
@@ -852,8 +867,9 @@ def test_cli_non_finite_result_exit3_no_output(tmp_path, capsys, monkeypatch, ba
 @pytest.mark.parametrize("command", ["holonomy", "evolve"])
 def test_cli_overflowing_generator_exit3_no_output(tmp_path, capsys, command):
     # a finite coefficient whose step weights overflow: the stacked
-    # exponentials give a non-finite operator, which is refused unwritten,
-    # and evolve's reference route refuses the overflowed generator field
+    # exponentials give a non-finite operator, and json_text's non-finite
+    # refusal stops it before any file is created (for evolve too: its
+    # reference route builds no field per step to refuse)
     payload = json.loads((CONFIGS / "abelian_loop.json").read_text())
     payload["connection"]["components"][0]["fourier"][0]["poly"][0]["coefficient"] = 1e308
     cfg = _write(tmp_path / "cfg.json", payload)

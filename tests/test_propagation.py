@@ -32,7 +32,7 @@ from torus_holonomy import (
 )
 from scipy.linalg import expm
 
-from torus_holonomy import BandwidthError, propagation, step_intervals
+from torus_holonomy import BandwidthError, concatenate, propagation, step_intervals
 from torus_holonomy.classical import _mode_basis
 from torus_holonomy.curves import segment_edges
 from torus_holonomy.lattice import mode_array, sublattice_index
@@ -839,6 +839,114 @@ def test_expm_non_finite_input_gives_all_nan(bad, dtype):
     assert not np.all(np.isfinite(expm(a)))
 
 
+@pytest.mark.parametrize(
+    "kind, n", [(kind, n) for kind in (_general, _skew_hermitian) for n in (1, 2, 17)] + [(_real, 17)]
+)
+def test_stacked_expm_matches_scipy_expm_per_matrix(kind, n):
+    # one degree and one scaling serve the stack, taken from its largest
+    # 1-norm: the small matrices are exponentiated at the largest one's
+    # degree, scaled and squared with it, and must stay as accurate
+    rng = np.random.default_rng(100 + n)
+    stack = []
+    for norm in rng.permutation(_PADE_NORMS):
+        a = kind(rng, n)
+        stack.append(a * (norm / np.max(np.abs(a).sum(axis=0))))
+    stack = np.array(stack)
+    got = propagation.expm(stack)
+    assert got.shape == stack.shape and got.dtype == stack.dtype
+    for a, each in zip(stack, got):
+        want = expm(a)
+        assert np.max(np.abs(each - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("norm", _PADE_NORMS)
+def test_expm_of_a_one_matrix_stack_is_the_matrix_call(norm):
+    rng = np.random.default_rng(7)
+    a = _skew_hermitian(rng, 17)
+    a *= norm / np.max(np.abs(a).sum(axis=0))
+    assert np.array_equal(propagation.expm(a[None])[0], propagation.expm(a))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_expm_of_a_stack_with_one_non_finite_matrix_is_all_nan(bad):
+    stack = np.stack([0.1 * np.eye(3, dtype=complex)] * 4)
+    stack[2, 1, 0] = bad
+    got = propagation.expm(stack)
+    assert got.shape == stack.shape and np.all(np.isnan(got))
+
+
+@st.composite
+def _linear_reference_cases(draw):
+    """Split model (m <= 3, l in {1, 2}), connection (degree <= 2 or empty), curve, steps."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = draw(st.integers(1, 3))
+    l = draw(st.integers(1, min(m, 2)))
+    controlled = tuple(sorted(int(a) for a in rng.choice(m, size=l, replace=False)))
+    truncation = draw(st.integers(1, 3 if l == 1 else 2))
+    model = TorusModel(m, controlled, tuple(rng.uniform(-1.0, 1.0, m)), truncation)
+    d = draw(st.integers(1, 3))
+    if draw(st.integers(0, 3)) == 3:
+        conn = ControlConnection.empty(m, d)
+    else:
+        conn = _random_split_connection(rng, model, d, min(truncation, 2))
+    circle = CirclePath(*rng.uniform(-1.0, 1.0, (3, d)), float(rng.uniform(0.3, 1.5)),
+                        phase=float(rng.uniform(0.0, 6.0)))
+    # a waypoint path from the circle's end: joints with zero velocity, and a
+    # velocity jump where it is chained to the circle
+    legs = rng.uniform(-1.0, 1.0, (draw(st.integers(1, 3)), d))
+    path = WaypointPath([circle.point(circle.duration), *legs], float(rng.uniform(0.3, 1.5)))
+    kind = draw(st.sampled_from(["circle", "waypoints", "chain", "reversed chain"]))
+    curve = {"circle": circle, "waypoints": path}.get(kind) or concatenate(circle, path)
+    if kind == "reversed chain":
+        curve = curve.reverse()
+    return model, conn, curve, draw(st.integers(len(curve.breakpoints) + 1, 12))
+
+
+def _per_step_assembly_product(model, conn, curve, steps):
+    """Endpoint-average product on the controlled box, each end assembled by as_observable.
+
+    Both ends of a step are read on its midpoint's segment.
+    """
+    sub_model = propagation.controlled_submodel(model)
+    sub_conn = conn.restricted(model.controlled)
+    times = step_intervals(curve, steps)
+    segments, _ = curve.step_segments(times)
+    V = np.eye(sub_model.size, dtype=complex)
+    for i, segment in enumerate(segments):
+        points, velocities = curve.sample(times[i : i + 2], [segment, segment])
+        start, end = (
+            quantize_affine(sub_model, sub_conn.as_observable(p, v)).matrix
+            for p, v in zip(points, velocities)
+        )
+        V = expm(-1j * float(times[i + 1] - times[i]) * (0.5 * (start + end))) @ V
+    return V
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(_linear_reference_cases())
+def test_linear_reference_matches_per_step_assembly(case):
+    model, conn, curve, steps = case
+    report = evolve_full(model, ActionPolynomial.zero(model.m), conn, curve, steps)
+    # a zero Hamiltonian leaves every label's reference block equal to V
+    V = _per_step_assembly_product(model, conn, curve, steps)
+    assert np.max(np.abs(report.reference - V)) <= 1e-13
+
+
+def test_linear_reference_accepts_mirrors_equal_to_the_connection_tolerance():
+    # the connection checks reality relative to a whole polynomial (scale 10
+    # here), so a small monomial's mirrors may differ by more than a field
+    # of that monomial alone would allow
+    c = 1e-3 + 2e-3j
+    conn = ControlConnection(2, 2, {(0, 0): {
+        (1, 0): ParameterPolynomial(2, {(0, 0): 10.0, (1, 0): c}),
+        (-1, 0): ParameterPolynomial(2, {(0, 0): 10.0, (1, 0): np.conj(c) + 5e-12}),
+    }})
+    model = TorusModel(2, (0,), (0.25, 0.5), 3)
+    report = evolve_full(model, ActionPolynomial.zero(2), conn, _unit_circle(), 20)
+    V = _per_step_assembly_product(model, conn, _unit_circle(), 20)
+    assert np.max(np.abs(report.reference - V)) <= 1e-12
+
+
 def test_dynamic_propagator_defect_is_the_dense_defect():
     from torus_holonomy import dynamic_propagator
 
@@ -867,7 +975,8 @@ def test_evolve_full_exponentiates_only_controlled_blocks(monkeypatch):
         return real_exp_stack(a)
 
     monkeypatch.setattr(propagation, "exp_stack", recording_exp_stack)
-    steps = 5
+    # more steps than one chunk holds for each of the three box sizes
+    steps = 400
     models = (
         _demo_model(4),
         TorusModel(3, (1,), (0.1, 0.25, -0.6), 2),
@@ -878,9 +987,13 @@ def test_evolve_full_exponentiates_only_controlled_blocks(monkeypatch):
         conn = _random_split_connection(np.random.default_rng(5), model, 2, 2)
         report = evolve_full(model, ActionPolynomial.zero(model.m), conn, _unit_circle(), steps)
         csize = propagation.controlled_submodel(model).size
-        # one (csize, csize) matrix per step, never a stack of dynamic labels
+        # stacks of (csize, csize) steps, at most one chunk each, never a
+        # full-lattice matrix or a stack of dynamic labels
         assert report.steps == steps
-        assert shapes == [(csize, csize)] * steps
+        assert all(len(shape) == 3 and shape[1:] == (csize, csize) for shape in shapes)
+        counts = [shape[0] for shape in shapes]
+        assert sum(counts) == steps
+        assert max(counts) <= propagation.step_chunks(steps, csize)[0].stop < steps
         assert (csize < model.size) == bool(model.dynamic)
         shapes.clear()
         assert stacked and max(stacked) <= csize
