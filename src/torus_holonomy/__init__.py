@@ -62,7 +62,6 @@ from .lattice import (
     inner_product,
     interior_modes,
     mode_iter,
-    wrap_angles,
 )
 from .operators import (
     OperatorMatrix,
@@ -79,13 +78,10 @@ from .propagation import (
     FactorizationReport,
     PropagatorReport,
     delta_generator,
-    dynamic_propagator,
     evolve_control,
-    evolve_dynamic,
     evolve_full,
     holonomy,
     path_invariance_report,
-    restrict_to_eigenspace,
 )
 
 __version__ = "0.1.0"
@@ -124,9 +120,7 @@ __all__ = [
     "concatenate",
     "delta_generator",
     "dirac_residual",
-    "dynamic_propagator",
     "evolve_control",
-    "evolve_dynamic",
     "evolve_free",
     "evolve_full",
     "evolve_perturbed",
@@ -143,8 +137,6 @@ __all__ = [
     "poisson_bracket",
     "quantize_affine",
     "reparameterize",
-    "restrict_to_eigenspace",
     "split_residual",
     "step_intervals",
-    "wrap_angles",
 ]

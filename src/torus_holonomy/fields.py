@@ -3,15 +3,17 @@
 Angle dependence enters exclusively through finite Fourier series, each
 held as one dense, centred coefficient array, so sums, products and angle
 derivatives are exact whole-array operations and matrix elements downstream
-are exact.  An affine observable is
-``f = sum_k a_k(phi) I_k + b(phi)`` with real-valued component fields; the
-Poisson bracket of two affine observables is again affine and is computed
-in closed form here.
+are exact.  Every field is a real function, ``F_{-c} = conj(F_c)``, so its
+quantization is Hermitian.  An affine observable is
+``f = sum_k a_k(phi) I_k + b(phi)``; the Poisson bracket of two affine
+observables is again affine and is computed in closed form here.
 
 A control connection couples parameter velocities to angle drift.  Its
 components carry a Fourier shift over the torus angles and a polynomial
 dependence on the parameter point sigma, so sigma-derivatives and line
-integrals are exact as well.
+integrals are exact as well.  The connection is where the reality rule
+is checked against data from outside: its mirrored pairs are stored as
+exact mirrors, so every field frozen from it is real to the last bit.
 """
 
 from __future__ import annotations
@@ -63,27 +65,25 @@ class TorusFourierField:
     The coefficients are one read-only, centred complex array of shape
     ``(2C+1,)*m`` whose entry ``c + C`` holds ``F_c``.  Zero borders are
     trimmed, so C is the bandwidth and equal fields have equal arrays.
-    ``real=True`` declares a real-valued function and requires the symmetry
-    ``F_{-c} = conj(F_c)``; it and finiteness are checked at construction.
+    The field is a real function: the symmetry ``F_{-c} = conj(F_c)`` is
+    checked at construction, relative to the largest coefficient, and so
+    is finiteness.
     """
 
     array: np.ndarray
-    real: bool = True
 
-    def __init__(
-        self, m: int, coefficients: Mapping[tuple[int, ...], complex] | None = None, real: bool = True
-    ):
+    def __init__(self, m: int, coefficients: Mapping[tuple[int, ...], complex] | None = None):
         coeffs = {_as_shift(c, m): complex(v) for c, v in (coefficients or {}).items()}
-        self._store(_centred(m, coeffs), real)
+        self._store(_centred(m, coeffs))
 
     @classmethod
-    def _from_array(cls, array: np.ndarray, real: bool) -> "TorusFourierField":
+    def _from_array(cls, array: np.ndarray) -> "TorusFourierField":
         """Field of a centred coefficient array that no one else holds."""
         fld = cls.__new__(cls)
-        fld._store(array, real)
+        fld._store(array)
         return fld
 
-    def _store(self, array: np.ndarray, real: bool) -> None:
+    def _store(self, array: np.ndarray) -> None:
         scale = np.abs(array).max()
         if not np.isfinite(scale):
             raise NonFiniteError("field coefficients must be finite; one is inf or nan, or overflowed")
@@ -91,16 +91,13 @@ class TorusFourierField:
         keep = int(np.abs(np.argwhere(array) - C).max(initial=0))
         array = array[(slice(C - keep, C + keep + 1),) * array.ndim]
         array.flags.writeable = False
-        if real:
-            defect = np.abs(np.conj(array) - np.flip(array)).max()
-            if defect > _REALITY_TOL * max(1.0, scale):
-                raise ValueError(f"field flagged real but F(-c) = conj(F(c)) fails by {defect:.3g}")
+        defect = np.abs(np.conj(array) - np.flip(array)).max()
+        if defect > _REALITY_TOL * max(1.0, scale):
+            raise ValueError(f"field is not real: F(-c) = conj(F(c)) fails by {defect:.3g}")
         object.__setattr__(self, "array", array)
-        object.__setattr__(self, "real", real)
 
     def __eq__(self, other) -> bool:
-        same = isinstance(other, TorusFourierField) and self.real == other.real
-        return same and np.array_equal(self.array, other.array)
+        return isinstance(other, TorusFourierField) and np.array_equal(self.array, other.array)
 
     # -- constructors ------------------------------------------------------
 
@@ -153,17 +150,12 @@ class TorusFourierField:
     def is_zero(self) -> bool:
         return not self.array.any()
 
-    def evaluate(self, phi: Sequence[float]) -> complex:
+    def evaluate(self, phi: Sequence[float]) -> float:
         phi = np.asarray(phi, dtype=float)
         if phi.shape != (self.m,):
             raise DimensionMismatchError(f"angle vector shape {phi.shape}, expected ({self.m},)")
         shifts = np.argwhere(self.array) - self.bandwidth
-        return complex(self.array[self.array != 0] @ np.exp(1j * (shifts @ phi)))
-
-    def evaluate_real(self, phi: Sequence[float]) -> float:
-        if not self.real:
-            raise ValueError("evaluate_real requires a real-flagged field")
-        return float(self.evaluate(phi).real)
+        return float((self.array[self.array != 0] @ np.exp(1j * (shifts @ phi))).real)
 
     # -- exact algebra -----------------------------------------------------
 
@@ -171,7 +163,7 @@ class TorusFourierField:
         """Angle derivative along one axis; the derivative of a real field is real."""
         C = self.bandwidth
         shift = np.moveaxis(np.arange(-C, C + 1).reshape([-1] + [1] * (self.m - 1)), 0, axis)
-        return TorusFourierField._from_array(self.array * 1j * shift, self.real)
+        return TorusFourierField._from_array(self.array * 1j * shift)
 
     def __add__(self, other: "TorusFourierField") -> "TorusFourierField":
         if self.m != other.m:
@@ -180,7 +172,7 @@ class TorusFourierField:
         array = np.zeros((2 * C + 1,) * self.m, dtype=complex)
         for fld in (self, other):
             array[(slice(C - fld.bandwidth, C + fld.bandwidth + 1),) * self.m] += fld.array
-        return TorusFourierField._from_array(array, self.real and other.real)
+        return TorusFourierField._from_array(array)
 
     def __sub__(self, other: "TorusFourierField") -> "TorusFourierField":
         return self + other.scaled(-1.0)
@@ -193,12 +185,10 @@ class TorusFourierField:
         array = np.zeros((self.array.shape[0] + width - 1,) * self.m, dtype=complex)
         for idx in np.argwhere(self.array):
             array[tuple(slice(i, i + width) for i in idx)] += self.array[tuple(idx)] * other.array
-        return TorusFourierField._from_array(array, self.real and other.real)
+        return TorusFourierField._from_array(array)
 
-    def scaled(self, s: complex) -> "TorusFourierField":
-        s = complex(s)
-        real = self.real and s.imag == 0.0
-        return TorusFourierField._from_array(s * self.array, real)
+    def scaled(self, s: float) -> "TorusFourierField":
+        return TorusFourierField._from_array(float(s) * self.array)
 
 
 @dataclass(frozen=True)
@@ -216,10 +206,6 @@ class AffineObservable:
         for f in self.action_coeffs:
             if f.m != m:
                 raise DimensionMismatchError("component field dimension differs")
-            if not f.real:
-                raise ValueError("affine observables must have real component fields")
-        if not self.scalar.real:
-            raise ValueError("affine observables must have real component fields")
 
     @property
     def m(self) -> int:
@@ -255,10 +241,10 @@ class AffineObservable:
 
     def evaluate(self, actions: Sequence[float], phi: Sequence[float]) -> float:
         actions = np.asarray(actions, dtype=float)
-        total = self.scalar.evaluate_real(phi)
+        total = self.scalar.evaluate(phi)
         for k in range(self.m):
             if not self.action_coeffs[k].is_zero:
-                total += self.action_coeffs[k].evaluate_real(phi) * actions[k]
+                total += self.action_coeffs[k].evaluate(phi) * actions[k]
         return float(total)
 
     @property
@@ -310,7 +296,7 @@ def poisson_bracket(f: AffineObservable, g: AffineObservable) -> AffineObservabl
         along = shift.reshape((1,) * (k + 1) + (-1,) + (1,) * (m - k - 1))
         total += convolve(fp[k], gp * 1j * along)
         total -= convolve(gp[k], fp * 1j * along)
-    parts = [TorusFourierField._from_array(part, True) for part in total]
+    parts = [TorusFourierField._from_array(part) for part in total]
     return AffineObservable(tuple(parts[:m]), parts[m])
 
 
@@ -380,6 +366,33 @@ class ParameterPolynomial:
         return ParameterPolynomial(self.dim, {e: np.conj(v) for e, v in self.coefficients.items()})
 
 
+def _real_pairs(fourier: Mapping[tuple[int, ...], ParameterPolynomial]) -> dict:
+    """Each mirrored pair stored as its real part; a pair that cancels is dropped.
+
+    ``p_c <- (p_c + conj p_-c) / 2`` for the member with ``c >= -c`` and
+    ``p_-c <- conj p_c`` for the other.  The mean is written
+    ``p - (p - conj q) / 2``: where ``q = conj p`` that returns p bit for
+    bit (signed zeros and subnormals included), and it cannot overflow,
+    since the reality check has bounded ``p - conj q``.
+    """
+    out = {}
+    for shift, poly in fourier.items():
+        mirror = tuple(-x for x in shift)
+        if shift < mirror:
+            continue
+        p, q = poly.coefficients, fourier[mirror].coefficients
+        mean = {}
+        for e in {**p, **q}:
+            v = p.get(e, 0j)
+            mean[e] = v - 0.5 * (v - q.get(e, 0j).conjugate())
+        real = ParameterPolynomial(poly.dim, mean)
+        if not real.is_zero:
+            out[shift] = real
+            if shift != mirror:
+                out[mirror] = real.conjugate()
+    return out
+
+
 @dataclass(frozen=True)
 class ControlConnection:
     """Coupling of parameter velocities to angle drift on selected torus axes.
@@ -389,9 +402,11 @@ class ControlConnection:
 
         L_axis_beta(sigma, phi) = sum_c poly_c(sigma) exp(i c . phi).
 
-    Reality for real sigma requires ``poly_{-c} = conj(poly_c)`` and is
-    enforced here.  Whether the support respects a model's
-    controlled/dynamic split is *not* enforced at construction:
+    Reality for real sigma requires ``poly_{-c} = conj(poly_c)``.  It is
+    checked here, relative to each whole polynomial, and each mirrored pair
+    is then stored as its real part (``_real_pairs``), so every field the
+    connection freezes is an exact mirror.  Whether the support respects a
+    model's controlled/dynamic split is *not* enforced at construction:
     ``restricted`` refuses a violation, ``split_residual`` counts them.
     """
 
@@ -429,6 +444,7 @@ class ControlConnection:
                         raise ValueError(
                             f"component ({axis},{beta}) breaks reality at shift {shift}"
                         )
+            entry = _real_pairs(entry)
             if entry:
                 comps[(axis, beta)] = entry
         object.__setattr__(self, "components", comps)
@@ -472,7 +488,7 @@ class ControlConnection:
         """The (axis, beta) component frozen at a parameter point."""
         fourier = self.components.get((axis, beta), {})
         coeffs = {c: poly.evaluate(sigma) for c, poly in fourier.items()}
-        return TorusFourierField._from_array(_centred(self.m, coeffs), real=True)
+        return TorusFourierField._from_array(_centred(self.m, coeffs))
 
     def as_observable(self, sigma: Sequence[float], velocity: Sequence[float]) -> AffineObservable:
         """Velocity pairing: affine observable with a_axis = sum_beta L_axis_beta(sigma) v_beta.

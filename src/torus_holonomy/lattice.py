@@ -14,13 +14,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
-from typing import Iterable, Mapping
+from typing import Iterable
 
 import numpy as np
 
 from .errors import DimensionMismatchError, SplitViolationError
-
-TWO_PI = 2.0 * np.pi
 
 #: A mode index is a plain length-m tuple of ints with |n_k| <= N.
 ModeIndex = tuple
@@ -180,13 +178,6 @@ class WaveFunction:
         vals[mode_position(model, mode)] = 1.0
         return cls(model, vals)
 
-    @classmethod
-    def from_modes(cls, model: TorusModel, amplitudes: Mapping[ModeIndex, complex]) -> "WaveFunction":
-        vals = np.zeros(model.size, dtype=np.complex128)
-        for mode, amp in amplitudes.items():
-            vals[mode_position(model, mode)] = amp
-        return cls(model, vals)
-
     def __getitem__(self, mode: Iterable[int]) -> complex:
         return complex(self.values[mode_position(self.model, mode)])
 
@@ -228,8 +219,3 @@ class ClassicalState:
     @property
     def m(self) -> int:
         return self.actions.shape[0]
-
-
-def wrap_angles(phi: np.ndarray) -> np.ndarray:
-    """Reduce angles to [0, 2*pi) for comparisons."""
-    return np.mod(phi, TWO_PI)

@@ -527,9 +527,6 @@ class SpectralComparison:
     compared: int
     method: str
 
-    def matches(self, tolerance: float) -> bool:
-        return self.max_deviation <= tolerance
-
 
 def lambda_shift_equivalence(
     model: TorusModel,

@@ -66,7 +66,7 @@ from .curves import ParameterCurve, reparameterize, step_intervals
 from .errors import DimensionMismatchError, OpenCurveError, SplitViolationError
 from .fields import AffineObservable, ControlConnection, TorusFourierField
 from .classical import compile_controlled, controlled_connection
-from .lattice import TorusModel, WaveFunction, controlled_submodel, sublattice_index
+from .lattice import TorusModel, controlled_submodel, sublattice_index
 from .operators import (
     OperatorMatrix,
     _add_identity,
@@ -85,7 +85,7 @@ class PropagatorReport:
     operator: OperatorMatrix
     steps: int
     unitarity_defect: float
-    method: str  # "ordered-product" | "diagonal-exact"
+    method: str  # "ordered-product"
 
 
 # Coefficients b_0 .. b_m of the diagonal [m/m] Padé approximant
@@ -195,23 +195,6 @@ def delta_generator(
     return quantize_affine(model, connection.as_observable(sigma, velocity))
 
 
-def evolve_dynamic(hamiltonian, psi: WaveFunction, t: float) -> WaveFunction:
-    """Exact diagonal phase evolution exp(-i E_n t) on each mode."""
-    energies = hamiltonian_spectrum(psi.model, hamiltonian)
-    return WaveFunction(psi.model, np.exp(-1j * energies * t) * psi.values)
-
-
-def dynamic_propagator(model: TorusModel, hamiltonian, t: float) -> PropagatorReport:
-    """The dynamic phase factor as an operator; no time stepping involved.
-
-    The defect of a diagonal matrix needs no product: it is ``max | |e|^2 - 1 |``
-    over its entries e.
-    """
-    phases = np.exp(-1j * hamiltonian_spectrum(model, hamiltonian) * t)
-    defect = float(np.max(np.abs((phases.conj() * phases).real - 1.0)))
-    return PropagatorReport(OperatorMatrix(model, np.diag(phases)), 0, defect, "diagonal-exact")
-
-
 def _lift_controlled(model: TorusModel, block: np.ndarray) -> np.ndarray:
     """Place controlled-sublattice matrices on the full lattice, one per dynamic label.
 
@@ -283,23 +266,6 @@ def holonomy(
     return PropagatorReport(op, steps, unitarity_defect(block), "ordered-product")
 
 
-def restrict_to_eigenspace(full: OperatorMatrix, dynamic_label: Sequence[int]) -> np.ndarray:
-    """Slice a full-lattice operator to the block at a fixed dynamic index."""
-    model = full.model
-    label = tuple(int(x) for x in dynamic_label)
-    if len(label) != len(model.dynamic):
-        raise DimensionMismatchError("dynamic label length differs from the dynamic axis count")
-    N = model.truncation
-    if any(abs(x) > N for x in label):
-        raise ValueError(f"dynamic label {label} outside the box |n_k| <= {N}")
-    di, _ = sublattice_index(model, model.dynamic)
-    want = 0
-    for x in label:
-        want = want * model.axis_size + (x + model.truncation)
-    keep = np.flatnonzero(di == want)
-    return full.matrix[np.ix_(keep, keep)]
-
-
 def _pairing_terms(
     model: TorusModel, connection: ControlConnection
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -310,20 +276,13 @@ def _pairing_terms(
     observable whose only part, on ``axis``, is the field of the component's
     e-th monomial coefficients.  Returns the Q_K as (K, n*n) rows, each
     term's parameter axis beta, shape (K,), and the (K, d) exponents.
-
-    A connection's mirrored coefficients agree only to its reality
-    tolerance, which is relative to each whole polynomial, so a monomial's
-    field takes the real part ``(F_c + conj F_-c) / 2`` of each pair: the
-    field's own check, relative to its smaller scale, would refuse a valid
-    connection.  Where the mirrors are exact, that is F_c itself.
+    The connection stores exact mirrors, so each monomial's field is real
+    as stored.
     """
     rows, betas, exponents = [], [], []
     for (axis, beta), fourier in sorted(connection.components.items()):
         for e in sorted({e for poly in fourier.values() for e in poly.coefficients}):
-            given = {c: poly.coefficients.get(e, 0.0) for c, poly in fourier.items()}
-            monomial = {
-                c: 0.5 * v + 0.5 * given[tuple(-x for x in c)].conjugate() for c, v in given.items()
-            }
+            monomial = {c: poly.coefficients.get(e, 0.0) for c, poly in fourier.items()}
             part = TorusFourierField(connection.m, monomial)
             observable = AffineObservable.from_parts(connection.m, {axis: part})
             rows.append(quantize_affine(model, observable).matrix.reshape(-1))

@@ -144,9 +144,9 @@ def test_perturbed_flow_reads_only_the_fused_rhs(monkeypatch):
         coupling = np.zeros((2, 2))
         for axis, beta in conn.components:
             fld = conn.field(axis, beta, sigma)
-            drift[axis] += fld.evaluate_real(angles) * vel[beta]
+            drift[axis] += fld.evaluate(angles) * vel[beta]
             for a in range(2):
-                coupling[a, axis] += fld.derivative(a).evaluate_real(angles) * vel[beta]
+                coupling[a, axis] += fld.derivative(a).evaluate(angles) * vel[beta]
         grad = np.array([actions[0] + 0.1 * actions[1], 0.6 * actions[1] + 0.1 * actions[0]])
         return np.concatenate([-coupling @ actions, grad + drift])
 
@@ -552,7 +552,7 @@ def test_action_transport_matches_direct_rk4():
         sigma, vel = curve.point(t), curve.velocity(t)
         lam = conn.field(0, 0, sigma)
         return np.array(
-            [-lam.derivative(0).evaluate_real([phi]) * I * vel[0], lam.evaluate_real([phi]) * vel[0]]
+            [-lam.derivative(0).evaluate([phi]) * I * vel[0], lam.evaluate([phi]) * vel[0]]
         )
 
     y = np.array([1.1, 0.7])

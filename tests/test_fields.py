@@ -20,7 +20,7 @@ from torus_holonomy.verify import random_affine, random_real_field
 
 def test_eval_constant():
     f = TorusFourierField.constant(2, 1.0)
-    assert f.evaluate([0.7, -1.3]) == 1.0 + 0j
+    assert f.evaluate([0.7, -1.3]) == 1.0
 
 
 def test_eval_cosine():
@@ -28,7 +28,6 @@ def test_eval_cosine():
     assert f.evaluate([0.0]) == pytest.approx(1.0)
     # frozen oracle value: direct evaluation of the two-term series at pi/3
     assert f.evaluate([np.pi / 3]) == pytest.approx(0.5)
-    assert f.evaluate_real([np.pi / 3]) == pytest.approx(0.5)
 
 
 def test_eval_matches_pointwise_sum():
@@ -36,16 +35,20 @@ def test_eval_matches_pointwise_sum():
     f = random_real_field(rng, 2, 2)
     phi = np.array([0.31, -2.2])
     manual = sum(v * np.exp(1j * np.dot(c, phi)) for c, v in f.coefficients.items())
-    assert f.evaluate(phi) == pytest.approx(manual)
-    assert abs(f.evaluate(phi).imag) < 1e-12
+    assert isinstance(f.evaluate(phi), float)
+    assert f.evaluate(phi) == pytest.approx(manual.real)
+    assert abs(manual.imag) < 1e-12
 
 
 def test_reality_validation():
-    with pytest.raises(ValueError):
-        TorusFourierField(1, {(1,): 1.0}, real=True)
-    TorusFourierField(1, {(1,): 1.0}, real=False)  # fine when not flagged
-    with pytest.raises(ValueError):
+    # every field is real: a coefficient dict that is not its own mirror is refused
+    with pytest.raises(ValueError, match="not real"):
+        TorusFourierField(1, {(1,): 1.0})
+    with pytest.raises(ValueError, match="not real"):
+        TorusFourierField(1, {(1,): 1.0, (-1,): 1.0 + 1e-9j})
+    with pytest.raises(ValueError, match="not real"):
         TorusFourierField.from_half_spectrum(1, {(0,): 1.0 + 0.5j})
+    TorusFourierField(1, {(1,): 1.0 + 2.0j, (-1,): 1.0 - 2.0j})
 
 
 def test_derivative_of_cosine_is_minus_sine():
@@ -53,7 +56,6 @@ def test_derivative_of_cosine_is_minus_sine():
     sin = TorusFourierField.sine(1, 0)
     diff = cos.derivative(0) + sin
     assert diff.is_zero
-    assert cos.derivative(0).real
 
 
 def test_product_is_convolution():
@@ -61,7 +63,6 @@ def test_product_is_convolution():
     f = random_real_field(rng, 1, 2)
     g = random_real_field(rng, 1, 1)
     prod = f * g
-    assert prod.real
     assert prod.bandwidth <= f.bandwidth + g.bandwidth
     for phi in ([0.2], [1.9], [-0.7]):
         assert prod.evaluate(phi) == pytest.approx(f.evaluate(phi) * g.evaluate(phi))
@@ -122,27 +123,25 @@ def _dict_derivative(a, axis):
     return _pruned({c: v * 1j * c[axis] for c, v in a.items() if c[axis] != 0})
 
 
-def _assert_matches(fld, reference, real, rel=0.0, atol=0.0):
+def _assert_matches(fld, reference, rel=0.0, atol=0.0):
     got = fld.coefficients
     tol = atol + rel * max((abs(v) for v in reference.values()), default=0.0)
     for c in set(got) | set(reference):
         assert abs(got.get(c, 0.0) - reference.get(c, 0.0)) <= tol, c
     assert fld.bandwidth == max((abs(x) for c in reference for x in c), default=0)
     assert fld.is_zero == (not reference)
-    assert fld.real == real
 
 
-def _check_against_dicts(m, a, real_a, b, real_b, s, rel=0.0, product_atol=0.0):
-    f = TorusFourierField(m, a, real=real_a)
-    g = TorusFourierField(m, b, real=real_b)
-    _assert_matches(f, _pruned(a), real_a)
-    both = real_a and real_b
-    _assert_matches(f + g, _dict_add(a, b), both, rel)
-    _assert_matches(f - g, _dict_add(a, _dict_scaled(b, -1.0)), both, rel)
-    _assert_matches(f * g, _dict_mul(a, b), both, rel, product_atol)
-    _assert_matches(f.scaled(s), _dict_scaled(a, complex(s)), real_a and complex(s).imag == 0, rel)
+def _check_against_dicts(m, a, b, s, rel=0.0, product_atol=0.0):
+    f = TorusFourierField(m, a)
+    g = TorusFourierField(m, b)
+    _assert_matches(f, _pruned(a))
+    _assert_matches(f + g, _dict_add(a, b), rel)
+    _assert_matches(f - g, _dict_add(a, _dict_scaled(b, -1.0)), rel)
+    _assert_matches(f * g, _dict_mul(a, b), rel, product_atol)
+    _assert_matches(f.scaled(s), _dict_scaled(a, s), rel)
     for k in range(m):
-        _assert_matches(f.derivative(k), _dict_derivative(a, k), real_a, rel)
+        _assert_matches(f.derivative(k), _dict_derivative(a, k), rel)
 
 
 def _real_completion(half):
@@ -165,23 +164,19 @@ def _dyadic_field(draw, m):
     bandwidth = draw(st.integers(0, 2))
     shift = st.tuples(*[st.integers(-bandwidth, bandwidth)] * m)
     value = st.builds(complex, _DYADIC, _DYADIC)
-    coeffs = draw(st.dictionaries(shift, value, max_size=6))
-    real = draw(st.booleans())
-    return (_real_completion(coeffs) if real else coeffs), real
+    return _real_completion(draw(st.dictionaries(shift, value, max_size=6)))
 
 
 @st.composite
 def _dyadic_pair(draw):
     m = draw(st.integers(1, 3))
-    s = draw(st.builds(complex, _DYADIC, _DYADIC))
-    return m, draw(_dyadic_field(m)), draw(_dyadic_field(m)), s
+    return m, draw(_dyadic_field(m)), draw(_dyadic_field(m)), draw(_DYADIC)
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(_dyadic_pair())
 def test_array_algebra_matches_dict_algebra_exactly(case):
-    m, (a, real_a), (b, real_b), s = case
-    _check_against_dicts(m, a, real_a, b, real_b, s)
+    _check_against_dicts(*case)
 
 
 def test_array_algebra_matches_dict_algebra_on_random_floats():
@@ -192,16 +187,14 @@ def test_array_algebra_matches_dict_algebra_on_random_floats():
         for _ in range(2):
             bandwidth = int(rng.integers(0, 3))
             shifts = [c for c in product(range(-bandwidth, bandwidth + 1), repeat=m) if rng.random() < 0.7]
-            coeffs = {c: complex(rng.normal(), rng.normal()) for c in shifts}
-            real = bool(rng.integers(2))
-            pair += [_real_completion(coeffs) if real else coeffs, real]
-        s = complex(rng.normal(), rng.normal() * rng.integers(2))
+            pair.append(_real_completion({c: complex(rng.normal(), rng.normal()) for c in shifts}))
+        s = float(rng.normal())
         # A product coefficient sums up to len(a) terms in another order than
         # the dict loop did, so its rounding bound grows with that count.
-        a, b = pair[0], pair[2]
+        a, b = pair
         size = _dict_mul({c: abs(v) for c, v in a.items()}, {c: abs(v) for c, v in b.items()})
         atol = 2 * len(a) * np.finfo(float).eps * max(size.values(), default=0.0)
-        _check_against_dicts(m, *pair, s, rel=1e-15, product_atol=atol)
+        _check_against_dicts(m, a, b, s, rel=1e-15, product_atol=atol)
 
 
 def test_cancellation_trims_bandwidth():
@@ -215,7 +208,7 @@ def test_cancellation_trims_bandwidth():
     assert (f * g).bandwidth == 2
     diff = f * g - f * h
     assert diff.array.shape == (3, 3)
-    _assert_matches(diff, _dict_scaled(f.coefficients, -0.75), True)
+    _assert_matches(diff, _dict_scaled(f.coefficients, -0.75))
 
 
 # --- Poisson bracket ---------------------------------------------------------
@@ -368,13 +361,6 @@ def test_bracket_antisymmetry_and_jacobi():
         assert jacobi == pytest.approx(0.0, abs=1e-10)
 
 
-def test_bracket_reality_preserved():
-    rng = np.random.default_rng(29)
-    result = poisson_bracket(random_affine(rng, 2, 2), random_affine(rng, 2, 2))
-    assert result.scalar.real
-    assert all(a.real for a in result.action_coeffs)
-
-
 def test_bracket_dimension_mismatch():
     with pytest.raises(DimensionMismatchError):
         poisson_bracket(AffineObservable.action(1, 0), AffineObservable.action(2, 0))
@@ -410,7 +396,7 @@ def test_connection_cosine_component():
     assert coeffs[(0, 1)] == pytest.approx(1.5)
     assert coeffs[(0, -1)] == pytest.approx(1.5)
     phi = np.array([0.4, 1.1])
-    assert obs.action_coeffs[0].evaluate_real(phi) == pytest.approx(3.0 * np.cos(phi[1]))
+    assert obs.action_coeffs[0].evaluate(phi) == pytest.approx(3.0 * np.cos(phi[1]))
 
 
 def test_connection_linear_in_velocity():
@@ -438,6 +424,63 @@ def test_connection_linear_in_velocity():
 def test_connection_reality_enforced():
     with pytest.raises(ValueError):
         ControlConnection(1, 1, {(0, 0): {(1,): ParameterPolynomial(1, {(0,): 1.0})}})
+
+
+_TINY = 5e-324  # the smallest subnormal
+_HUGE = np.finfo(float).max
+
+
+def _coefficient_bits(components):
+    """Every stored coefficient's (real, imag) bit patterns, keyed by its place."""
+    return {
+        (key, c, e): np.array([v], dtype=complex).view(np.uint64).tolist()
+        for key, fourier in components.items()
+        for c, poly in fourier.items()
+        for e, v in poly.coefficients.items()
+    }
+
+
+# (value at shift +1, real value at shift 0); shift -1 gets the conjugate
+@pytest.mark.parametrize(
+    "value, zero_shift",
+    [
+        (complex(-0.0, 1.5), complex(2.0, -0.0)),
+        (complex(0.25, -0.0), complex(-0.5, 0.0)),
+        (complex(_TINY, -_TINY), complex(-_TINY, -0.0)),
+        (complex(_HUGE, -1.0), complex(-_HUGE, -0.0)),
+        (complex(-0.3, 0.7), complex(0.1, 0.0)),
+    ],
+    ids=["signed-zero-real", "signed-zero-imag", "subnormal", "near-maximum", "plain"],
+)
+def test_connection_stores_exact_mirrors_bit_for_bit(value, zero_shift):
+    # the projection onto each pair's real part is the identity on exact
+    # mirrors; 0.5 * p + 0.5 * conj(q) would flush the subnormal to zero and
+    # (p + conj q) / 2 would overflow near the maximum
+    given = {(0, 0): {
+        (1,): ParameterPolynomial(2, {(0, 0): value, (1, 1): 0.5 * value}),
+        (-1,): ParameterPolynomial(2, {(0, 0): value.conjugate(), (1, 1): (0.5 * value).conjugate()}),
+        (0,): ParameterPolynomial(2, {(0, 1): zero_shift}),
+    }}
+    conn = ControlConnection(1, 2, given)
+    assert _coefficient_bits(conn.components) == _coefficient_bits(given)
+
+
+def test_connection_projects_pairs_inside_the_tolerance_onto_their_real_part():
+    near = _HUGE * (1.0 - 1e-13)
+    conn = ControlConnection(1, 1, {(0, 0): {
+        (2,): ParameterPolynomial(1, {(0,): complex(_HUGE, 1.0)}),
+        (-2,): ParameterPolynomial(1, {(0,): complex(near, -1.0)}),
+        (0,): ParameterPolynomial(1, {(0,): complex(0.5, 1e-13)}),
+    }})
+    fourier = conn.components[(0, 0)]
+    plus, minus = fourier[(2,)].coefficients[(0,)], fourier[(-2,)].coefficients[(0,)]
+    assert minus == plus.conjugate()
+    assert plus == pytest.approx(complex(0.5 * _HUGE + 0.5 * near, 1.0), rel=1e-16)
+    assert fourier[(0,)].coefficients[(0,)] == 0.5
+    # a pair that cancels to zero is dropped, with its component
+    cancel = {(0, 0): {(1,): ParameterPolynomial(1, {(0,): _TINY}),
+                       (-1,): ParameterPolynomial(1, {(0,): -_TINY})}}
+    assert ControlConnection(1, 1, cancel).components == {}
 
 
 def test_connection_restrict_rejects_stray_support():

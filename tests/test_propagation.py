@@ -11,24 +11,20 @@ from torus_holonomy import (
     ClassicalState,
     ControlConnection,
     OpenCurveError,
-    OperatorMatrix,
     ParameterPolynomial,
     SplitViolationError,
     TorusFourierField,
     TorusModel,
-    WaveFunction,
     WaypointPath,
     classical_mode_transport,
     delta_generator,
     evolve_control,
-    evolve_dynamic,
     evolve_full,
     evolve_perturbed,
     holonomy,
     mode_iter,
     path_invariance_report,
     quantize_affine,
-    restrict_to_eigenspace,
 )
 from scipy.linalg import expm
 
@@ -185,9 +181,9 @@ def _field_drift_and_coupling(conn, sigma, v, phi):
     coupling = np.zeros((conn.m, conn.m))
     for (axis, beta) in conn.components:
         fld = conn.field(axis, beta, sigma)
-        drift[axis] += fld.evaluate_real(phi) * v[beta]
+        drift[axis] += fld.evaluate(phi) * v[beta]
         for a in range(conn.m):
-            coupling[a, axis] += fld.derivative(a).evaluate_real(phi) * v[beta]
+            coupling[a, axis] += fld.derivative(a).evaluate(phi) * v[beta]
     return drift, coupling
 
 
@@ -368,45 +364,6 @@ def test_holonomy_matches_per_step_assembly():
         assert np.max(np.abs(compiled - reference)) <= 1e-13
 
 
-# --- dynamic evolution ----------------------------------------------------------
-
-
-def test_evolve_dynamic_t0_identity():
-    model = _demo_model(2)
-    psi = WaveFunction.from_modes(model, {(1, -2): 0.6, (0, 1): 0.8j})
-    out = evolve_dynamic(_demo_hamiltonian(), psi, 0.0)
-    assert np.array_equal(out.values, psi.values)
-
-
-def test_evolve_dynamic_phase_example():
-    # H = I_2^2/2 at zero offset, n_2 = 1, t = pi: phase exp(-i pi/2) = -i
-    model = TorusModel(2, (0,), (0.0, 0.0), 2)
-    psi = WaveFunction.basis(model, (0, 1))
-    out = evolve_dynamic(ActionPolynomial(2, {(0, 2): 0.5}), psi, np.pi)
-    assert out[(0, 1)] == pytest.approx(-1j)
-
-
-def test_evolve_dynamic_preserves_norm():
-    rng = np.random.default_rng(53)
-    model = _demo_model(2)
-    psi = WaveFunction(model, rng.normal(size=model.size) + 1j * rng.normal(size=model.size))
-    out = evolve_dynamic(_demo_hamiltonian(), psi, 2.7)
-    assert out.norm() == pytest.approx(psi.norm())
-
-
-def test_dynamic_propagator_matches_wavefunction_route():
-    from torus_holonomy import dynamic_propagator
-
-    model = _demo_model(2)
-    rep = dynamic_propagator(model, _demo_hamiltonian(), 1.7)
-    assert rep.method == "diagonal-exact"
-    assert rep.unitarity_defect <= 1e-12
-    psi = WaveFunction.basis(model, (1, -2))
-    via_op = rep.operator.matrix @ psi.values
-    via_phase = evolve_dynamic(_demo_hamiltonian(), psi, 1.7).values
-    assert np.array_equal(via_op, via_phase)
-
-
 # --- control propagator -----------------------------------------------------------
 
 
@@ -543,18 +500,12 @@ def test_holonomy_block_independent_of_dynamic_label():
     conn = _nonabelian_connection(m=2)
     loop = _unit_circle()
     block = holonomy(model, conn, loop, 100).operator.matrix
-    full = evolve_control(model, conn, loop, 100)
-    for label in ((-3,), (0,), (2,)):
-        assert np.array_equal(restrict_to_eigenspace(full.operator, label), block)
-
-
-@pytest.mark.parametrize("m,label", [(3, (0, 2)), (2, (5,))])
-def test_restrict_to_eigenspace_rejects_label_outside_box(m, label):
-    # (0, 2) at N=1 would alias the block of (1, -1); (5,) would select no mode
-    model = TorusModel(m, (0,), (0.0,) * m, 1)
-    full = OperatorMatrix(model, np.eye(model.size))
-    with pytest.raises(ValueError, match="outside the box"):
-        restrict_to_eigenspace(full, label)
+    full = evolve_control(model, conn, loop, 100).operator.matrix
+    di, _ = sublattice_index(model, model.dynamic)
+    # dynamic labels -3, 0 and 2 at N = 3
+    for label in (0, 3, 5):
+        keep = np.flatnonzero(di == label)
+        assert np.array_equal(full[np.ix_(keep, keep)], block)
 
 
 def test_holonomy_gauge_offset_enters_phases():
@@ -934,8 +885,9 @@ def test_linear_reference_matches_per_step_assembly(case):
 
 def test_linear_reference_accepts_mirrors_equal_to_the_connection_tolerance():
     # the connection checks reality relative to a whole polynomial (scale 10
-    # here), so a small monomial's mirrors may differ by more than a field
-    # of that monomial alone would allow
+    # here), so a small monomial's mirrors may differ by more than a field of
+    # that monomial alone would allow; the connection stores the pair's real
+    # part, so the reference quantizes the monomial as it is stored
     c = 1e-3 + 2e-3j
     conn = ControlConnection(2, 2, {(0, 0): {
         (1, 0): ParameterPolynomial(2, {(0, 0): 10.0, (1, 0): c}),
@@ -947,15 +899,80 @@ def test_linear_reference_accepts_mirrors_equal_to_the_connection_tolerance():
     assert np.max(np.abs(report.reference - V)) <= 1e-12
 
 
-def test_dynamic_propagator_defect_is_the_dense_defect():
-    from torus_holonomy import dynamic_propagator
+# --- reality where a connection's data enter --------------------------------------
 
-    model = _demo_model(4)
-    rep = dynamic_propagator(model, _demo_hamiltonian(), 3.1)
-    u = rep.operator.matrix
-    assert rep.unitarity_defect == pytest.approx(
-        np.max(np.abs(u.conj().T @ u - np.eye(model.size))), abs=1e-16
-    )
+
+def test_connection_inside_its_tolerance_freezes_real_fields_at_every_sigma():
+    # a sigma_1-monomial 10 and a sigma_2-monomial c whose mirror is off by
+    # 5e-12: inside the connection's tolerance (1e-12 times the scale 10),
+    # but not inside a frozen field's where the sigma_1 term is small, as at
+    # (0, 1); the stored pair is an exact mirror, so every field is real
+    c = 1e-3 + 2e-3j
+    conn = ControlConnection(2, 2, {(0, 0): {
+        (1, 0): ParameterPolynomial(2, {(1, 0): 10.0, (0, 1): c}),
+        (-1, 0): ParameterPolynomial(2, {(1, 0): 10.0, (0, 1): np.conj(c) + 5e-12}),
+    }})
+    rng = np.random.default_rng(59)
+    for sigma in [(0.0, 1.0), *rng.normal(scale=3.0, size=(200, 2))]:
+        fld = conn.field(0, 0, sigma)
+        assert np.array_equal(np.conj(fld.array), np.flip(fld.array))
+        observable = conn.as_observable(sigma, rng.normal(size=2))
+        assert observable.action_coeffs[0].bandwidth == 1
+    model = TorusModel(2, (0,), (0.25, 0.5), 3)
+    assert holonomy(model, conn, _unit_circle(), 50).unitarity_defect <= 1e-13
+
+
+@st.composite
+def _perturbed_mirror_cases(draw):
+    """Split model, connection (d <= 3, sigma-degree <= 2), loop, steps and parameter points.
+
+    Each pair's first monomial is scaled by 1 or 10, and its mirror is
+    then moved off the exact conjugate by up to 0.4 times the connection's
+    tolerance (1e-12 times the pair's largest coefficient, at least 1e-12);
+    a zero shift gets an imaginary part of up to 0.2 times it.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    model = _random_split_model(rng)
+    d = draw(st.integers(1, 3))
+    exact = _random_split_connection(rng, model, d, min(model.truncation, 2))
+    comps = {}
+    for key, fourier in exact.components.items():
+        entry = {}
+        for shift, poly in fourier.items():
+            mirror = tuple(-x for x in shift)
+            if shift < mirror:
+                continue
+            coeffs = dict(poly.coefficients)
+            first = next(iter(coeffs))
+            coeffs[first] *= float(rng.choice([1.0, 10.0]))
+            tol = 1e-12 * max(1.0, max(abs(v) for v in coeffs.values()))
+            if shift == mirror:
+                entry[shift] = {e: v + 0.2j * tol * rng.uniform(-1, 1) for e, v in coeffs.items()}
+            else:
+                entry[shift] = coeffs
+                entry[mirror] = {
+                    e: v.conjugate() + 0.4 * tol * complex(*rng.uniform(-1, 1, 2)) / np.sqrt(2)
+                    for e, v in coeffs.items()
+                }
+        comps[key] = {c: ParameterPolynomial(d, v) for c, v in entry.items()}
+    conn = ControlConnection(model.m, d, comps)
+    loop = CirclePath(*rng.uniform(-1.0, 1.0, (3, d)), float(rng.uniform(0.3, 1.5)))
+    sigmas = rng.normal(scale=2.0, size=(5, d))
+    return model, conn, loop, draw(st.integers(4, 12)), sigmas
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(_perturbed_mirror_cases())
+def test_connections_inside_the_reality_tolerance_run_everywhere(case):
+    model, conn, loop, steps, sigmas = case
+    points = [loop.point(t) for t in np.linspace(0.0, loop.duration, 5)]
+    for sigma in [*points, *sigmas]:
+        for axis, beta in conn.components:
+            conn.field(axis, beta, sigma)
+        conn.as_observable(sigma, loop.velocity(0.3 * loop.duration))
+    assert holonomy(model, conn, loop, steps).unitarity_defect <= 1e-13
+    report = evolve_full(model, ActionPolynomial.zero(model.m), conn, loop, steps)
+    assert report.reference_unitarity_defect <= 1e-13
 
 
 def test_evolve_full_exponentiates_only_controlled_blocks(monkeypatch):
