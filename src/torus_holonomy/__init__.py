@@ -55,23 +55,18 @@ from .fields import (
 )
 from .lattice import (
     ClassicalState,
-    ModeIndex,
     TorusModel,
     WaveFunction,
-    canonical_offsets,
     inner_product,
-    interior_modes,
     mode_iter,
 )
 from .operators import (
     OperatorMatrix,
-    SpectralComparison,
     action_operator,
     dirac_residual,
     halfform_equivalence,
     hamiltonian_operator,
     lambda_shift_equivalence,
-    multiplication_operator,
     quantize_affine,
 )
 from .propagation import (
@@ -96,7 +91,6 @@ __all__ = [
     "ControlConnection",
     "DimensionMismatchError",
     "FactorizationReport",
-    "ModeIndex",
     "ModeTransport",
     "NonFiniteError",
     "OpenCurveError",
@@ -104,7 +98,6 @@ __all__ = [
     "ParameterCurve",
     "ParameterPolynomial",
     "PropagatorReport",
-    "SpectralComparison",
     "SplitViolationError",
     "StepCountError",
     "TorusFourierField",
@@ -114,7 +107,6 @@ __all__ = [
     "WaveFunction",
     "WaypointPath",
     "action_operator",
-    "canonical_offsets",
     "classical_action_transport",
     "classical_mode_transport",
     "concatenate",
@@ -128,11 +120,9 @@ __all__ = [
     "hamiltonian_operator",
     "holonomy",
     "inner_product",
-    "interior_modes",
     "lambda_shift_equivalence",
     "line_integral",
     "mode_iter",
-    "multiplication_operator",
     "path_invariance_report",
     "poisson_bracket",
     "quantize_affine",

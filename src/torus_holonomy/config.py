@@ -130,7 +130,6 @@ CONFIG_SCHEMA: dict = {
             "properties": {
                 "steps": {"type": "integer", "minimum": 1},
                 "seed": {"type": "integer", "minimum": 0},
-                "battery": {"enum": ["full", "quick"]},
             },
         },
     },
@@ -300,7 +299,6 @@ def _validated(schema: dict, payload: Any, where: str) -> Any:
 class RunSettings:
     steps: int = 1000
     seed: int = 1234
-    battery: str = "full"
 
 
 @dataclass(frozen=True)
@@ -451,11 +449,7 @@ def parse_config(payload: Any) -> ExperimentConfig:
     payload = _validated(CONFIG_SCHEMA, payload, "config")
     model = _build_model(payload["model"])
     run_raw = payload.get("run", {})
-    run = RunSettings(
-        steps=run_raw.get("steps", 1000),
-        seed=run_raw.get("seed", 1234),
-        battery=run_raw.get("battery", "full"),
-    )
+    run = RunSettings(steps=run_raw.get("steps", 1000), seed=run_raw.get("seed", 1234))
     curve = _build_curve(payload.get("curve"))
     connection = _build_connection(payload.get("connection"), model.m)
     if connection is not None and curve is not None:

@@ -564,11 +564,6 @@ class ActionPolynomial:
     def zero(cls, m: int) -> "ActionPolynomial":
         return cls(m, {})
 
-    @classmethod
-    def monomial(cls, m: int, axis: int, power: int, coefficient: float = 1.0) -> "ActionPolynomial":
-        e = tuple(power if k == axis else 0 for k in range(m))
-        return cls(m, {e: coefficient})
-
     def action_axes(self) -> frozenset[int]:
         axes: set[int] = set()
         for e in self.terms:

@@ -94,7 +94,6 @@ def run_holonomy(config: ExperimentConfig) -> tuple[dict, dict]:
         "steps": [report.steps, other.steps],
         "unitarity_defect": [report.unitarity_defect, other.unitarity_defect],
         "refinement_deviation": refinement,
-        "method": report.method,
     }
     return operator_payload(report.operator), diagnostics
 
@@ -117,13 +116,10 @@ def run_evolve(config: ExperimentConfig) -> tuple[dict, dict]:
 
 
 def run_verify(config: ExperimentConfig | None = None) -> dict:
-    """Built-in invariant battery; config may select profile and seed."""
+    """Built-in invariant battery; a config may set the seed."""
     from . import verify
 
-    profile = config.run.battery if config is not None else "full"
     seed = config.run.seed if config is not None else verify.DEFAULT_SEED
-    report = verify.run_battery(profile=profile, seed=seed)
-    payload = report.to_dict()
+    payload = verify.run_battery(seed).to_dict()
     payload["format"] = "verify-report"
-    payload["profile"] = profile
     return payload

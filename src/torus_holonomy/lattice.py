@@ -6,7 +6,7 @@ box ``{n in Z^m : |n_k| <= N}``.  Modes are enumerated lexicographically
 vector and operator matrix.  Amplitudes outside the box are implicitly
 zero, so operators that shift modes across the boundary drop those
 contributions; exact-identity checks therefore restrict themselves to
-``interior_modes``.
+the modes of ``interior_mask``.
 """
 
 from __future__ import annotations
@@ -20,10 +20,6 @@ import numpy as np
 
 from .errors import DimensionMismatchError, SplitViolationError
 
-#: A mode index is a plain length-m tuple of ints with |n_k| <= N.
-ModeIndex = tuple
-
-
 @dataclass(frozen=True)
 class TorusModel:
     """Torus dimension, controlled/dynamic axis split, offsets, truncation.
@@ -32,8 +28,8 @@ class TorusModel:
     parameters; the complement is ``dynamic``.  ``offsets[k]`` labels the
     quantization: the k-th action operator has spectrum ``n_k - offsets[k]``.
     Offsets are stored as given; integer differences are gauge-equivalent
-    (see :func:`canonical_offsets`).  ``truncation`` is the per-axis mode
-    cap N, so the lattice has ``(2 N + 1) ** m`` points.
+    (see ``operators.lambda_shift_equivalence``).  ``truncation`` is the
+    per-axis mode cap N, so the lattice has ``(2 N + 1) ** m`` points.
     """
 
     m: int
@@ -84,11 +80,6 @@ def controlled_submodel(model: TorusModel) -> TorusModel:
     )
 
 
-def canonical_offsets(model: TorusModel) -> tuple[float, ...]:
-    """Offsets reduced to [0, 1); representations differing by integers match here."""
-    return tuple(x - np.floor(x) for x in model.offsets)
-
-
 @lru_cache(maxsize=None)
 def _mode_array(m: int, truncation: int) -> np.ndarray:
     arr = np.array(list(product(range(-truncation, truncation + 1), repeat=m)), dtype=np.int64)
@@ -101,7 +92,7 @@ def mode_array(model: TorusModel) -> np.ndarray:
     return _mode_array(model.m, model.truncation)
 
 
-def mode_iter(model: TorusModel) -> list[ModeIndex]:
+def mode_iter(model: TorusModel) -> list[tuple[int, ...]]:
     """Lexicographically ordered mode tuples; this is the global matrix layout."""
     return [tuple(int(v) for v in row) for row in mode_array(model)]
 
@@ -127,12 +118,6 @@ def interior_mask(model: TorusModel, guard: int) -> np.ndarray:
     if guard > model.truncation:
         raise ValueError(f"guard {guard} exceeds truncation {model.truncation}: interior set is empty")
     return np.all(np.abs(mode_array(model)) <= model.truncation - guard, axis=1)
-
-
-def interior_modes(model: TorusModel, guard: int) -> list[ModeIndex]:
-    """Modes at least ``guard`` sites away from the truncation boundary."""
-    mask = interior_mask(model, guard)
-    return [tuple(int(v) for v in row) for row in mode_array(model)[mask]]
 
 
 def sublattice_index(model: TorusModel, axes: tuple[int, ...]) -> tuple[np.ndarray, int]:

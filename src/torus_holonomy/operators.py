@@ -449,20 +449,6 @@ def _add_identity(stack: np.ndarray, c: float) -> None:
     diagonal += c
 
 
-def multiplication_operator(model: TorusModel, shift: Iterable[int]) -> OperatorMatrix:
-    """0/1 matrix of multiplication by the basis mode with the given shift."""
-    c = tuple(int(x) for x in shift)
-    if len(c) != model.m:
-        raise DimensionMismatchError(f"shift length {len(c)}, expected {model.m}")
-    N = model.truncation
-    if any(abs(x) > 2 * N for x in c):
-        raise ValueError(f"shift {c} exceeds 2N={2 * N}; the truncated matrix would vanish")
-    _, rows, cols = _shift_scatter(model, [c])
-    matrix = np.zeros((model.size, model.size), dtype=complex)
-    matrix[rows, cols] = 1.0
-    return OperatorMatrix(model, matrix)
-
-
 def commutator(a: OperatorMatrix, b: OperatorMatrix) -> np.ndarray:
     if a.model != b.model:
         raise DimensionMismatchError("operators built over different models")
@@ -519,31 +505,29 @@ def _diagonals(model: TorusModel, observable: AffineObservable) -> tuple[np.ndar
     return offsets, table
 
 
-@dataclass(frozen=True)
-class SpectralComparison:
-    """Outcome of matching two diagonal spectra."""
-
-    max_deviation: float
-    compared: int
-    method: str
-
-
 def lambda_shift_equivalence(
     model: TorusModel,
     hamiltonian: ActionPolynomial | Callable[[np.ndarray], float],
     shift: Sequence[float],
-) -> SpectralComparison:
-    """Compare Hamiltonian spectra for offsets and offsets + shift.
+) -> float:
+    """Largest deviation between Hamiltonian spectra for offsets and offsets + shift.
 
     For an integer shift the representations are gauge-equivalent: the
     spectra match mode-for-mode after re-indexing ``n -> n + shift`` on the
-    overlap of the two boxes.  For a non-integer shift no re-indexing
-    exists; the sorted spectra over the full boxes are compared instead and
+    overlap of the two boxes, and a shift beyond 2N, which leaves no
+    overlap, is refused.  For a non-integer shift no re-indexing exists;
+    the sorted spectra over the full boxes are compared instead and
     genuinely differ.
     """
     shift = np.asarray(shift, dtype=float)
     if shift.shape != (model.m,):
         raise DimensionMismatchError(f"shift shape {shift.shape}, expected ({model.m},)")
+    integer = bool(np.all(shift == np.round(shift)))
+    if integer and np.any(np.abs(shift) > 2 * model.truncation):
+        raise ValueError(
+            f"integer shift {tuple(shift.tolist())} exceeds 2N={2 * model.truncation}: "
+            "the shifted box does not overlap the box"
+        )
     shifted_model = TorusModel(
         model.m,
         model.controlled,
@@ -552,27 +536,24 @@ def lambda_shift_equivalence(
     )
     base = hamiltonian_spectrum(model, hamiltonian)
     moved = hamiltonian_spectrum(shifted_model, hamiltonian)
-    if np.all(shift == np.round(shift)):
+    if integer:
         _, rows, cols = _shift_scatter(model, [shift.astype(int)])
-        if not cols.size:
-            return SpectralComparison(0.0, 0, "reindex-empty-overlap")
-        dev = float(np.max(np.abs(base[cols] - moved[rows])))
-        return SpectralComparison(dev, int(cols.size), "reindex")
-    dev = float(np.max(np.abs(np.sort(base) - np.sort(moved))))
-    return SpectralComparison(dev, base.size, "sorted")
+        return float(np.max(np.abs(base[cols] - moved[rows])))
+    return float(np.max(np.abs(np.sort(base) - np.sort(moved))))
 
 
 def halfform_equivalence(
     model: TorusModel,
     antiperiodic_axes: Iterable[int],
     hamiltonian: ActionPolynomial | Callable[[np.ndarray], float] | None = None,
-) -> SpectralComparison:
+) -> float:
     """Antiperiodic boundary behavior versus a half-integer offset shift.
 
     On each antiperiodic axis j the action spectrum is ``n_j - offset_j +
     1/2`` (half-integer mode labels); that must coincide mode-for-mode with
     the periodic representation at ``offset_j - 1/2``.  If a Hamiltonian is
-    given its spectra are compared the same way.
+    given its spectra are compared the same way.  Returns the largest
+    deviation.
     """
     axes = sorted(set(int(a) for a in antiperiodic_axes))
     for a in axes:
@@ -587,15 +568,12 @@ def halfform_equivalence(
     )
     modes = mode_array(model)
     dev = 0.0
-    compared = 0
     for k in range(model.m):
         anti = modes[:, k] - model.offsets[k] + (0.5 if k in axes else 0.0)
         periodic = modes[:, k] - shifted_model.offsets[k]
         dev = max(dev, float(np.max(np.abs(anti - periodic))))
-        compared += modes.shape[0]
     if hamiltonian is not None:
         anti_vals = _spectrum(model, hamiltonian, modes - np.asarray(model.offsets) + half)
         periodic_vals = hamiltonian_spectrum(shifted_model, hamiltonian)
         dev = max(dev, float(np.max(np.abs(anti_vals - periodic_vals))))
-        compared += modes.shape[0]
-    return SpectralComparison(dev, compared, "halfform")
+    return dev

@@ -80,12 +80,11 @@ from .operators import (
 
 @dataclass(frozen=True)
 class PropagatorReport:
-    """A propagator together with how it was produced and how unitary it is."""
+    """An ordered-product propagator with its step count and unitarity defect."""
 
     operator: OperatorMatrix
     steps: int
     unitarity_defect: float
-    method: str  # "ordered-product"
 
 
 # Coefficients b_0 .. b_m of the diagonal [m/m] Padé approximant
@@ -108,7 +107,7 @@ _PADE = {
 
 
 def expm(a: np.ndarray) -> np.ndarray:
-    """Matrix exponential of one (n, n) matrix or of each matrix of an (S, n, n) stack.
+    """Matrix exponential of each matrix of an (S, n, n) stack.
 
     Scaling and squaring with a diagonal Padé approximant (Higham 2005,
     Algorithm 2.3): the degree is the smallest m of 3, 5, 7, 9, 13 with the
@@ -122,20 +121,17 @@ def expm(a: np.ndarray) -> np.ndarray:
     (2e-16 per 17x17 step of the bench evolve config, against 7e-16 for the
     plain quotient).  A rational function, so it shares no algorithm with
     the Taylor series of ``exp_stack``.  A non-finite entry anywhere gives
-    an all-NaN result of the argument's shape.
+    an all-NaN result of the stack's shape.
     """
-    a = np.asarray(a)
-    if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]:
-        raise DimensionMismatchError(
-            f"expected an (n, n) matrix or an (S, n, n) stack, got shape {a.shape}"
-        )
-    a = np.asarray(a, dtype=np.result_type(a, float))
-    if not a.size:
-        return a.copy()
-    stack = a if a.ndim == 3 else a[None]
+    stack = np.asarray(a)
+    if stack.ndim != 3 or stack.shape[-1] != stack.shape[-2]:
+        raise DimensionMismatchError(f"expected an (S, n, n) stack, got shape {stack.shape}")
+    stack = np.asarray(stack, dtype=np.result_type(stack, float))
+    if not stack.size:
+        return stack.copy()
     norm = float(np.max(np.abs(stack).sum(axis=1)))
     if not np.isfinite(norm):
-        return np.full_like(a, np.nan)
+        return np.full_like(stack, np.nan)
     s = 0
     m = next((degree for degree, (theta, _) in _PADE.items() if norm <= theta), 13)
     theta, b = _PADE[m]
@@ -169,7 +165,7 @@ def expm(a: np.ndarray) -> np.ndarray:
     _add_identity(result, 1.0)
     for _ in range(s):
         result = result @ result
-    return result.reshape(a.shape)
+    return result
 
 
 def unitarity_defect(matrix: np.ndarray) -> float:
@@ -247,7 +243,7 @@ def evolve_control(
     """
     block, _ = _control_block_product(model, connection, curve, steps)
     op = OperatorMatrix(model, _lift_controlled(model, block))
-    return PropagatorReport(op, steps, unitarity_defect(block), "ordered-product")
+    return PropagatorReport(op, steps, unitarity_defect(block))
 
 
 def holonomy(
@@ -263,7 +259,7 @@ def holonomy(
         raise OpenCurveError("holonomy requires a closed parameter loop")
     block, sub_model = _control_block_product(model, connection, loop, steps)
     op = OperatorMatrix(sub_model, block)
-    return PropagatorReport(op, steps, unitarity_defect(block), "ordered-product")
+    return PropagatorReport(op, steps, unitarity_defect(block))
 
 
 def _pairing_terms(

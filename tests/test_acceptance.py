@@ -244,4 +244,4 @@ def test_criterion_10_gauge_and_halfform():
     ham = _quad_hamiltonian()
     shift = lambda_shift_equivalence(model, ham, (0.0, 1.0))
     halfform = halfform_equivalence(model, (1,), ham)
-    _report(10, "gauge-and-halfform", max(shift.max_deviation, halfform.max_deviation), 1e-12)
+    _report(10, "gauge-and-halfform", max(shift, halfform), 1e-12)

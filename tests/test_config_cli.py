@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import importlib.util
 import json
 import os
@@ -19,6 +20,7 @@ from torus_holonomy.config import (
     _CIRCLE_SCHEMA,
     _WAYPOINT_SCHEMA,
     CONFIG_SCHEMA,
+    RunSettings,
     _check_keywords,
     _validated,
     parse_config,
@@ -585,18 +587,38 @@ def test_cli_steps_override(tmp_path):
     assert diag["steps"] == [128, 64]
 
 
-def test_cli_verify_quick(tmp_path):
+def test_cli_config_selecting_a_battery_exit2_no_output(tmp_path, capsys):
+    # there is one verify battery; run takes only steps and seed
     cfg = _write(
         tmp_path / "cfg.json",
         {"schema": 1, "model": _base_model(), "run": {"battery": "quick", "seed": 7}},
     )
     out = tmp_path / "out"
-    code = main(["--config", cfg, "--out", str(out), "--quiet", "verify"])
-    payload = json.loads((out / "verify.json").read_text())
-    assert code == 0
-    assert payload["passed"] is True
-    assert payload["profile"] == "quick"
-    assert {c["name"] for c in payload["checks"]} >= {"basis_orthonormality", "rk4_observed_order"}
+    assert main(["--config", cfg, "--out", str(out), "--quiet", "verify"]) == 2
+    assert "battery" in capsys.readouterr().err
+    assert not out.exists() or not list(out.iterdir())
+
+
+def test_run_schema_properties_are_the_run_settings_fields():
+    properties = CONFIG_SCHEMA["properties"]["run"]["properties"]
+    assert set(properties) == {f.name for f in dataclasses.fields(RunSettings)}
+
+
+def test_cli_holonomy_diagnostics_keys(tmp_path):
+    out = tmp_path / "out"
+    assert main(["--config", str(CONFIGS / "abelian_loop.json"), "--out", str(out), "--quiet",
+                 "holonomy"]) == 0
+    diagnostics = json.loads((out / "holonomy_diagnostics.json").read_text())
+    assert set(diagnostics) == {"format", "refinement_deviation", "steps", "unitarity_defect"}
+
+
+def test_cli_verify_report_keys(tmp_path, monkeypatch):
+    from torus_holonomy import verify
+
+    monkeypatch.setattr(verify, "_FULL_BATTERY", (verify.check_diagonality,))
+    out = tmp_path / "out"
+    assert main(["--out", str(out), "--quiet", "verify"]) == 0
+    assert set(json.loads((out / "verify.json").read_text())) == {"checks", "format", "passed", "seed"}
 
 
 def test_cli_verify_failed_refinement_exit4_with_report(tmp_path, capsys, monkeypatch):

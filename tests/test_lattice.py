@@ -5,12 +5,10 @@ from torus_holonomy import (
     DimensionMismatchError,
     TorusModel,
     WaveFunction,
-    canonical_offsets,
     inner_product,
-    interior_modes,
     mode_iter,
 )
-from torus_holonomy.lattice import interior_mask, mode_position
+from torus_holonomy.lattice import interior_mask, mode_array, mode_position
 
 
 def _from_modes(model, amplitudes):
@@ -52,16 +50,16 @@ def test_mode_iter_stable_and_bijective():
 
 def test_interior_modes_counts():
     model = TorusModel(2, (0,), (0.0, 0.0), 8)
-    assert len(interior_modes(model, 0)) == 289
-    assert interior_modes(model, 8) == [(0, 0)]
+    assert interior_mask(model, 0).sum() == 289
+    assert mode_array(model)[interior_mask(model, 8)].tolist() == [[0, 0]]
     line = TorusModel(1, (0,), (0.0,), 8)
-    assert len(interior_modes(line, 2)) == 13
+    assert interior_mask(line, 2).sum() == 13
 
 
 def test_interior_modes_guard_too_large():
     model = TorusModel(1, (0,), (0.0,), 4)
     with pytest.raises(ValueError):
-        interior_modes(model, 5)
+        interior_mask(model, 5)
     with pytest.raises(ValueError):
         interior_mask(model, -1)
 
@@ -81,11 +79,6 @@ def test_dynamic_complement():
     model = TorusModel(3, (1,), (0.0, 0.0, 0.0), 2)
     assert model.dynamic == (0, 2)
     assert model.size == 125
-
-
-def test_canonical_offsets():
-    model = TorusModel(2, (0,), (1.25, -0.5), 2)
-    assert canonical_offsets(model) == (0.25, 0.5)
 
 
 def test_basis_orthonormality():

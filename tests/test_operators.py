@@ -21,7 +21,6 @@ from torus_holonomy import (
     hamiltonian_operator,
     lambda_shift_equivalence,
     mode_iter,
-    multiplication_operator,
     poisson_bracket,
     quantize_affine,
 )
@@ -29,6 +28,7 @@ from torus_holonomy.lattice import interior_mask, mode_array, sublattice_index
 from torus_holonomy.operators import (
     _TAYLOR_THETA,
     ShiftBasis,
+    _shift_scatter,
     commutator,
     exp_stack,
     hamiltonian_spectrum,
@@ -235,42 +235,56 @@ def test_stacked_scatter_matches_per_shift_scatter(case):
     )
     assert np.array_equal(quantize_affine(model, obs).matrix, _quantize_per_shift(model, obs))
 
-    rows, cols, ok = _single_shift_scatter(model, shift)
-    if max(abs(x) for x in shift) <= 2 * model.truncation:
-        expected = np.zeros((model.size, model.size), dtype=complex)
-        expected[rows, cols] = 1.0
-        assert np.array_equal(multiplication_operator(model, shift).matrix, expected)
+    which, rows, cols = _shift_scatter(model, [shift])
+    want_rows, want_cols, ok = _single_shift_scatter(model, shift)
+    assert not which.any()
+    assert np.array_equal(rows, want_rows) and np.array_equal(cols, want_cols)
 
     def ham(dynamic):
         return float(np.sum(np.cos(dynamic) + 0.5 * dynamic**2))
 
-    comp = lambda_shift_equivalence(model, ham, shift)
+    if not ok.any():
+        with pytest.raises(ValueError, match=rf"exceeds 2N={2 * model.truncation}"):
+            lambda_shift_equivalence(model, ham, shift)
+        return
     moved_model = TorusModel(
         model.m, model.controlled, tuple(np.asarray(model.offsets) + shift), model.truncation
     )
     base = hamiltonian_spectrum(model, ham)
     moved = hamiltonian_spectrum(moved_model, ham)
-    assert comp.compared == int(ok.sum())
-    if ok.any():
-        assert comp.method == "reindex"
-        assert comp.max_deviation == float(np.max(np.abs(base[cols] - moved[rows])))
-    else:
-        assert comp.method == "reindex-empty-overlap"
+    dev = lambda_shift_equivalence(model, ham, shift)
+    assert dev == float(np.max(np.abs(base[cols] - moved[rows])))
 
 
 # --- multiplication operators ------------------------------------------------------
 
 
+def _scalar_operator(model, field):
+    return quantize_affine(model, AffineObservable.from_parts(model.m, scalar=field)).matrix
+
+
+def _multiplication(model, c):
+    """Multiplication by exp(i c.phi), c != 0, as Q(cos c.phi) + i Q(sin c.phi).
+
+    exp(i c.phi) is not a real field, but its real and imaginary parts are,
+    and quantization is linear in the scalar part.
+    """
+    minus = tuple(-x for x in c)
+    cos = TorusFourierField(model.m, {tuple(c): 0.5, minus: 0.5})
+    sin = TorusFourierField(model.m, {tuple(c): -0.5j, minus: 0.5j})
+    return _scalar_operator(model, cos) + 1j * _scalar_operator(model, sin)
+
+
 def test_multiplication_identity():
     model = TorusModel(2, (0,), (0.0, 0.0), 2)
-    op = multiplication_operator(model, (0, 0))
-    assert np.array_equal(op.matrix, np.eye(model.size))
+    one = TorusFourierField(2, {(0, 0): 1.0})
+    assert np.array_equal(_scalar_operator(model, one), np.eye(model.size))
 
 
 def test_multiplication_updown_is_interior_identity():
     model = TorusModel(1, (0,), (0.0,), 3)
-    up = multiplication_operator(model, (1,)).matrix
-    down = multiplication_operator(model, (-1,)).matrix
+    up = _multiplication(model, (1,))
+    down = _multiplication(model, (-1,))
     prod = down @ up
     modes = mode_iter(model)
     for i, n in enumerate(modes):
@@ -282,8 +296,8 @@ def test_multiplication_updown_is_interior_identity():
 def test_multiplication_composition_law_on_interior():
     model = TorusModel(2, (0,), (0.0, 0.0), 4)
     c1, c2 = (1, -1), (2, 0)
-    lhs = multiplication_operator(model, c1).matrix @ multiplication_operator(model, c2).matrix
-    rhs = multiplication_operator(model, (3, -1)).matrix
+    lhs = _multiplication(model, c1) @ _multiplication(model, c2)
+    rhs = _multiplication(model, (3, -1))
     guard = max(abs(x) for x in c1) + max(abs(x) for x in c2)
     keep = interior_mask(model, guard)
     assert np.array_equal(lhs[np.ix_(keep, keep)], rhs[np.ix_(keep, keep)])
@@ -291,8 +305,8 @@ def test_multiplication_composition_law_on_interior():
 
 def test_multiplication_shift_cap():
     model = TorusModel(1, (0,), (0.0,), 2)
-    with pytest.raises(ValueError):
-        multiplication_operator(model, (5,))
+    with pytest.raises(BandwidthError):
+        _multiplication(model, (5,))
 
 
 # --- Dirac condition ---------------------------------------------------------------
@@ -447,47 +461,46 @@ def test_dirac_residual_builds_no_dense_operator(monkeypatch):
 
 def test_lambda_shift_zero():
     model = TorusModel(2, (0,), (0.25, 0.5), 4)
-    comp = lambda_shift_equivalence(model, ActionPolynomial(2, {(0, 2): 0.5}), (0.0, 0.0))
-    assert comp.max_deviation == 0.0
-    assert comp.compared == model.size
+    assert lambda_shift_equivalence(model, ActionPolynomial(2, {(0, 2): 0.5}), (0.0, 0.0)) == 0.0
 
 
 def test_lambda_shift_integer():
     model = TorusModel(2, (0,), (0.25, 0.5), 8)
     ham = ActionPolynomial(2, {(0, 2): 0.5})
-    comp = lambda_shift_equivalence(model, ham, (0.0, 1.0))
-    assert comp.method == "reindex"
-    assert comp.max_deviation <= 1e-12
-    assert comp.compared == 17 * 16
+    assert lambda_shift_equivalence(model, ham, (0.0, 1.0)) <= 1e-12
+
+
+def test_lambda_shift_refuses_a_shift_without_overlap():
+    # at 2N + 1 the shifted box misses the box: nothing would be compared
+    model = TorusModel(2, (0,), (0.25, 0.5), 8)
+    ham = ActionPolynomial(2, {(0, 2): 0.5})
+    assert lambda_shift_equivalence(model, ham, (0.0, 16.0)) <= 1e-12
+    with pytest.raises(ValueError, match=r"integer shift \(0\.0, 17\.0\) exceeds 2N=16"):
+        lambda_shift_equivalence(model, ham, (0.0, 17.0))
 
 
 def test_lambda_shift_non_integer_detected():
     model = TorusModel(2, (0,), (0.0, 0.0), 4)
     ham = ActionPolynomial(2, {(0, 1): 1.0})
-    comp = lambda_shift_equivalence(model, ham, (0.0, 0.3))
-    assert comp.method == "sorted"
-    assert comp.max_deviation > 0.01
+    assert lambda_shift_equivalence(model, ham, (0.0, 0.3)) > 0.01
 
 
 def test_halfform_empty_is_identity():
     model = TorusModel(2, (0,), (0.25, 0.5), 3)
-    comp = halfform_equivalence(model, ())
-    assert comp.max_deviation == 0.0
+    assert halfform_equivalence(model, ()) == 0.0
 
 
 def test_halfform_half_integer_spectrum():
     # antiperiodic axis at zero offset: spectrum {n + 1/2} equals the
     # periodic representation at offset -1/2
     model = TorusModel(1, (0,), (0.0,), 8)
-    comp = halfform_equivalence(model, (0,))
-    assert comp.max_deviation <= 1e-12
+    assert halfform_equivalence(model, (0,)) <= 1e-12
 
 
 def test_halfform_with_hamiltonian():
     model = TorusModel(2, (0,), (0.25, 0.3), 6)
     ham = ActionPolynomial(2, {(0, 2): 0.5})
-    comp = halfform_equivalence(model, (1,), ham)
-    assert comp.max_deviation <= 1e-12
+    assert halfform_equivalence(model, (1,), ham) <= 1e-12
 
 
 def test_halfform_twice_is_integer_shift():
@@ -499,8 +512,7 @@ def test_halfform_twice_is_integer_shift():
     anti_twice = hamiltonian_spectrum(once, ham) + 0.5
     periodic = hamiltonian_spectrum(twice, ham)
     assert np.max(np.abs(anti_twice - periodic)) <= 1e-12
-    comp = lambda_shift_equivalence(model, ham, (-1.0,))
-    assert comp.max_deviation <= 1e-12
+    assert lambda_shift_equivalence(model, ham, (-1.0,)) <= 1e-12
 
 
 # --- block structure --------------------------------------------------------------

@@ -18,16 +18,6 @@ from torus_holonomy.verify import (
 ABELIAN_TOL = 1e-8  # the tolerance of verify's abelian_closed_form check
 
 
-def test_quick_battery_passes():
-    report = run_battery("quick", seed=99)
-    assert isinstance(report, BatteryReport)
-    assert report.passed
-    assert report.seed == 99
-    names = {c.name for c in report.checks}
-    assert "basis_orthonormality" in names
-    assert "rk4_observed_order" in names
-
-
 def test_full_default_battery_passes():
     # the default battery on a correct build passes outright
     report = run_battery()
@@ -35,9 +25,25 @@ def test_full_default_battery_passes():
     assert len(report.checks) == 17
 
 
-def test_battery_rejects_unknown_profile():
-    with pytest.raises(ValueError):
-        run_battery("exhaustive")
+def test_battery_passes_its_seed_to_the_seeded_checks(monkeypatch):
+    from torus_holonomy import verify
+
+    seen = {}
+
+    def recorder(name):
+        def check(seed=None):
+            seen[name] = seed
+            return verify.CheckResult(name, 0.0, 0.0)
+
+        return check
+
+    names = ("check_orthonormality", "check_dirac", "check_hermiticity", "check_diagonality")
+    for name in names:
+        monkeypatch.setattr(verify, name, recorder(name))
+    monkeypatch.setattr(verify, "_FULL_BATTERY", tuple(getattr(verify, name) for name in names))
+    report = run_battery(99)
+    assert isinstance(report, BatteryReport) and report.seed == 99 and report.passed
+    assert seen == dict(zip(names, (99, 99, 99, None)))
 
 
 def test_fault_injection_corrupted_offset_is_flagged():
@@ -45,10 +51,8 @@ def test_fault_injection_corrupted_offset_is_flagged():
     # gauge-equivalent; the spectral comparison must say so loudly.
     model = TorusModel(2, (0,), (0.25, 0.5), 6)
     ham = ActionPolynomial(2, {(0, 1): 1.0})
-    clean = lambda_shift_equivalence(model, ham, (0.0, 1.0))
-    corrupted = lambda_shift_equivalence(model, ham, (0.0, 1.0 + 0.07))
-    assert clean.max_deviation <= 1e-12
-    assert corrupted.max_deviation > 0.01
+    assert lambda_shift_equivalence(model, ham, (0.0, 1.0)) <= 1e-12
+    assert lambda_shift_equivalence(model, ham, (0.0, 1.0 + 0.07)) > 0.01
 
 
 def test_abelian_oracle_rejects_angle_dependence():
@@ -148,7 +152,7 @@ def test_verify_payload_deterministic(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(
         json.dumps({"schema": 1, "model": {"m": 1, "controlled": [0], "offsets": [0.0], "truncation": 2},
-                    "run": {"battery": "quick", "seed": 11}})
+                    "run": {"seed": 11}})
     )
     out1, out2 = tmp_path / "a", tmp_path / "b"
     assert main(["--config", str(cfg), "--out", str(out1), "--quiet", "verify"]) == 0
