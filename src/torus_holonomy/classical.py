@@ -28,7 +28,9 @@ their steps in chunks of at most ``operators.STACK_BYTES`` of generators,
 build a chunk's generators as one stack (the action transport's couplings
 from one ``CompiledConnection.coupling`` call over the chunk's rows),
 exponentiate it with one ``operators.exp_stack`` call, then apply the
-exponentials one step at a time, in step order.  The frozen component fields
+exponentials one step at a time, in step order.  Both scale the weights
+by the step, not the generators, and pass ``exp_stack`` a 1-norm bound
+read from the weights.  The frozen component fields
 (``ControlConnection.field``) stay independent as the tests' reference.
 """
 
@@ -47,6 +49,7 @@ from .operators import (
     ShiftBasis,
     compile_connection,
     exp_stack,
+    exp_workspace,
     shift_basis,
     step_chunks,
 )
@@ -270,11 +273,15 @@ def classical_mode_transport(
     # a copy, so that the half-step table is freed before the product
     weights = table[0 : 2 * steps : 2].copy()
     del table
-    scales = 1j * np.diff(times)
+    weights *= 1j * np.diff(times)[:, None]
+    # a transposed shift block has the block's 1-norm (``ShiftBasis.term_norms``)
+    bounds = np.abs(weights) @ basis.term_norms()
     psi = np.exp(1j * (modes @ phi0))
-    for chunk in step_chunks(len(scales), sub_model.size):
+    chunks = step_chunks(steps, sub_model.size)
+    work = exp_workspace(chunks[0].stop, sub_model.size)
+    for chunk in chunks:
         gens = basis.generators(weights[chunk]).transpose(0, 2, 1)
-        for step in exp_stack(scales[chunk, None, None] * gens):
+        for step in exp_stack(gens, np.max(bounds[chunk]), work):
             psi = step @ psi
 
     discrepancy = float(np.max(np.abs(direct[keep] - psi[keep])))
@@ -306,10 +313,16 @@ def classical_action_transport(
         raise DimensionMismatchError("phi_history must hold 2*steps+1 controlled-angle samples")
     times = step_intervals(curve, steps)
     weights = compiled.along(curve, 0.5 * (times[:-1] + times[1:]))
-    scales = -np.diff(times)
+    weights *= -np.diff(times)[:, None]
+    # |G[a, k]| <= sum over the terms K of axis k of |w_K| |c_K[a]|, so
+    # column k's 1-norm is at most the sum of |w_K| ||c_K||_1 over them
+    shift_norms = np.abs(compiled.shifts).sum(axis=1)
+    bounds = np.max((np.abs(weights) * shift_norms) @ compiled.by_axis, axis=1)
     midpoints = phi_history[1::2]
-    for chunk in step_chunks(len(scales), l, itemsize=8):
-        gens = scales[chunk, None, None] * compiled.coupling(weights[chunk], midpoints[chunk])
-        for step in exp_stack(gens):
+    chunks = step_chunks(steps, l, itemsize=8)
+    work = exp_workspace(chunks[0].stop, l, float)
+    for chunk in chunks:
+        gens = compiled.coupling(weights[chunk], midpoints[chunk])
+        for step in exp_stack(gens, np.max(bounds[chunk]), work):
             actions = step @ actions
     return actions

@@ -31,12 +31,16 @@ reads only them, and ``along`` reads the path with one ``curve.sample``.
 one scatter as ``quantize_affine``, which stays independent as the
 reference.
 
-The ordered products exponentiate their step generators in stacks:
-``exp_stack`` is scaling and squaring with a truncated Taylor series whose
-degree comes from the backward-error bounds of Al-Mohy and Higham, so a
-chunk of steps costs a few batched matrix products instead of one
-matrix exponential call per step.  ``step_chunks`` cuts the steps into
-chunks of at most ``STACK_BYTES`` of generators.
+The ordered products exponentiate their step generators in stacks, so a
+chunk of steps costs a few batched matrix products instead of one matrix
+exponential call per step.  ``exp_stack`` takes its method from a bound
+on the stack's largest 1-norm that the caller reads from its term
+weights (``ShiftBasis.term_norms``), never from a dense norm: up to the
+backward-error bound theta_8 of Al-Mohy and Higham, the degree-8 Taylor
+polynomial in three products (Bader, Blanes and Casas); above, scaling
+and squaring with Paterson-Stockmeyer.  ``step_chunks`` cuts the steps
+into chunks of at most ``STACK_BYTES`` of generators, and one
+``exp_workspace`` serves every chunk of a call.
 """
 
 from __future__ import annotations
@@ -319,6 +323,15 @@ class ShiftBasis:
         flat[:, self.support] = values
         return flat.reshape(-1, self.size, self.size)
 
+    def term_norms(self) -> np.ndarray:
+        """The 1-norm of each term's block, shape (K,).
+
+        A block places one shift, so it has at most one entry per row and
+        per column: its 1-norm, and that of its transpose, is its largest
+        entry.
+        """
+        return np.max(np.abs(self.basis), axis=1, initial=0.0)
+
 
 def shift_basis(
     model: TorusModel,
@@ -367,6 +380,20 @@ _TAYLOR_THETA = np.array([
     1.44e-1, 2.14e-1, 3.00e-1, 4.00e-1, 5.14e-1, 6.41e-1, 7.81e-1, 9.31e-1, 1.09,
 ])
 
+# x1 .. x7 and y2 of the degree-8 Taylor polynomial in three products (Bader,
+# Blanes and Casas, "Computing the matrix exponential with an optimized Taylor
+# polynomial approximation", Mathematics 7 (2019) 1174):
+#   A4 = A2 (x1 A + x2 A2),  A8 = (x3 A2 + A4) (x4 I + x5 A + x6 A2 + x7 A4),
+#   T8 = I + A + y2 A2 + A8 = sum_{k <= 8} A^k / k!,
+# with r = sqrt(177), x3 = 2/3, x1 = x3 (1 + r) / 88, x2 = x3 (1 + r) / 352,
+# x4 = (29 r - 271) / (315 x3), x5 = 11 (r - 1) / (1260 x3),
+# x6 = 11 (r - 9) / (5040 x3), x7 = (89 - r) / (5040 x3^2), y2 = (857 - 58 r) / 630,
+# each rounded once from the exact value.
+_TAYLOR8 = (
+    0.1083646567852278, 0.02709116419630695, 0.6666666666666666, 0.5467614579707241,
+    0.16112557339541758, 0.014090917158378208, 0.033792797010870505, 0.13549236135285064,
+)
+
 # Bytes of generators per exp_stack call in the ordered products: small enough
 # that memory does not grow with the step count, large enough that the batched
 # matrix products pay their Python overhead once per chunk, not once per step.
@@ -376,65 +403,111 @@ STACK_BYTES = 1 << 17
 def step_chunks(steps: int, n: int, itemsize: int = 16) -> list[slice]:
     """Consecutive slices of ``range(steps)``, each of at most STACK_BYTES of n x n matrices."""
     size = max(1, STACK_BYTES // max(1, itemsize * n * n))
-    return [slice(lo, lo + size) for lo in range(0, steps, size)]
+    return [slice(lo, min(lo + size, steps)) for lo in range(0, steps, size)]
 
 
-def exp_stack(a: np.ndarray) -> np.ndarray:
+def exp_workspace(count: int, n: int, dtype=complex) -> np.ndarray:
+    """Scratch of ``exp_stack`` for stacks of at most ``count`` n x n matrices of ``dtype``."""
+    return np.empty((5, count, n, n), dtype=dtype)
+
+
+def exp_stack(a: np.ndarray, bound: float, work: np.ndarray | None = None) -> np.ndarray:
     """Matrix exponential of each matrix of an (S, n, n) stack.
 
-    Scaling and squaring with a truncated Taylor series: the stack is scaled
-    by 2**-s until its largest 1-norm is at most theta_18, the degree is the
-    smallest m with theta_m at least that norm, the series is evaluated by
-    Paterson-Stockmeyer with batched products, and the result is squared s
-    times.  One degree and one s serve the whole stack.  A stack holding a
-    non-finite entry gives an all-NaN result.
+    ``bound`` is an upper bound on the largest 1-norm in the stack, and it
+    alone picks the method; the callers read it from their term weights.
+    Up to theta_8 the degree-8 Taylor polynomial is evaluated in three
+    batched products (``_TAYLOR8``), its linear combinations of A, A^2 and
+    A^4 as one real matrix product over the stacked powers.  Above, it is
+    scaling and squaring: the stack is scaled by 2**-s until the bound is at
+    most theta_18, the degree is the smallest m >= 9 with theta_m at least
+    the scaled bound, the series is evaluated by Paterson-Stockmeyer with
+    batched products, and the result is squared s times.  One method serves
+    the whole stack.  A non-finite bound gives an all-NaN result.
+
+    ``work`` is an ``exp_workspace`` of the result's dtype for at least S
+    matrices.  Callers that exponentiate chunk after chunk pass one for all
+    of them, so that no chunk allocates its powers.  The result may then be
+    ``work[0, :S]``, valid until the next call, and ``work[1:]`` is free
+    scratch until then.
     """
     a = np.asarray(a)
     if a.ndim != 3 or a.shape[1] != a.shape[2]:
         raise DimensionMismatchError(f"expected an (S, n, n) stack, got shape {a.shape}")
-    a = np.ascontiguousarray(a, dtype=np.result_type(a, float))
+    dtype = np.result_type(a, float)
     if not a.size:
-        return a.copy()
-    norm = float(np.max(np.abs(a).sum(axis=1)))
-    if not np.isfinite(norm):
-        return np.full_like(a, np.nan)
+        return np.array(a, dtype=dtype)
+    if not np.isfinite(bound):
+        return np.full(a.shape, np.nan, dtype=dtype)
+    if work is None:
+        work = exp_workspace(*a.shape[:2], dtype)
+    if bound > _TAYLOR_THETA[7]:
+        return _paterson_stockmeyer(a.astype(dtype, copy=False), bound, work[:, : len(a)])
+    return _taylor8(a, work[:, : len(a)])
+
+
+def _taylor8(a: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """T8(A) by ``_TAYLOR8`` into ``work[0]``, with ``work`` shaped (5, S, n, n)."""
+    x1, x2, x3, x4, x5, x6, x7, y2 = _TAYLOR8
+    # work[2:] holds A, A^2 and A^4, then A^8 in the place of A^4; the
+    # combinations of the three go to work[0] and work[1]
+    powers = work[2:]
+    A, A2, A4 = powers
+    A[...] = a
+    np.matmul(A, A, out=A2)
+    np.matmul([[x1, x2]], _real_rows(powers[:2]), out=_real_rows(work[:1]))
+    np.matmul(A2, work[0], out=A4)
+    np.matmul([[0.0, x3, 1.0], [x5, x6, x7]], _real_rows(powers), out=_real_rows(work[:2]))
+    _add_identity(work[1], x4)
+    np.matmul(work[0], work[1], out=A4)
+    np.matmul([[1.0, y2, 1.0]], _real_rows(powers), out=_real_rows(work[:1]))
+    _add_identity(work[0], 1.0)
+    return work[0]
+
+
+def _real_rows(stacks: np.ndarray) -> np.ndarray:
+    """A (k, S, n, n) array of stacks as k rows of real numbers, a view of the same memory.
+
+    The stacks are leading slices of a workspace's slabs, each contiguous,
+    so the reshape is a view.
+    """
+    return stacks.reshape(len(stacks), -1).view(np.float64)
+
+
+def _paterson_stockmeyer(a: np.ndarray, bound: float, work: np.ndarray) -> np.ndarray:
+    """Scaling and squaring at degree 9 to 18, for ``exp_stack`` above theta_8.
+
+    The scaled stack and the powers A^2 .. A^q (q <= 5) go to ``work``, so
+    that only the Horner sums allocate.
+    """
     s = 0
-    if norm > _TAYLOR_THETA[-1]:
-        s = int(np.ceil(np.log2(norm / _TAYLOR_THETA[-1])))
-        s += norm * 2.0**-s > _TAYLOR_THETA[-1]  # in case log2 rounded down
-        a = a * 2.0**-s
-        norm *= 2.0**-s
-    m = int(np.searchsorted(_TAYLOR_THETA, norm)) + 1
+    if bound > _TAYLOR_THETA[-1]:
+        s = int(np.ceil(np.log2(bound / _TAYLOR_THETA[-1])))
+        s += bound * 2.0**-s > _TAYLOR_THETA[-1]  # in case log2 rounded down
+        a = np.multiply(a, 2.0**-s, out=work[4])
+        bound *= 2.0**-s
+    m = int(np.searchsorted(_TAYLOR_THETA, bound)) + 1
     coeffs = 1.0 / np.cumprod([1.0, *range(1, m + 1)])
     # Paterson-Stockmeyer: p(A) = sum_j B_j (A^q)^j, B_j = sum_{i<q} c_{jq+i} A^i,
-    # by Horner in A^q.  powers[i - 1] holds A^i.
+    # by Horner in A^q: P_r = B_r, then P_j = P_{j+1} A^q + B_j down to P_0 = p(A).
+    # powers[i - 1] holds A^i.
     q = int(np.ceil(np.sqrt(m)))
     powers = [a]
-    for _ in range(q - 1):
-        powers.append(powers[-1] @ a)
-
-    def block(j: int) -> np.ndarray | None:
-        """B_j without its identity term c_{jq} I, or None if that is all of it."""
-        out = None
-        for i in range(1, min(q - 1, m - j * q) + 1):
-            if out is None:
-                out = coeffs[j * q + i] * powers[i - 1]
-            else:
-                out += coeffs[j * q + i] * powers[i - 1]
-        return out
-
-    # P_r = B_r, then P_j = P_{j+1} A^q + B_j down to P_0 = p(A)
+    for i in range(q - 1):
+        powers.append(np.matmul(powers[-1], a, out=work[i]))
     r = m // q
-    top = block(r)
-    if top is None:
-        result = coeffs[r * q] * powers[-1]
+    if m > r * q:
+        result = coeffs[r * q + 1] * powers[0]
+        for i in range(2, m - r * q + 1):
+            result += coeffs[r * q + i] * powers[i - 1]
+        _add_identity(result, coeffs[r * q])
+        result = result @ powers[-1]
     else:
-        _add_identity(top, coeffs[r * q])
-        result = top @ powers[-1]
+        result = coeffs[r * q] * powers[-1]
+    # each B_j of j < r has all q - 1 powers; its terms go straight into the sum
     for j in range(r - 1, -1, -1):
-        lower = block(j)
-        if lower is not None:
-            result += lower
+        for i in range(1, q):
+            result += coeffs[j * q + i] * powers[i - 1]
         _add_identity(result, coeffs[j * q])
         if j:
             result = result @ powers[-1]

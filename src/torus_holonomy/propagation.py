@@ -19,12 +19,16 @@ The ordered product compiles the connection once per call into a table
 of sigma-polynomial coefficients (``operators.compile_connection``) and
 one shift-basis matrix per (axis, Fourier shift) on the controlled box
 (``operators.quantized_basis``).  The weights of all midpoints are
-evaluated as one small array.  The steps are then walked in chunks of at
-most ``operators.STACK_BYTES`` of generators, so memory does not grow with
-the step count: each chunk's generators are contracted from its weight
-rows as one stack (``ShiftBasis.generators``), exponentiated by one
-``operators.exp_stack`` call, and left-multiplied onto the product one
-step at a time, in step order.
+evaluated as one small array and scaled by -i dt there.  The steps are
+then walked in chunks of at most ``operators.STACK_BYTES`` of generators,
+so memory does not grow with the step count: each chunk's generators are
+contracted from its weight rows as one stack (``ShiftBasis.generators``)
+and exponentiated by one ``operators.exp_stack`` call, whose method
+follows a 1-norm bound read from the weights.  The chunk's exponentials
+are multiplied pairwise, later steps on the left, in ceil(log2 S) batched
+products (``_pairwise_product``), and the chunk's product is
+left-multiplied onto the product once.  All chunks of a call share one
+``operators.exp_workspace``.
 ``delta_generator`` stays on the independent
 ``quantize_affine(as_observable(...))`` assembly.  The reference route of
 ``evolve_full`` uses that the pairing is linear in the velocity and
@@ -33,8 +37,8 @@ with ``quantize_affine`` once per call, sums them with the step weights
 ``v_beta sigma^e``, and exponentiates each chunk of steps with one call of
 ``expm``, a diagonal Padé approximant with scaling and squaring (Higham
 2005) in numpy.  It reads neither the compiled table nor its shift basis,
-so the reported route deviation also cross-checks the compiled kernel and
-the Taylor series of the stacked exponentials.
+so the reported route deviation also cross-checks the compiled kernel,
+the Taylor series of the stacked exponentials and the pairwise product.
 
 ``evolve_full`` computes both of its routes per dynamic label, as
 (2N+1)^(m-l) blocks of size (2N+1)^l.  The factorized block of label j is
@@ -57,6 +61,7 @@ exponential and no defect in this module sees a matrix larger than (2N+1)^l.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -71,6 +76,7 @@ from .operators import (
     OperatorMatrix,
     _add_identity,
     exp_stack,
+    exp_workspace,
     hamiltonian_spectrum,
     quantize_affine,
     quantized_basis,
@@ -217,20 +223,49 @@ def _control_block_product(
 ) -> tuple[np.ndarray, TorusModel]:
     """Ordered product of midpoint-generator exponentials on the controlled box.
 
-    One ``exp_stack`` call per chunk of steps; the product takes the
-    chunk's exponentials one at a time, left-multiplied in step order.
+    The step scale -i dt multiplies the term weights, not the dense
+    generators.  A step's 1-norm is at most ``sum_K |w_K| ||B_K||_1`` over
+    its scaled weights w and the shift blocks B_K (triangle inequality), so
+    each chunk's ``exp_stack`` call takes its method from the largest such
+    bound and no dense norm is formed.  A chunk's exponentials are
+    multiplied pairwise (``_pairwise_product``) and then once onto the
+    product; all chunks share one ``exp_workspace``.
     """
     sub_model = controlled_submodel(model)
     compiled = compile_controlled(model, connection)
     basis = quantized_basis(sub_model, compiled)
+    n = sub_model.size
     times = step_intervals(curve, steps)
     weights = compiled.along(curve, 0.5 * (times[:-1] + times[1:]))
-    scales = -1j * np.diff(times)
-    U = np.eye(sub_model.size, dtype=complex)
-    for chunk in step_chunks(len(scales), sub_model.size):
-        for step in exp_stack(scales[chunk, None, None] * basis.generators(weights[chunk])):
-            U = step @ U
+    weights *= -1j * np.diff(times)[:, None]
+    bounds = np.abs(weights) @ basis.term_norms()
+    chunks = step_chunks(steps, n)
+    work = exp_workspace(chunks[0].stop, n)
+    U = np.eye(n, dtype=complex)
+    for chunk in chunks:
+        stack = exp_stack(basis.generators(weights[chunk]), np.max(bounds[chunk]), work)
+        U = _pairwise_product(stack, work[1:3]) @ U
     return U, sub_model
+
+
+def _pairwise_product(stack: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """``stack[-1] @ ... @ stack[1] @ stack[0]`` in ceil(log2 S) batched products.
+
+    Each round multiplies neighbours, the later one on the left, and carries
+    an odd last matrix, the latest, to the end of the next round.  Rounds
+    alternate between the two (>= ceil(S / 2), n, n) stacks of ``scratch``,
+    which must not overlap ``stack``.
+    """
+    for depth in itertools.count():
+        count = len(stack)
+        if count == 1:
+            return stack[0]
+        pairs = count // 2
+        out = scratch[depth % 2, : count - pairs]
+        np.matmul(stack[1 : 2 * pairs : 2], stack[0 : 2 * pairs : 2], out=out[:pairs])
+        if count % 2:
+            out[pairs] = stack[-1]
+        stack = out
 
 
 def evolve_control(

@@ -579,6 +579,50 @@ def test_action_transport_reversal_returns_start():
     assert back[0] == pytest.approx(0.8, abs=1e-8)
 
 
+def _random_transport_connection(rng, l: int, bandwidth: int) -> ControlConnection:
+    """Seeded connection on an l-torus, d=2, shifts up to ``bandwidth``, linear in sigma."""
+    half = {}
+    for axis in range(l):
+        for beta in range(2):
+            fourier = {}
+            for _ in range(3):
+                shift = tuple(int(x) for x in rng.integers(-bandwidth, bandwidth + 1, size=l))
+                if shift in fourier or tuple(-x for x in shift) in fourier:
+                    continue
+                re, im = rng.uniform(-0.5, 0.5, size=(2, 3))
+                zero = not any(shift)
+                exponents = ((0, 0), (1, 0), (0, 1))
+                poly = {e: (r if zero else complex(r, i)) for e, r, i in zip(exponents, re, im)}
+                fourier[shift] = ParameterPolynomial(2, poly)
+            half[(axis, beta)] = fourier
+    return ControlConnection.from_half_spectrum(l, 2, half)
+
+
+@pytest.mark.parametrize("l, steps", [(1, 70), (2, 40), (2, 200)])
+def test_transport_bounds_cover_the_dense_norms(monkeypatch, l, steps):
+    # both transports pass exp_stack a bound read from their weights; it must be
+    # at least the largest 1-norm of every chunk (up to the rounding of the sums)
+    seen = []
+    real_exp_stack = classical.exp_stack
+
+    def checking(a, bound, *args):
+        seen.append((len(a), np.max(np.abs(a).sum(axis=1), initial=0.0), bound))
+        return real_exp_stack(a, bound, *args)
+
+    monkeypatch.setattr(classical, "exp_stack", checking)
+    rng = np.random.default_rng(l * steps)
+    model = TorusModel(l, tuple(range(l)), (0.25,) * l, 3)
+    curve = CirclePath.circle((0.1, -0.2), 1.5, 1.0)
+    for bandwidth in (0, 1, 2):
+        conn = _random_transport_connection(rng, l, bandwidth)
+        phi0 = rng.uniform(0.0, 6.0, size=l)
+        transport = classical_mode_transport(model, conn, curve, phi0, steps, guard=0)
+        classical_action_transport(model, conn, curve, np.ones(l), transport.phi_history, steps)
+        assert sum(count for count, _, _ in seen) == 2 * steps
+        assert all(norm <= bound * (1 + 1e-13) for _, norm, bound in seen)
+        seen.clear()
+
+
 # --- reparameterization invariance --------------------------------------------
 
 

@@ -3,6 +3,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
@@ -26,11 +27,13 @@ from torus_holonomy import (
 )
 from torus_holonomy.lattice import interior_mask, mode_array, sublattice_index
 from torus_holonomy.operators import (
+    _TAYLOR8,
     _TAYLOR_THETA,
     ShiftBasis,
     _shift_scatter,
     commutator,
     exp_stack,
+    exp_workspace,
     hamiltonian_spectrum,
 )
 from torus_holonomy.verify import quadrature_matrix_element, random_affine, random_real_field
@@ -572,15 +575,21 @@ def _imaginary_diagonal(rng, count, n):
     ],
 )
 def test_exp_stack_matches_scipy_expm(kind, n, norms):
-    # every degree branch and the scaling branch are reached
-    assert sorted(np.searchsorted(_TAYLOR_THETA, _DEGREE_NORMS) + 1) == list(range(1, 19))
+    # every branch is reached: the three-product degree 8 (up to theta_8),
+    # each Paterson-Stockmeyer degree 9 to 18, and scaling
+    degrees = np.searchsorted(_TAYLOR_THETA, _DEGREE_NORMS) + 1
+    assert min(degrees) <= 8 and sorted(degrees[degrees > 8]) == list(range(9, 19))
     assert min(_SCALED_NORMS) > _TAYLOR_THETA[-1]
     rng = np.random.default_rng(n)
+    # one workspace for every norm, longer than the stacks as a chunk workspace can be:
+    # reusing it changes no bit of the result
+    work = exp_workspace(5, n, np.result_type(kind(np.random.default_rng(0), 1, n), float))
     for norm in norms:
         stack = kind(rng, 4, n)
         stack = stack * (norm / np.max(np.abs(stack).sum(axis=1)))
-        got = exp_stack(stack)
+        got = exp_stack(stack, np.max(np.abs(stack).sum(axis=1)))
         assert got.shape == stack.shape and got.dtype == np.result_type(stack, float)
+        assert np.array_equal(exp_stack(stack, np.max(np.abs(stack).sum(axis=1)), work), got)
         want = np.stack([expm(a) for a in stack])
         # measured worst cases: 1.7e-14 (real 2x2 at norm 3), 7.7e-15 for the rest
         assert np.max(np.abs(got - want)) <= 5e-14 * np.max(np.abs(want))
@@ -591,14 +600,39 @@ def test_exp_stack_matches_scipy_expm(kind, n, norms):
 def test_exp_stack_non_finite_input_gives_non_finite_result(bad, dtype):
     stack = np.zeros((3, 4, 4), dtype=dtype)
     stack[1, 2, 0] = bad
-    got = exp_stack(stack)
-    assert got.shape == stack.shape and not np.all(np.isfinite(got))
+    # the dense norm is non-finite; a finite bound reaches each branch with the bad entry
+    for bound in (np.max(np.abs(stack).sum(axis=1)), 0.01, 1.0, 50.0):
+        with np.errstate(invalid="ignore", over="ignore"):
+            got = exp_stack(stack, bound)
+        assert got.shape == stack.shape and not np.all(np.isfinite(got))
+
+
+def test_taylor8_constants_expand_to_the_degree_8_taylor_polynomial():
+    # Bader, Blanes and Casas (2019), with sqrt(177) kept symbolic: the three
+    # products expand to sum_{k <= 8} x^k / k! exactly, and each float of
+    # _TAYLOR8 is within one ulp of its exact value
+    r, x3 = sp.sqrt(177), sp.Rational(2, 3)
+    exact = (
+        x3 * (1 + r) / 88, x3 * (1 + r) / 352, x3, (29 * r - 271) / (315 * x3),
+        11 * (r - 1) / (1260 * x3), 11 * (r - 9) / (5040 * x3), (89 - r) / (5040 * x3**2),
+        (857 - 58 * r) / 630,
+    )
+    x1, x2, x3, x4, x5, x6, x7, y2 = exact
+    x = sp.Symbol("x")
+    p2 = x**2
+    p4 = p2 * (x1 * x + x2 * p2)
+    p8 = (x3 * p2 + p4) * (x4 + x5 * x + x6 * p2 + x7 * p4)
+    taylor = sum(x**k / sp.factorial(k) for k in range(9))
+    assert sp.expand(1 + x + y2 * p2 + p8 - taylor) == 0
+    assert len(_TAYLOR8) == len(exact)
+    for value, want in zip(_TAYLOR8, exact):
+        assert abs(sp.Float(value, 50) - sp.N(want, 50)) <= np.spacing(value)
 
 
 @pytest.mark.parametrize("n", [0, 1, 17])
 def test_exp_stack_empty_stack(n):
     for dtype in (float, complex):
-        got = exp_stack(np.zeros((0, n, n), dtype=dtype))
+        got = exp_stack(np.zeros((0, n, n), dtype=dtype), 0.0)
         assert got.shape == (0, n, n) and got.dtype == dtype
 
 

@@ -34,6 +34,7 @@ from torus_holonomy.curves import segment_edges
 from torus_holonomy.lattice import mode_array, sublattice_index
 from torus_holonomy.serialize import operator_payload
 from torus_holonomy.operators import (
+    CompiledConnection,
     commutator,
     compile_connection,
     hamiltonian_operator,
@@ -492,6 +493,73 @@ def test_holonomy_laws_on_random_split_models(case):
     full = evolve_control(model, conn, loop, steps).operator.matrix
     di, _ = sublattice_index(model, model.dynamic)
     assert np.all(full[di[:, None] != di[None, :]] == 0.0)
+
+
+@st.composite
+def _split_chunk_cases(draw):
+    """A split model (m <= 3, l <= 2), a connection of bandwidth <= 2 or none, a loop and steps."""
+    m = draw(st.integers(1, 3))
+    controlled = draw(st.sets(st.integers(0, m - 1), min_size=1, max_size=2))
+    offsets = draw(st.lists(st.floats(-1.0, 1.0), min_size=m, max_size=m))
+    model = TorusModel(m, tuple(sorted(controlled)), tuple(offsets), draw(st.sampled_from((2, 3))))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    conn = ControlConnection.empty(m, 2)
+    if draw(st.integers(0, 4)):
+        conn = _random_split_connection(rng, model, 2, draw(st.integers(0, 2)))
+    loop = CirclePath.circle((0.0, 0.0), draw(st.floats(0.1, 3.0)), 1.0)
+    # a 17x17 chunk holds 28 steps, a 49x49 one 3
+    return model, conn, loop, draw(st.integers(1, 40)), draw(st.sampled_from((np.nan, np.inf)))
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(_split_chunk_cases())
+def test_chunk_bounds_cover_the_dense_norms(case):
+    # each chunk's bound is at least the largest 1-norm of its generators (up
+    # to the rounding of the two sums), and a non-finite weight reaches the product
+    model, conn, loop, steps, bad = case
+    real_exp_stack = propagation.exp_stack
+    seen = []
+
+    def checking(a, bound, *args):
+        seen.append((len(a), np.max(np.abs(a).sum(axis=1), initial=0.0), bound))
+        return real_exp_stack(a, bound, *args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(propagation, "exp_stack", checking)
+        block, _ = propagation._control_block_product(model, conn, loop, steps)
+    assert np.all(np.isfinite(block))
+    assert sum(count for count, _, _ in seen) == steps
+    assert all(norm <= bound * (1 + 1e-13) for _, norm, bound in seen)
+    if not conn.components:
+        return
+    real_along = CompiledConnection.along
+
+    def poisoned(self, *args):
+        weights = real_along(self, *args)
+        weights[steps // 2, -1] = bad
+        return weights
+
+    with pytest.MonkeyPatch.context() as patch, np.errstate(invalid="ignore"):
+        patch.setattr(CompiledConnection, "along", poisoned)
+        block, _ = propagation._control_block_product(model, conn, loop, steps)
+    assert not np.all(np.isfinite(block))
+
+
+def _random_unitaries(rng, count, n):
+    x = rng.normal(size=(count, n, n)) + 1j * rng.normal(size=(count, n, n))
+    return np.stack([expm(a - a.conj().T) for a in x])
+
+
+@pytest.mark.parametrize("count", [1, 2, 3, 27, 28])
+def test_pairwise_product_matches_the_sequential_product(count):
+    # non-commuting factors: a swapped pair or a misplaced odd carry moves the product
+    stack = _random_unitaries(np.random.default_rng(count), count, 6)
+    want = stack[0]
+    for step in stack[1:]:
+        want = step @ want
+    scratch = np.empty((2, count, 6, 6), dtype=complex)
+    got = propagation._pairwise_product(stack, scratch)
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 def test_holonomy_block_independent_of_dynamic_label():
@@ -997,9 +1065,9 @@ def test_evolve_full_exponentiates_only_controlled_blocks(monkeypatch):
     stacked = []
     real_exp_stack = propagation.exp_stack
 
-    def recording_exp_stack(a):
+    def recording_exp_stack(a, *args):
         stacked.append(a.shape[-1])
-        return real_exp_stack(a)
+        return real_exp_stack(a, *args)
 
     monkeypatch.setattr(propagation, "exp_stack", recording_exp_stack)
     # more steps than one chunk holds for each of the three box sizes
@@ -1062,7 +1130,7 @@ def test_route_deviation_cross_checks_the_stacked_exponentials(monkeypatch):
     clean = evolve_full(model, ham, conn, _unit_circle(), 40)
     assert clean.deviation <= 1e-12
     real_exp_stack = propagation.exp_stack
-    monkeypatch.setattr(propagation, "exp_stack", lambda a: real_exp_stack(a) + 1e-9)
+    monkeypatch.setattr(propagation, "exp_stack", lambda *args: real_exp_stack(*args) + 1e-9)
     perturbed = evolve_full(model, ham, conn, _unit_circle(), 40)
     assert perturbed.deviation > 1e-10
     assert np.array_equal(perturbed.reference, clean.reference)
