@@ -31,6 +31,7 @@ _COMPLEX = {
     ]
 }
 _INT_ARRAY = {"type": "array", "items": {"type": "integer"}}
+_EXPONENTS = {"type": "array", "items": {"type": "integer", "minimum": 0}}
 _NUM_ARRAY = {"type": "array", "items": _NUMBER}
 
 CONFIG_SCHEMA: dict = {
@@ -63,7 +64,7 @@ CONFIG_SCHEMA: dict = {
                         "required": ["exponents", "coefficient"],
                         "additionalProperties": False,
                         "properties": {
-                            "exponents": _INT_ARRAY,
+                            "exponents": _EXPONENTS,
                             "coefficient": _NUMBER,
                         },
                     },
@@ -100,7 +101,7 @@ CONFIG_SCHEMA: dict = {
                                                 "required": ["exponents", "coefficient"],
                                                 "additionalProperties": False,
                                                 "properties": {
-                                                    "exponents": _INT_ARRAY,
+                                                    "exponents": _EXPONENTS,
                                                     "coefficient": _COMPLEX,
                                                 },
                                             },
@@ -317,118 +318,79 @@ def _complex_value(raw) -> complex:
     return complex(raw[0], raw[1])
 
 
-def _build_model(raw: dict) -> TorusModel:
-    m = raw["m"]
-    for a in raw["controlled"]:
-        if not 0 <= a < m:
-            raise ConfigError(f"model.controlled: axis {a} out of range for m={m}")
-    if len(raw["offsets"]) != m:
-        raise ConfigError(f"model.offsets: expected {m} entries, got {len(raw['offsets'])}")
-    try:
-        return TorusModel(m, tuple(raw["controlled"]), tuple(raw["offsets"]), raw["truncation"])
-    except ValueError as exc:
-        raise ConfigError(f"model: {exc}") from exc
+def _section(payload: dict, name: str, build, *args):
+    """``build(payload[name], *args)``, or None when the section is absent.
 
-
-def _build_hamiltonian(raw: dict | None, m: int) -> ActionPolynomial | None:
+    The objects a section builds own the rules that relate its fields; a
+    ``ValueError`` they raise becomes ``ConfigError("<name>: <message>")``.
+    """
+    raw = payload.get(name)
     if raw is None:
         return None
+    try:
+        return build(raw, *args)
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(f"{name}: {exc}") from exc
+
+
+def _build_hamiltonian(raw: dict, m: int) -> ActionPolynomial:
     terms: dict[tuple[int, ...], float] = {}
-    for i, term in enumerate(raw["terms"]):
+    for term in raw["terms"]:
         exps = tuple(term["exponents"])
-        if len(exps) != m:
-            raise ConfigError(f"hamiltonian.terms[{i}].exponents: expected length {m}")
-        if any(e < 0 for e in exps):
-            raise ConfigError(f"hamiltonian.terms[{i}].exponents: negative exponent")
         terms[exps] = terms.get(exps, 0.0) + term["coefficient"]
     return ActionPolynomial(m, terms)
 
 
-def _build_connection(raw: dict | None, m: int) -> ControlConnection | None:
-    if raw is None:
-        return None
+def _build_connection(raw: dict, m: int) -> ControlConnection:
     d = raw["parameter_dim"]
     half: dict[tuple[int, int], dict[tuple[int, ...], ParameterPolynomial]] = {}
     for i, comp in enumerate(raw["components"]):
-        axis, beta = comp["axis"], comp["parameter"]
-        if axis >= m:
-            raise ConfigError(f"connection.components[{i}].axis: {axis} out of range for m={m}")
-        if beta >= d:
-            raise ConfigError(
-                f"connection.components[{i}].parameter: {beta} out of range for d={d}"
-            )
-        entry = half.setdefault((axis, beta), {})
+        entry = half.setdefault((comp["axis"], comp["parameter"]), {})
         for j, item in enumerate(comp["fourier"]):
             shift = tuple(item["shift"])
-            if len(shift) != m:
-                raise ConfigError(
-                    f"connection.components[{i}].fourier[{j}].shift: expected length {m}"
-                )
-            coeffs: dict[tuple[int, ...], complex] = {}
-            for k, mono in enumerate(item["poly"]):
-                exps = tuple(mono["exponents"])
-                if len(exps) != d:
-                    raise ConfigError(
-                        f"connection.components[{i}].fourier[{j}].poly[{k}]: expected {d} exponents"
-                    )
-                coeffs[exps] = coeffs.get(exps, 0.0) + _complex_value(mono["coefficient"])
             if shift in entry:
                 raise ConfigError(
                     f"connection.components[{i}].fourier[{j}]: duplicate shift {shift}"
                 )
+            coeffs: dict[tuple[int, ...], complex] = {}
+            for mono in item["poly"]:
+                exps = tuple(mono["exponents"])
+                coeffs[exps] = coeffs.get(exps, 0.0) + _complex_value(mono["coefficient"])
             entry[shift] = ParameterPolynomial(d, coeffs)
-    try:
-        return ControlConnection.from_half_spectrum(m, d, half)
-    except ValueError as exc:
-        raise ConfigError(f"connection: {exc}") from exc
+    return ControlConnection.from_half_spectrum(m, d, half)
 
 
-def _build_curve(raw: dict | None) -> ParameterCurve | None:
-    if raw is None:
-        return None
+def _build_curve(raw: dict) -> ParameterCurve:
     raw = _validated(_CIRCLE_SCHEMA if raw.get("type") == "circle" else _WAYPOINT_SCHEMA, raw, "curve")
-    try:
-        if raw["type"] == "circle":
-            if "u" in raw or "v" in raw:
-                if not ("u" in raw and "v" in raw):
-                    raise ConfigError("curve: give both u and v, or a radius")
-                return CirclePath(
-                    tuple(raw["center"]),
-                    tuple(raw["u"]),
-                    tuple(raw["v"]),
-                    raw["duration"],
-                    raw.get("turns", 1.0),
-                    raw.get("phase", 0.0),
-                )
-            if "radius" not in raw:
-                raise ConfigError("curve: circle needs a radius or explicit u/v spans")
-            return CirclePath.circle(
-                tuple(raw["center"]),
-                raw["radius"],
-                raw["duration"],
-                tuple(raw.get("axes", (0, 1))),
-                raw.get("turns", 1.0),
-                raw.get("phase", 0.0),
-            )
-        return WaypointPath(tuple(tuple(p) for p in raw["points"]), raw["duration"])
-    except (ValueError, ConfigError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(f"curve: {exc}") from exc
+    if raw["type"] == "waypoints":
+        return WaypointPath(raw["points"], raw["duration"])
+    turns, phase = raw.get("turns", 1.0), raw.get("phase", 0.0)
+    if "u" in raw or "v" in raw:
+        if not ("u" in raw and "v" in raw):
+            raise ConfigError("curve: give both u and v, or a radius")
+        return CirclePath(raw["center"], raw["u"], raw["v"], raw["duration"], turns, phase)
+    if "radius" not in raw:
+        raise ConfigError("curve: circle needs a radius or explicit u/v spans")
+    return CirclePath.circle(
+        raw["center"], raw["radius"], raw["duration"], raw.get("axes", (0, 1)), turns, phase
+    )
 
 
-def _build_initial(raw: dict | None, m: int) -> ClassicalState | None:
-    if raw is None:
-        return None
+def _build_initial(raw: dict, m: int) -> ClassicalState:
     if len(raw["actions"]) != m or len(raw["angles"]) != m:
         raise ConfigError(f"initial: actions and angles must have length m={m}")
     return ClassicalState(raw["actions"], raw["angles"])
 
 
 def _non_finite_path(value: Any, path: str) -> str | None:
-    """JSON path of the first non-finite float in ``value``, or None."""
-    if isinstance(value, float):
-        return None if math.isfinite(value) else path
+    """JSON path of the first number in ``value`` with no finite float value, or None."""
+    if isinstance(value, (int, float)):
+        try:
+            return None if math.isfinite(value) else path
+        except OverflowError:  # an integer beyond float range
+            return path
     if isinstance(value, dict):
         items = ((f"{path}.{key}", item) for key, item in value.items())
     elif isinstance(value, (list, tuple)):
@@ -447,11 +409,9 @@ def parse_config(payload: Any) -> ExperimentConfig:
     if bad is not None:
         raise ConfigError(f"{bad}: non-finite number")
     payload = _validated(CONFIG_SCHEMA, payload, "config")
-    model = _build_model(payload["model"])
-    run_raw = payload.get("run", {})
-    run = RunSettings(steps=run_raw.get("steps", 1000), seed=run_raw.get("seed", 1234))
-    curve = _build_curve(payload.get("curve"))
-    connection = _build_connection(payload.get("connection"), model.m)
+    model = _section(payload, "model", lambda raw: TorusModel(**raw))
+    curve = _section(payload, "curve", _build_curve)
+    connection = _section(payload, "connection", _build_connection, model.m)
     if connection is not None and curve is not None:
         if curve.dimension != connection.parameter_dim:
             raise ConfigError(
@@ -460,11 +420,11 @@ def parse_config(payload: Any) -> ExperimentConfig:
             )
     return ExperimentConfig(
         model=model,
-        hamiltonian=_build_hamiltonian(payload.get("hamiltonian"), model.m),
+        hamiltonian=_section(payload, "hamiltonian", _build_hamiltonian, model.m),
         connection=connection,
         curve=curve,
-        initial=_build_initial(payload.get("initial"), model.m),
-        run=run,
+        initial=_section(payload, "initial", _build_initial, model.m),
+        run=RunSettings(**payload.get("run", {})),
     )
 
 

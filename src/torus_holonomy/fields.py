@@ -310,7 +310,9 @@ def _polynomial_terms(terms: Mapping[tuple[int, ...], complex], n: int, kind: ty
     for e, v in terms.items():
         exps = tuple(int(x) for x in e)
         if len(exps) != n:
-            raise DimensionMismatchError(f"exponent tuple {exps} has wrong length")
+            raise DimensionMismatchError(
+                f"exponent tuple {exps} has length {len(exps)}, expected length {n}"
+            )
         if any(x < 0 for x in exps):
             raise ValueError("negative exponent")
         val = kind(v)
@@ -341,10 +343,6 @@ class ParameterPolynomial:
 
     def __post_init__(self):
         object.__setattr__(self, "coefficients", _polynomial_terms(self.coefficients, self.dim, complex))
-
-    @classmethod
-    def constant(cls, dim: int, value: complex) -> "ParameterPolynomial":
-        return cls(dim, {(0,) * dim: value})
 
     @property
     def degree(self) -> int:

@@ -44,10 +44,10 @@ class TorusModel:
             raise ValueError("torus dimension m must be >= 1")
         if self.truncation < 1:
             raise ValueError("truncation N must be >= 1")
+        if len(self.offsets) != self.m:
+            raise ValueError(f"offsets have length {len(self.offsets)}, expected m={self.m}")
         if self.size > np.iinfo(np.intp).max:
             raise ValueError("truncation N too large: the box of (2N+1)^m modes cannot be indexed")
-        if len(self.offsets) != self.m:
-            raise ValueError("offsets must have length m")
         if len(set(self.controlled)) != len(self.controlled):
             raise ValueError("duplicate controlled axis")
         for a in self.controlled:

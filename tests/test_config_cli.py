@@ -343,6 +343,37 @@ def test_parse_reports_jsonschema_wording(faults, message):
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize("bad", [-1, 10**400], ids=["minus_one", "beyond_float_range"])
+def test_every_numeric_leaf_replaced_parses_or_raises_config_error(bad):
+    escapes = []
+    for base in _BASE_CONFIGS:
+        for path, value in _nodes(base):
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                continue
+            payload = copy.deepcopy(base)
+            _at(payload, path[:-1])[path[-1]] = bad
+            try:
+                parse_config(payload)
+            except ConfigError:
+                pass
+            except Exception as exc:  # any other exception escapes as a traceback
+                escapes.append((path, f"{type(exc).__name__}: {exc}"))
+    assert not escapes
+
+
+@pytest.mark.parametrize(
+    "seed, refused", [(2**1024, True), (2**1023, False)], ids=["2**1024", "2**1023"]
+)
+def test_integer_without_float_value_is_a_non_finite_number(seed, refused):
+    payload = _holonomy_config(seed=seed)
+    if refused:
+        with pytest.raises(ConfigError) as info:
+            parse_config(payload)
+        assert str(info.value) == "config.run.seed: non-finite number"
+    else:
+        assert parse_config(payload).run.seed == seed
+
+
 def test_parse_normalises_integral_floats_without_touching_the_payload():
     payload = _holonomy_config()
     payload["model"].update(m=2.0, controlled=[0.0], truncation=3.0)
@@ -484,6 +515,26 @@ def test_cli_non_finite_number_exit2_no_output(tmp_path, capsys, field, token):
     out = tmp_path / "out"
     assert main(["--config", str(cfg), "--out", str(out), "--quiet", "holonomy"]) == 2
     assert token in capsys.readouterr().err
+    assert not out.exists() or not list(out.iterdir())
+
+
+@pytest.mark.parametrize(
+    "path, value",
+    [
+        (("connection", "components", 0, "fourier", 0, "poly", 0, "exponents", 1), -1),
+        (("model", "offsets", 0), 10**400),
+        (("curve", "duration"), 10**400),
+    ],
+    ids=["negative_connection_exponent", "huge_integer_offset", "huge_integer_duration"],
+)
+def test_cli_config_fault_exit2_without_traceback_or_output(tmp_path, capsys, path, value):
+    payload = _holonomy_config()
+    _at(payload, path[:-1])[path[-1]] = value
+    cfg = _write(tmp_path / "cfg.json", payload)
+    out = tmp_path / "out"
+    assert main(["--config", cfg, "--out", str(out), "--quiet", "holonomy"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: config.") and "Traceback" not in err
     assert not out.exists() or not list(out.iterdir())
 
 

@@ -89,6 +89,15 @@ def test_non_finite_coefficients_rejected(build, bad):
         build(bad)
 
 
+@pytest.mark.parametrize(
+    "build", [ParameterPolynomial, ActionPolynomial], ids=["parameter_polynomial", "action_polynomial"]
+)
+def test_exponent_length_message_states_found_and_expected(build):
+    with pytest.raises(DimensionMismatchError) as info:
+        build(2, {(1,): 1.0})
+    assert str(info.value) == "exponent tuple (1,) has length 1, expected length 2"
+
+
 # --- array algebra against the dict algebra ------------------------------------
 #
 # Reference copies of the coefficient-dict arithmetic the array form replaced:

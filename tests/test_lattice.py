@@ -75,6 +75,12 @@ def test_model_validation():
         TorusModel(2, (0,), (0.0,), 4)
 
 
+def test_offsets_length_is_checked_before_the_box_size():
+    # the size test would compute 3**(10**6) first and report the truncation
+    with pytest.raises(ValueError, match=r"^offsets have length 1, expected m=1000000$"):
+        TorusModel(10**6, (), (0.0,), 1)
+
+
 def test_dynamic_complement():
     model = TorusModel(3, (1,), (0.0, 0.0, 0.0), 2)
     assert model.dynamic == (0, 2)
