@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curves import ParameterCurve, step_intervals
-from .errors import DimensionMismatchError
+from .errors import DimensionMismatchError, NonFiniteError
 from .fields import ActionPolynomial, ControlConnection
 from .lattice import ClassicalState, TorusModel, controlled_submodel, interior_mask, mode_array
 from .operators import (
@@ -147,7 +147,9 @@ def evolve_perturbed(
 
     The step grid is aligned with the curve's breakpoints.  No split
     assumption is made here; with a split-compliant connection the dynamic
-    block reproduces the free flow to integrator accuracy.
+    block reproduces the free flow to integrator accuracy.  A power of an
+    action that overflows raises ``NonFiniteError``; other overflows leave
+    non-finite samples.
     """
     m = hamiltonian.m
     if state0.m != m or connection.m != m:
@@ -160,7 +162,12 @@ def evolve_perturbed(
         return rate + [g + v for g, v in zip(hamiltonian.gradient_list(actions), drift)]
 
     times = step_intervals(curve, steps)
-    ys, _ = _rk4_along(rhs, compiled, curve, times, np.concatenate([state0.actions, state0.angles]))
+    y0 = np.concatenate([state0.actions, state0.angles])
+    try:
+        ys, _ = _rk4_along(rhs, compiled, curve, times, y0)
+    except OverflowError:
+        # Python's float ** raises where * gives inf
+        raise NonFiniteError("a power of an action overflowed; the flow did not stay bounded") from None
     return Trajectory(times, ys[:, :m], ys[:, m:])
 
 

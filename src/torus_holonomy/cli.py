@@ -3,7 +3,7 @@
 Subcommands: spectrum | classical | evolve | holonomy | verify.
 Exit codes: 0 ok, 2 config error, 3 precondition error, 4 verification
 failure.  Outputs are written atomically; a failing run leaves no partial
-files.
+files and prints one line on stderr.
 """
 
 from __future__ import annotations
@@ -11,6 +11,8 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+
+import numpy as np
 
 from .config import ExperimentConfig, load_config
 from .errors import (
@@ -69,6 +71,10 @@ def _measured(value) -> str:
     return "non-finite" if value is None else f"{value:.3e}"
 
 
+# Quiet numpy's floating-point warnings: every non-finite result is refused
+# on its own (JSON and CSV payloads are not written, verify records null),
+# so a failing run prints its one error line only.
+@np.errstate(all="ignore")
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     out = args.out

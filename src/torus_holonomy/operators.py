@@ -38,9 +38,9 @@ on the stack's largest 1-norm that the caller reads from its term
 weights (``ShiftBasis.term_norms``), never from a dense norm: up to the
 backward-error bound theta_8 of Al-Mohy and Higham, the degree-8 Taylor
 polynomial in three products (Bader, Blanes and Casas); above, scaling
-and squaring with Paterson-Stockmeyer.  ``step_chunks`` cuts the steps
-into chunks of at most ``STACK_BYTES`` of generators, and one
-``exp_workspace`` serves every chunk of a call.
+and squaring with the degree-16 Taylor polynomial by Paterson-Stockmeyer.
+``step_chunks`` cuts the steps into chunks of at most ``STACK_BYTES`` of
+generators, and one ``exp_workspace`` serves every chunk of a call.
 """
 
 from __future__ import annotations
@@ -371,14 +371,12 @@ def quantized_basis(model: TorusModel, compiled: CompiledConnection) -> ShiftBas
     return shift_basis(model, compiled, lambda n, k, c: n[:, k] + 0.5 * c[k] - offsets[k])
 
 
-# theta_m of the degree-m truncated Taylor series in double precision, m = 1..18:
-# at 1-norm <= theta_m its backward error is below the unit roundoff (Al-Mohy
-# and Higham, "Computing the action of the matrix exponential", SIAM J. Sci.
-# Comput. 33 (2011), Table 3.1).
-_TAYLOR_THETA = np.array([
-    2.29e-16, 2.58e-8, 1.39e-5, 3.40e-4, 2.40e-3, 9.07e-3, 2.38e-2, 5.00e-2, 8.96e-2,
-    1.44e-1, 2.14e-1, 3.00e-1, 4.00e-1, 5.14e-1, 6.41e-1, 7.81e-1, 9.31e-1, 1.09,
-])
+# theta_8 and theta_16: at 1-norm <= theta_m the backward error of the degree-m
+# truncated Taylor series is below the unit roundoff in double precision
+# (Al-Mohy and Higham, "Computing the action of the matrix exponential", SIAM
+# J. Sci. Comput. 33 (2011), Table 3.1).
+_THETA8 = 5.00e-2
+_THETA16 = 7.81e-1
 
 # x1 .. x7 and y2 of the degree-8 Taylor polynomial in three products (Bader,
 # Blanes and Casas, "Computing the matrix exponential with an optimized Taylor
@@ -393,6 +391,9 @@ _TAYLOR8 = (
     0.1083646567852278, 0.02709116419630695, 0.6666666666666666, 0.5467614579707241,
     0.16112557339541758, 0.014090917158378208, 0.033792797010870505, 0.13549236135285064,
 )
+
+# 1 / k! for k = 0 .. 16, the coefficients of the degree-16 Taylor series.
+_TAYLOR16 = 1.0 / np.cumprod([1.0, *range(1, 17)])
 
 # Bytes of generators per exp_stack call in the ordered products: small enough
 # that memory does not grow with the step count, large enough that the batched
@@ -420,10 +421,9 @@ def exp_stack(a: np.ndarray, bound: float, work: np.ndarray | None = None) -> np
     batched products (``_TAYLOR8``), its linear combinations of A, A^2 and
     A^4 as one real matrix product over the stacked powers.  Above, it is
     scaling and squaring: the stack is scaled by 2**-s until the bound is at
-    most theta_18, the degree is the smallest m >= 9 with theta_m at least
-    the scaled bound, the series is evaluated by Paterson-Stockmeyer with
-    batched products, and the result is squared s times.  One method serves
-    the whole stack.  A non-finite bound gives an all-NaN result.
+    most theta_16, the degree-16 series is evaluated by Paterson-Stockmeyer
+    with batched products, and the result is squared s times.  One method
+    serves the whole stack.  A non-finite bound gives an all-NaN result.
 
     ``work`` is an ``exp_workspace`` of the result's dtype for at least S
     matrices.  Callers that exponentiate chunk after chunk pass one for all
@@ -441,7 +441,7 @@ def exp_stack(a: np.ndarray, bound: float, work: np.ndarray | None = None) -> np
         return np.full(a.shape, np.nan, dtype=dtype)
     if work is None:
         work = exp_workspace(*a.shape[:2], dtype)
-    if bound > _TAYLOR_THETA[7]:
+    if bound > _THETA8:
         return _paterson_stockmeyer(a.astype(dtype, copy=False), bound, work[:, : len(a)])
     return _taylor8(a, work[:, : len(a)])
 
@@ -475,40 +475,27 @@ def _real_rows(stacks: np.ndarray) -> np.ndarray:
 
 
 def _paterson_stockmeyer(a: np.ndarray, bound: float, work: np.ndarray) -> np.ndarray:
-    """Scaling and squaring at degree 9 to 18, for ``exp_stack`` above theta_8.
+    """Scaling and squaring at degree 16, for ``exp_stack`` above theta_8.
 
-    The scaled stack and the powers A^2 .. A^q (q <= 5) go to ``work``, so
-    that only the Horner sums allocate.
+    The scaled stack and the powers A^2 .. A^4 go to ``work``, so that only
+    the Horner sums allocate.
     """
     s = 0
-    if bound > _TAYLOR_THETA[-1]:
-        s = int(np.ceil(np.log2(bound / _TAYLOR_THETA[-1])))
-        s += bound * 2.0**-s > _TAYLOR_THETA[-1]  # in case log2 rounded down
+    if bound > _THETA16:
+        s = int(np.ceil(np.log2(bound / _THETA16)))
+        s += bound * 2.0**-s > _THETA16  # in case log2 rounded down
         a = np.multiply(a, 2.0**-s, out=work[4])
-        bound *= 2.0**-s
-    m = int(np.searchsorted(_TAYLOR_THETA, bound)) + 1
-    coeffs = 1.0 / np.cumprod([1.0, *range(1, m + 1)])
-    # Paterson-Stockmeyer: p(A) = sum_j B_j (A^q)^j, B_j = sum_{i<q} c_{jq+i} A^i,
-    # by Horner in A^q: P_r = B_r, then P_j = P_{j+1} A^q + B_j down to P_0 = p(A).
-    # powers[i - 1] holds A^i.
-    q = int(np.ceil(np.sqrt(m)))
+    # Paterson-Stockmeyer: p(A) = sum_{j<4} B_j (A^4)^j + c_16 (A^4)^4 with
+    # B_j = sum_{i<4} c_{4j+i} A^i, by Horner in A^4: P_4 = c_16 I, then
+    # P_j = P_{j+1} A^4 + B_j down to P_0 = p(A).  powers[i - 1] holds A^i.
     powers = [a]
-    for i in range(q - 1):
+    for i in range(3):
         powers.append(np.matmul(powers[-1], a, out=work[i]))
-    r = m // q
-    if m > r * q:
-        result = coeffs[r * q + 1] * powers[0]
-        for i in range(2, m - r * q + 1):
-            result += coeffs[r * q + i] * powers[i - 1]
-        _add_identity(result, coeffs[r * q])
-        result = result @ powers[-1]
-    else:
-        result = coeffs[r * q] * powers[-1]
-    # each B_j of j < r has all q - 1 powers; its terms go straight into the sum
-    for j in range(r - 1, -1, -1):
-        for i in range(1, q):
-            result += coeffs[j * q + i] * powers[i - 1]
-        _add_identity(result, coeffs[j * q])
+    result = _TAYLOR16[16] * powers[-1]
+    for j in range(3, -1, -1):
+        for i in range(1, 4):
+            result += _TAYLOR16[4 * j + i] * powers[i - 1]
+        _add_identity(result, _TAYLOR16[4 * j])
         if j:
             result = result @ powers[-1]
     for _ in range(s):

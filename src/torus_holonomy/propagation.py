@@ -35,10 +35,11 @@ left-multiplied onto the product once.  All chunks of a call share one
 polynomial in sigma: it quantizes one field per (component, sigma-monomial)
 with ``quantize_affine`` once per call, sums them with the step weights
 ``v_beta sigma^e``, and exponentiates each chunk of steps with one call of
-``expm``, a diagonal Padé approximant with scaling and squaring (Higham
-2005) in numpy.  It reads neither the compiled table nor its shift basis,
-so the reported route deviation also cross-checks the compiled kernel,
-the Taylor series of the stacked exponentials and the pairwise product.
+``expm``, the diagonal [9/9] Padé approximant with scaling and squaring
+(Higham 2005) in numpy.  It reads neither the compiled table nor its
+shift basis, so the reported route deviation also cross-checks the
+compiled kernel, the Taylor series of the stacked exponentials and the
+pairwise product.
 
 ``evolve_full`` computes both of its routes per dynamic label, as
 (2N+1)^(m-l) blocks of size (2N+1)^l.  The factorized block of label j is
@@ -93,41 +94,31 @@ class PropagatorReport:
     unitarity_defect: float
 
 
-# Coefficients b_0 .. b_m of the diagonal [m/m] Padé approximant
-# p_m(x) / p_m(-x) to exp(x), p_m(x) = sum_j b_j x^j, and theta_m, the largest
+# Coefficients b_0 .. b_9 of the diagonal [9/9] Padé approximant
+# p_9(x) / p_9(-x) to exp(x), p_9(x) = sum_j b_j x^j, and theta_9, the largest
 # 1-norm at which its backward error stays below the unit roundoff (Higham,
 # "The scaling and squaring method for the matrix exponential revisited",
 # SIAM J. Matrix Anal. Appl. 26 (2005), Table 2.3).
-_PADE = {
-    3: (1.495585217958292e-2, (120.0, 60.0, 12.0, 1.0)),
-    5: (2.539398330063230e-1, (30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0)),
-    7: (9.504178996162932e-1, (17297280.0, 8648640.0, 1995840.0, 277200.0, 25200.0, 1512.0,
-                               56.0, 1.0)),
-    9: (2.097847961257068, (17643225600.0, 8821612800.0, 2075673600.0, 302702400.0, 30270240.0,
-                            2162160.0, 110880.0, 3960.0, 90.0, 1.0)),
-    13: (5.371920351148152, (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
-                             1187353796428800.0, 129060195264000.0, 10559470521600.0,
-                             670442572800.0, 33522128640.0, 1323241920.0, 40840800.0, 960960.0,
-                             16380.0, 182.0, 1.0)),
-}
+_THETA9 = 2.097847961257068
+_PADE9 = (17643225600.0, 8821612800.0, 2075673600.0, 302702400.0, 30270240.0, 2162160.0,
+          110880.0, 3960.0, 90.0, 1.0)
 
 
 def expm(a: np.ndarray) -> np.ndarray:
     """Matrix exponential of each matrix of an (S, n, n) stack.
 
-    Scaling and squaring with a diagonal Padé approximant (Higham 2005,
-    Algorithm 2.3): the degree is the smallest m of 3, 5, 7, 9, 13 with the
-    largest 1-norm of the stack at most theta_m; above theta_13 the stack is
-    scaled by 2**-s first and the result squared s times.  One degree and
-    one s serve the whole stack, as in ``exp_stack``, so a chunk of steps
-    costs a few batched products and one batched LU solve.  With U and V
-    the odd and even parts of the numerator, the approximant
-    ``(V - U)^-1 (V + U)`` is formed as ``I + 2 (V - U)^-1 U``: with the
-    identity kept out of the solve, a step near I stays unitary to rounding
-    (2e-16 per 17x17 step of the bench evolve config, against 7e-16 for the
-    plain quotient).  A rational function, so it shares no algorithm with
-    the Taylor series of ``exp_stack``.  A non-finite entry anywhere gives
-    an all-NaN result of the stack's shape.
+    Scaling and squaring with the diagonal [9/9] Padé approximant (Higham
+    2005): above theta_9 the stack is scaled by 2**-s until its largest
+    1-norm is at most theta_9, and the result is squared s times.  One s
+    serves the whole stack, as in ``exp_stack``, so a chunk of steps costs
+    a few batched products and one batched LU solve.  With U and V the odd
+    and even parts of the numerator, the approximant ``(V - U)^-1 (V + U)``
+    is formed as ``I + 2 (V - U)^-1 U``: with the identity kept out of the
+    solve, a step near I stays unitary to rounding (2e-16 per 17x17 step of
+    the bench evolve config, against 7e-16 for the plain quotient).  A
+    rational function, so it shares no algorithm with the Taylor series of
+    ``exp_stack``.  A non-finite entry anywhere gives an all-NaN result of
+    the stack's shape.
     """
     stack = np.asarray(a)
     if stack.ndim != 3 or stack.shape[-1] != stack.shape[-2]:
@@ -139,11 +130,9 @@ def expm(a: np.ndarray) -> np.ndarray:
     if not np.isfinite(norm):
         return np.full_like(stack, np.nan)
     s = 0
-    m = next((degree for degree, (theta, _) in _PADE.items() if norm <= theta), 13)
-    theta, b = _PADE[m]
-    if norm > theta:
-        s = int(np.ceil(np.log2(norm / theta)))
-        s += norm * 2.0**-s > theta  # in case log2 rounded down
+    if norm > _THETA9:
+        s = int(np.ceil(np.log2(norm / _THETA9)))
+        s += norm * 2.0**-s > _THETA9  # in case log2 rounded down
         stack = stack * 2.0**-s
 
     def series(coefficients, powers):
@@ -154,20 +143,12 @@ def expm(a: np.ndarray) -> np.ndarray:
         _add_identity(out, coefficients[0])
         return out
 
-    # U = A * (odd coefficients over I, A^2, ..), V = even coefficients over them;
-    # degree 13 stops at A^6 and adds A^6 times a second series (Higham 2005, (2.11))
-    count = m // 2 if m < 13 else 3
+    # U = A * (odd coefficients over I, A^2, .., A^8), V = even coefficients over them
     powers = [stack @ stack]
-    while len(powers) < count:
+    for _ in range(3):
         powers.append(powers[-1] @ powers[0])
-    u = series(b[1 : 2 * count + 2 : 2], powers)
-    v = series(b[0 : 2 * count + 1 : 2], powers)
-    if m == 13:
-        a2, a4, a6 = powers
-        u += a6 @ (b[9] * a2 + b[11] * a4 + b[13] * a6)
-        v += a6 @ (b[8] * a2 + b[10] * a4 + b[12] * a6)
-    u = stack @ u
-    result = 2.0 * np.linalg.solve(v - u, u)
+    u = stack @ series(_PADE9[1::2], powers)
+    result = 2.0 * np.linalg.solve(series(_PADE9[0::2], powers) - u, u)
     _add_identity(result, 1.0)
     for _ in range(s):
         result = result @ result

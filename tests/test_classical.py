@@ -7,6 +7,7 @@ from torus_holonomy import (
     ClassicalState,
     ControlConnection,
     DimensionMismatchError,
+    NonFiniteError,
     ParameterPolynomial,
     SplitViolationError,
     TorusModel,
@@ -277,6 +278,16 @@ def test_trajectory_times_strictly_increasing():
     traj = evolve_perturbed(ham, conn, curve, ClassicalState([0.0], [0.0]), 10)
     assert np.all(np.diff(traj.times) > 0)
     assert len(traj) == 11
+
+
+def test_perturbed_flow_with_an_overflowing_power_raises_non_finite():
+    # grad H = 3e5 I_1^2 at I_1 = 1e200: Python's float ** raises
+    # OverflowError there, which the flow turns into the package's error
+    ham = ActionPolynomial(2, {(0, 3): 1e5})
+    curve = WaypointPath(((0.0,), (1.0,)), 1.0)
+    s0 = ClassicalState([1.0, 1e200], [0.7, 0.1])
+    with pytest.raises(NonFiniteError, match="the flow did not stay bounded"):
+        evolve_perturbed(ham, _const_connection(2, 0, 0.45), curve, s0, 50)
 
 
 # --- split residual ----------------------------------------------------------

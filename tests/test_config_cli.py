@@ -722,6 +722,23 @@ def test_cli_classical_unbounded_flow_exit3_no_output(tmp_path, capsys):
     assert not out.exists() or not list(out.iterdir())
 
 
+def test_cli_classical_overflowing_power_exit3_no_output(tmp_path, capsys):
+    # H = 1e5 I_1^3 at I_1 = 1e200: the gradient's power overflows a float
+    # in the first RK4 stage, and the run ends with one error line
+    payload = json.loads((CONFIGS / "classical_drift.json").read_text())
+    payload["hamiltonian"] = {"terms": [{"exponents": [0, 3], "coefficient": 1e5}]}
+    payload["initial"]["actions"] = [1.0, 1e200]
+    payload["curve"] = {"type": "waypoints", "points": [[0.0], [1.0]], "duration": 1.0}
+    payload["run"]["steps"] = 50
+    cfg = _write(tmp_path / "cfg.json", payload)
+    out = tmp_path / "out"
+    assert main(["--config", cfg, "--out", str(out), "--quiet", "classical"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "did not stay bounded" in err
+    assert len(err.splitlines()) == 1
+    assert not out.exists() or not list(out.iterdir())
+
+
 def test_cli_evolve_writes_matrix_and_diagnostics(tmp_path):
     payload = _holonomy_config()
     payload["model"]["truncation"] = 2
@@ -937,6 +954,8 @@ def test_cli_non_finite_result_exit3_no_output(tmp_path, capsys, monkeypatch, ba
     assert not out.exists() or not list(out.iterdir())
 
 
+# a numpy warning fails the test: the CLI quiets them itself
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("command", ["holonomy", "evolve"])
 def test_cli_overflowing_generator_exit3_no_output(tmp_path, capsys, command):
     # a finite coefficient whose step weights overflow: the stacked
@@ -947,22 +966,39 @@ def test_cli_overflowing_generator_exit3_no_output(tmp_path, capsys, command):
     payload["connection"]["components"][0]["fourier"][0]["poly"][0]["coefficient"] = 1e308
     cfg = _write(tmp_path / "cfg.json", payload)
     out = tmp_path / "out"
-    with np.errstate(all="ignore"):
-        assert main(["--config", cfg, "--out", str(out), "--quiet", command]) == 3
+    assert main(["--config", cfg, "--out", str(out), "--quiet", command]) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
     assert not out.exists() or not list(out.iterdir())
 
 
-def _modules_after(code: str, *argv: str) -> tuple[int, set[str]]:
-    """Run ``code`` in a fresh interpreter: the exit status it leaves in ``status``
-    and the modules loaded at its end."""
+def _modules_after(code: str, *argv: str) -> tuple[int, set[str], str]:
+    """Run ``code`` in a fresh interpreter: the exit status it leaves in ``status``,
+    the modules loaded at its end, and what it printed on stderr."""
     code += "; import json; print(json.dumps(sorted(sys.modules))); sys.exit(status)"
     env = dict(os.environ, PYTHONPATH=str(Path(torus_holonomy.__file__).parents[1]))
     run = subprocess.run(
         [sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True, timeout=120
     )
-    return run.returncode, set(json.loads(run.stdout.strip().splitlines()[-1]))
+    return run.returncode, set(json.loads(run.stdout.strip().splitlines()[-1])), run.stderr
+
+
+_CLI_MAIN = "import sys; from torus_holonomy.cli import main; status = main(sys.argv[1:])"
+
+
+def test_cli_overflowing_spectrum_prints_one_error_line(tmp_path):
+    # I_1 ** 1e18 overflows while the levels are built; numpy would warn on
+    # stderr, with a source path, ahead of the error line.  In a fresh
+    # interpreter, as a user's run sees it: no warning filter of the tests
+    # stands between the run and its stderr.
+    payload = json.loads((CONFIGS / "spectrum_quadratic.json").read_text())
+    payload["hamiltonian"]["terms"][0]["exponents"] = [0, 10**18]
+    cfg = _write(tmp_path / "cfg.json", payload)
+    out = tmp_path / "out"
+    status, _, err = _modules_after(_CLI_MAIN, "--config", cfg, "--out", str(out), "spectrum")
+    assert status == 3
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert not out.exists() or not list(out.iterdir())
 
 
 # jsonschema and the packages it loads; the tests use it as an oracle only
@@ -978,7 +1014,7 @@ def test_import_loads_no_heavy_optional_modules():
     # Every CLI run and benchmark set-up pays the package import.
     heavy = ("scipy.signal", "sympy", "hypothesis")
     code = "import sys, torus_holonomy, torus_holonomy.cli, torus_holonomy.harness, torus_holonomy.verify"
-    status, modules = _modules_after(code + "; status = 0")
+    status, modules, _ = _modules_after(code + "; status = 0")
     assert status == 0
     assert [m for m in heavy if m in modules] == []
     assert _loaded(modules, "scipy", *_JSONSCHEMA) == []
@@ -996,11 +1032,11 @@ def test_import_loads_no_heavy_optional_modules():
 )
 def test_cli_commands_load_no_scipy(tmp_path, command, config):
     # scipy is a test-only oracle: evolve's reference exponential and the
-    # Dirac residual that verify checks are numpy code
-    code = "import sys; from torus_holonomy.cli import main; status = main(sys.argv[1:])"
+    # Dirac residual that verify checks are numpy code.  A run on a shipped
+    # config prints nothing on stderr.
     argv = ("--out", str(tmp_path), "--quiet", command)
     if config:
         argv = ("--config", str(CONFIGS / config), *argv)
-    status, modules = _modules_after(code, *argv)
-    assert status == 0
+    status, modules, err = _modules_after(_CLI_MAIN, *argv)
+    assert status == 0 and err == ""
     assert _loaded(modules, "scipy", *_JSONSCHEMA) == []

@@ -27,8 +27,9 @@ from torus_holonomy import (
 )
 from torus_holonomy.lattice import interior_mask, mode_array, sublattice_index
 from torus_holonomy.operators import (
+    _THETA8,
+    _THETA16,
     _TAYLOR8,
-    _TAYLOR_THETA,
     ShiftBasis,
     _shift_scatter,
     commutator,
@@ -545,9 +546,14 @@ def test_controlled_field_operator_factorizes():
 
 # --- stacked exponentials --------------------------------------------------------
 
-# one largest 1-norm inside each degree interval (theta_{m-1}, theta_m], m = 1..18,
-# then three that need scaling and squaring
-_DEGREE_NORMS = (1e-16, *np.sqrt(_TAYLOR_THETA[:-1] * _TAYLOR_THETA[1:]))
+# theta_m of the degree-m truncated Taylor series, m = 1..18 (Al-Mohy and Higham
+# 2011, Table 3.1), as data: one largest 1-norm inside each interval
+# (theta_{m-1}, theta_m], then three that need scaling and squaring
+_THETA_TABLE = np.array([
+    2.29e-16, 2.58e-8, 1.39e-5, 3.40e-4, 2.40e-3, 9.07e-3, 2.38e-2, 5.00e-2, 8.96e-2,
+    1.44e-1, 2.14e-1, 3.00e-1, 4.00e-1, 5.14e-1, 6.41e-1, 7.81e-1, 9.31e-1, 1.09,
+])
+_DEGREE_NORMS = (1e-16, *np.sqrt(_THETA_TABLE[:-1] * _THETA_TABLE[1:]))
 _SCALED_NORMS = (3.0, 12.0, 50.0)
 
 
@@ -560,26 +566,28 @@ def _imaginary_diagonal(rng, count, n):
     return np.stack([np.diag(1j * rng.normal(size=n)) for _ in range(count)])
 
 
+def _real_normal(rng, count, n):
+    return rng.normal(size=(count, n, n))
+
+
 @pytest.mark.parametrize(
     "kind, n, norms",
     [
         (_skew_hermitian, 17, _DEGREE_NORMS + _SCALED_NORMS),
         (_skew_hermitian, 29, _DEGREE_NORMS + _SCALED_NORMS),
         # real non-normal, as the action transport's -dt * coupling
-        (lambda rng, count, n: rng.normal(size=(count, n, n)), 2, _DEGREE_NORMS + (3.0,)),
-        (lambda rng, count, n: rng.normal(size=(count, n, n)), 3, _DEGREE_NORMS + (3.0,)),
+        (_real_normal, 2, _DEGREE_NORMS + (3.0,)),
+        (_real_normal, 3, _DEGREE_NORMS + (3.0,)),
         # the Abelian loop's generators are diagonal
         (_imaginary_diagonal, 17, _DEGREE_NORMS + _SCALED_NORMS),
         (_skew_hermitian, 1, _DEGREE_NORMS + _SCALED_NORMS),
-        (lambda rng, count, n: rng.normal(size=(count, n, n)), 1, _DEGREE_NORMS + _SCALED_NORMS),
+        (_real_normal, 1, _DEGREE_NORMS + _SCALED_NORMS),
     ],
 )
 def test_exp_stack_matches_scipy_expm(kind, n, norms):
-    # every branch is reached: the three-product degree 8 (up to theta_8),
-    # each Paterson-Stockmeyer degree 9 to 18, and scaling
-    degrees = np.searchsorted(_TAYLOR_THETA, _DEGREE_NORMS) + 1
-    assert min(degrees) <= 8 and sorted(degrees[degrees > 8]) == list(range(9, 19))
-    assert min(_SCALED_NORMS) > _TAYLOR_THETA[-1]
+    # each branch is reached: the three-product T8 (up to theta_8), and
+    # Paterson-Stockmeyer at degree 16 unscaled (up to theta_16) and scaled
+    assert set(np.searchsorted([_THETA8, _THETA16], norms).tolist()) == {0, 1, 2}
     rng = np.random.default_rng(n)
     # one workspace for every norm, longer than the stacks as a chunk workspace can be:
     # reusing it changes no bit of the result
@@ -593,6 +601,26 @@ def test_exp_stack_matches_scipy_expm(kind, n, norms):
         want = np.stack([expm(a) for a in stack])
         # measured worst cases: 1.7e-14 (real 2x2 at norm 3), 7.7e-15 for the rest
         assert np.max(np.abs(got - want)) <= 5e-14 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize(
+    "bound", [_THETA8, np.nextafter(_THETA8, np.inf), _THETA16, np.nextafter(_THETA16, np.inf)]
+)
+@pytest.mark.parametrize(
+    "kind, n",
+    [(_skew_hermitian, 17), (_skew_hermitian, 1), (_real_normal, 2), (_real_normal, 3),
+     (_imaginary_diagonal, 17)],
+)
+def test_exp_stack_at_the_thresholds_matches_scipy_expm(kind, n, bound):
+    # T8 and unscaled Paterson-Stockmeyer at the largest bound each takes,
+    # and the branch just above: the stack's largest 1-norm is the bound to
+    # rounding, and the bound alone picks the method
+    rng = np.random.default_rng(n)
+    stack = kind(rng, 4, n)
+    stack = stack * (bound / np.max(np.abs(stack).sum(axis=1)))
+    got = exp_stack(stack, bound)
+    want = np.stack([expm(a) for a in stack])
+    assert np.max(np.abs(got - want)) <= 5e-14 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

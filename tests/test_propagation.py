@@ -809,7 +809,8 @@ def test_unitarity_defect_of_a_stack_is_its_worst_matrix():
     assert max(each) == each[2] > 1e-9
 
 
-# 1-norms in the range of each Padé degree 3, 5, 7, 9, 13, then two that need scaling
+# 1-norms from 1e-8 to 100: five that the [9/9] Padé approximant takes unscaled
+# (up to theta_9), then three that it scales
 _PADE_NORMS = (1e-8, 1e-3, 0.1, 0.6, 1.5, 4.0, 12.0, 100.0)
 
 
@@ -835,8 +836,8 @@ def _real(rng, n):
     + [(_real, n) for n in (1, 17, 40)],
 )
 def test_expm_matches_scipy_expm(kind, n):
-    thetas = [theta for theta, _ in propagation._PADE.values()]
-    assert sorted(set(np.searchsorted(thetas, _PADE_NORMS))) == [0, 1, 2, 3, 4, 5]
+    # each branch is reached: the approximant unscaled and scaled
+    assert set(np.searchsorted([propagation._THETA9], _PADE_NORMS).tolist()) == {0, 1}
     rng = np.random.default_rng(n)
     for norm in _PADE_NORMS:
         a = kind(rng, n)
@@ -845,6 +846,23 @@ def test_expm_matches_scipy_expm(kind, n):
         assert got.shape == (1, n, n) and got.dtype == a.dtype
         want = expm(a)
         assert np.max(np.abs(got[0] - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("norm", [propagation._THETA9, np.nextafter(propagation._THETA9, np.inf)])
+@pytest.mark.parametrize("kind, n", [(_general, 2), (_general, 17), (_real, 17), (_real, 40)])
+def test_expm_at_the_scaling_threshold_matches_scipy_expm(kind, n, norm):
+    # the approximant unscaled at the largest 1-norm it takes, and scaled
+    # just above: the first column holds one real entry of modulus norm and
+    # every other column sums to about norm / 2, so the 1-norm is norm exactly
+    rng = np.random.default_rng(n)
+    a = kind(rng, n)
+    a *= 0.5 * norm / np.max(np.abs(a).sum(axis=0))
+    a[:, 0] = 0.0
+    a[-1, 0] = norm
+    assert np.max(np.abs(a).sum(axis=0)) == norm
+    got = propagation.expm(a[None])
+    want = expm(a)
+    assert np.max(np.abs(got[0] - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -861,9 +879,9 @@ def test_expm_non_finite_input_gives_all_nan(bad, dtype):
     "kind, n", [(kind, n) for kind in (_general, _skew_hermitian) for n in (1, 2, 17)] + [(_real, 17)]
 )
 def test_stacked_expm_matches_scipy_expm_per_matrix(kind, n):
-    # one degree and one scaling serve the stack, taken from its largest
-    # 1-norm: the small matrices are exponentiated at the largest one's
-    # degree, scaled and squared with it, and must stay as accurate
+    # one scaling serves the stack, taken from its largest 1-norm: the small
+    # matrices are scaled and squared with the largest one, and must stay
+    # as accurate
     rng = np.random.default_rng(100 + n)
     stack = []
     for norm in rng.permutation(_PADE_NORMS):
@@ -885,7 +903,7 @@ def test_expm_refuses_anything_but_a_stack_of_square_matrices(shape):
 
 @pytest.mark.parametrize("norm", _PADE_NORMS)
 def test_expm_of_a_one_matrix_stack_is_the_matrix_call(norm):
-    # the stack's largest matrix sets its degree and scaling, so that matrix
+    # the stack's largest matrix sets its scaling, so that matrix
     # comes out of a stack bit for bit as out of its own one-matrix stack
     rng = np.random.default_rng(7)
     a = _skew_hermitian(rng, 17)
