@@ -53,16 +53,9 @@ from .fields import (
     TorusFourierField,
     poisson_bracket,
 )
-from .lattice import (
-    ClassicalState,
-    TorusModel,
-    WaveFunction,
-    inner_product,
-    mode_iter,
-)
+from .lattice import ClassicalState, TorusModel
 from .operators import (
     OperatorMatrix,
-    action_operator,
     dirac_residual,
     halfform_equivalence,
     hamiltonian_operator,
@@ -104,9 +97,7 @@ __all__ = [
     "TorusHolonomyError",
     "TorusModel",
     "Trajectory",
-    "WaveFunction",
     "WaypointPath",
-    "action_operator",
     "classical_action_transport",
     "classical_mode_transport",
     "concatenate",
@@ -119,10 +110,8 @@ __all__ = [
     "halfform_equivalence",
     "hamiltonian_operator",
     "holonomy",
-    "inner_product",
     "lambda_shift_equivalence",
     "line_integral",
-    "mode_iter",
     "path_invariance_report",
     "poisson_bracket",
     "quantize_affine",

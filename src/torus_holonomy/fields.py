@@ -582,11 +582,15 @@ class ActionPolynomial:
 
         Scalar products over the prebuilt table: at the few terms of a
         Hamiltonian, numpy's per-call overhead makes an array expression
-        slower than this loop.
+        slower than this loop.  A power that overflows raises
+        ``NonFiniteError``; Python's float ``**`` raises where ``*`` gives inf.
         """
         grad = [0.0] * self.m
-        for k, term, factors in self._derivative:
-            for j, q in factors:
-                term *= actions[j] ** q
-            grad[k] += term
+        try:
+            for k, term, factors in self._derivative:
+                for j, q in factors:
+                    term *= actions[j] ** q
+                grad[k] += term
+        except OverflowError:
+            raise NonFiniteError("a power of an action overflowed; the flow did not stay bounded") from None
         return grad

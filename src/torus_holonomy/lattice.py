@@ -1,12 +1,14 @@
-"""Mode lattice, wavefunctions and classical states on the m-torus.
+"""Mode lattice and classical states on the m-torus.
 
 Everything finite-dimensional in this package lives on the truncated mode
 box ``{n in Z^m : |n_k| <= N}``.  Modes are enumerated lexicographically
-(first axis slowest); that order fixes the layout of every coefficient
-vector and operator matrix.  Amplitudes outside the box are implicitly
-zero, so operators that shift modes across the boundary drop those
-contributions; exact-identity checks therefore restrict themselves to
-the modes of ``interior_mask``.
+(first axis slowest), as the rows of ``mode_array``; that order fixes the
+layout of every coefficient vector and operator matrix.  Mode n sits at
+position ``(n + N) . strides`` with strides ``(2N+1)^(m-1), ..., 1``, and
+its basis vector is that column of the identity.  Amplitudes outside the
+box are implicitly zero, so operators that shift modes across the
+boundary drop those contributions; exact-identity checks therefore
+restrict themselves to the modes of ``interior_mask``.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
-from typing import Iterable
 
 import numpy as np
 
@@ -92,25 +93,6 @@ def mode_array(model: TorusModel) -> np.ndarray:
     return _mode_array(model.m, model.truncation)
 
 
-def mode_iter(model: TorusModel) -> list[tuple[int, ...]]:
-    """Lexicographically ordered mode tuples; this is the global matrix layout."""
-    return [tuple(int(v) for v in row) for row in mode_array(model)]
-
-
-def mode_position(model: TorusModel, mode: Iterable[int]) -> int:
-    """Position of a mode in the lexicographic layout."""
-    n = tuple(int(v) for v in mode)
-    if len(n) != model.m:
-        raise DimensionMismatchError(f"mode has length {len(n)}, model has m={model.m}")
-    N = model.truncation
-    if any(abs(v) > N for v in n):
-        raise ValueError(f"mode {n} outside the box |n_k| <= {N}")
-    pos = 0
-    for v in n:
-        pos = pos * model.axis_size + (v + N)
-    return pos
-
-
 def interior_mask(model: TorusModel, guard: int) -> np.ndarray:
     """Boolean mask over the layout selecting modes with |n_k| <= N - guard."""
     if guard < 0:
@@ -134,52 +116,6 @@ def sublattice_index(model: TorusModel, axes: tuple[int, ...]) -> tuple[np.ndarr
     cols = (modes[:, list(axes)] + model.truncation).T
     shape = (model.axis_size,) * len(axes)
     return np.ravel_multi_index(tuple(cols), shape), model.axis_size ** len(axes)
-
-
-@dataclass(frozen=True)
-class WaveFunction:
-    """Complex amplitudes over the mode box, stored dense in layout order."""
-
-    model: TorusModel
-    values: np.ndarray
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=np.complex128)
-        if vals.shape != (self.model.size,):
-            raise DimensionMismatchError(
-                f"expected {self.model.size} amplitudes, got shape {vals.shape}"
-            )
-        vals = vals.copy()
-        vals.flags.writeable = False
-        object.__setattr__(self, "values", vals)
-
-    @classmethod
-    def zero(cls, model: TorusModel) -> "WaveFunction":
-        return cls(model, np.zeros(model.size, dtype=np.complex128))
-
-    @classmethod
-    def basis(cls, model: TorusModel, mode: Iterable[int]) -> "WaveFunction":
-        vals = np.zeros(model.size, dtype=np.complex128)
-        vals[mode_position(model, mode)] = 1.0
-        return cls(model, vals)
-
-    def __getitem__(self, mode: Iterable[int]) -> complex:
-        return complex(self.values[mode_position(self.model, mode)])
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.values))
-
-
-def inner_product(s: WaveFunction, t: WaveFunction) -> complex:
-    """Hermitian pairing of two wavefunctions on the same model.
-
-    Convention: conjugate-linear in the first slot, so
-    ``inner_product(s, t) = sum_n conj(s_n) t_n``.  Basis modes are
-    orthonormal under this pairing.
-    """
-    if s.model != t.model:
-        raise DimensionMismatchError("wavefunctions built over different models")
-    return complex(np.vdot(s.values, t.values))
 
 
 @dataclass(frozen=True)

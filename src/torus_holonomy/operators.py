@@ -78,18 +78,6 @@ class OperatorMatrix:
     def hermiticity_defect(self) -> float:
         return float(np.max(np.abs(self.matrix - self.dagger())))
 
-    def offdiagonal_mass(self) -> float:
-        off = self.matrix - np.diag(np.diag(self.matrix))
-        return float(np.max(np.abs(off)))
-
-
-def action_operator(model: TorusModel, axis: int) -> OperatorMatrix:
-    """Diagonal action operator with entries ``n_axis - offset_axis``."""
-    if not 0 <= axis < model.m:
-        raise DimensionMismatchError(f"axis {axis} out of range for m={model.m}")
-    diag = mode_array(model)[:, axis] - model.offsets[axis]
-    return OperatorMatrix(model, np.diag(diag.astype(complex)))
-
 
 def hamiltonian_spectrum(
     model: TorusModel, hamiltonian: ActionPolynomial | Callable[[np.ndarray], float]

@@ -24,7 +24,7 @@ from .fields import (
     ParameterPolynomial,
     TorusFourierField,
 )
-from .lattice import TorusModel, controlled_submodel, mode_array, sublattice_index
+from .lattice import ClassicalState, TorusModel, controlled_submodel, mode_array, sublattice_index
 
 DEFAULT_SEED = 1234
 
@@ -207,21 +207,6 @@ def _unit_circle(duration: float = 1.0, radius: float = 1.0) -> CirclePath:
 # -- individual checks -------------------------------------------------------
 
 
-def check_orthonormality(seed: int = DEFAULT_SEED) -> CheckResult:
-    from .lattice import WaveFunction, inner_product, mode_iter
-
-    model = TorusModel(2, (0,), (0.0, 0.0), 3)
-    rng = np.random.default_rng(seed)
-    modes = mode_iter(model)
-    picks = rng.choice(len(modes), size=12, replace=False)
-    worst = 0.0
-    for i in picks:
-        for j in picks:
-            val = inner_product(WaveFunction.basis(model, modes[i]), WaveFunction.basis(model, modes[j]))
-            worst = max(worst, abs(val - (1.0 if i == j else 0.0)))
-    return CheckResult("basis_orthonormality", worst, 1e-14)
-
-
 def check_dirac(seed: int = DEFAULT_SEED, pairs: int = 100, n: int = 8) -> CheckResult:
     model = TorusModel(2, (0,), (0.25, 0.5), n)
     rng = np.random.default_rng(seed)
@@ -244,30 +229,6 @@ def check_hermiticity(seed: int = DEFAULT_SEED) -> CheckResult:
     return CheckResult("quantization_hermiticity", worst, 1e-13)
 
 
-def check_diagonality() -> CheckResult:
-    worst = 0.0
-    for n in (4, 8):
-        model = _demo_model(n)
-        for axis in range(model.m):
-            worst = max(worst, operators.action_operator(model, axis).offdiagonal_mass())
-        worst = max(worst, operators.hamiltonian_operator(model, _demo_hamiltonian()).offdiagonal_mass())
-    return CheckResult("diagonal_operators", worst, 0.0)
-
-
-def check_eigenvector_property() -> CheckResult:
-    from .lattice import WaveFunction, mode_iter
-
-    model = _demo_model(4)
-    worst = 0.0
-    for axis in range(model.m):
-        op = operators.action_operator(model, axis).matrix
-        for mode in mode_iter(model):
-            psi = WaveFunction.basis(model, mode).values
-            expected = (mode[axis] - model.offsets[axis]) * psi
-            worst = max(worst, float(np.max(np.abs(op @ psi - expected))))
-    return CheckResult("action_eigenvectors", worst, 0.0)
-
-
 def check_lambda_shift() -> CheckResult:
     model = _demo_model(8)
     dev = operators.lambda_shift_equivalence(model, _demo_hamiltonian(), (0.0, 1.0))
@@ -275,7 +236,9 @@ def check_lambda_shift() -> CheckResult:
 
 
 def check_halfform() -> CheckResult:
-    model = _demo_model(8)
+    # axis 1's offset is not 1/2, so a spectrum rule that adds the offsets
+    # does not cancel against the half shift
+    model = TorusModel(2, (0,), (0.25, 0.25), 8)
     dev = operators.halfform_equivalence(model, (1,), _demo_hamiltonian())
     return CheckResult("halfform_offset_equivalence", dev, 1e-12)
 
@@ -289,7 +252,13 @@ def check_commuting_perturbation() -> CheckResult:
     for t in np.linspace(0.0, curve.duration, 10):
         delta = propagation.delta_generator(model, conn, curve.point(t), curve.velocity(t))
         worst = max(worst, float(np.max(np.abs(operators.commutator(delta, h_op)))))
-    return CheckResult("perturbation_commutes", worst, 1e-12)
+    return CheckResult(
+        "perturbation_commutes",
+        worst,
+        1e-12,
+        detail="the split's structural check: the gate keeps Delta's shifts on controlled axes "
+        "and H reads dynamic labels only, so a correct split reads exactly 0.0",
+    )
 
 
 def check_abelian_oracle(steps: int = 1000) -> CheckResult:
@@ -376,8 +345,6 @@ def check_rk4_order() -> CheckResult:
     )
     ham = ActionPolynomial.zero(1)
     curve = WaypointPath(((0.0,), (1.0,)), 1.0)
-    from .lattice import ClassicalState
-
     s0 = ClassicalState(np.array([0.7]), np.array([0.4]))
     ref = classical.evolve_perturbed(ham, conn, curve, s0, 5120).final
     errors = []
@@ -416,8 +383,6 @@ def check_classical_reparameterization(steps: int = 2000) -> CheckResult:
     curve = _unit_circle()
     T = curve.duration
     warped = reparameterize(curve, lambda t: T * (t / T) ** 2, lambda t: 2.0 * t / T, T)
-    from .lattice import ClassicalState
-
     s0 = ClassicalState(np.array([0.9]), np.array([0.2]))
     a = classical.evolve_perturbed(ham, conn, curve, s0, steps).final
     b = classical.evolve_perturbed(ham, conn, warped, s0, steps).final
@@ -429,11 +394,8 @@ def check_classical_reparameterization(steps: int = 2000) -> CheckResult:
 
 
 _FULL_BATTERY: tuple[Callable[..., CheckResult], ...] = (
-    check_orthonormality,
     check_dirac,
     check_hermiticity,
-    check_diagonality,
-    check_eigenvector_property,
     check_lambda_shift,
     check_halfform,
     check_commuting_perturbation,
@@ -450,7 +412,7 @@ _FULL_BATTERY: tuple[Callable[..., CheckResult], ...] = (
 
 
 def run_battery(seed: int = DEFAULT_SEED) -> BatteryReport:
-    """Run the battery; the three seeded checks get the given seed."""
-    seeded = (check_orthonormality, check_dirac, check_hermiticity)
+    """Run the battery; the seeded checks, ``check_dirac`` and ``check_hermiticity``, get the seed."""
+    seeded = (check_dirac, check_hermiticity)
     results = [fn(seed=seed) if fn in seeded else fn() for fn in _FULL_BATTERY]
     return BatteryReport(tuple(results), seed)

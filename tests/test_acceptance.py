@@ -14,7 +14,6 @@ from torus_holonomy import (
     ControlConnection,
     ParameterPolynomial,
     TorusModel,
-    WaveFunction,
     classical_mode_transport,
     dirac_residual,
     evolve_control,
@@ -24,11 +23,10 @@ from torus_holonomy import (
     hamiltonian_operator,
     holonomy,
     lambda_shift_equivalence,
-    mode_iter,
     path_invariance_report,
     reparameterize,
 )
-from torus_holonomy.lattice import sublattice_index
+from torus_holonomy.lattice import mode_array, sublattice_index
 from torus_holonomy.operators import commutator
 from torus_holonomy.propagation import delta_generator
 from torus_holonomy.verify import (
@@ -66,14 +64,13 @@ def test_criterion_01_spectral_exactness():
     model = _model_n8()
     ham = _quad_hamiltonian()
     op = hamiltonian_operator(model, ham)
-    modes = mode_iter(model)
     worst_rel = 0.0
     by_label: dict[int, list[float]] = {}
-    for mode in modes:
-        psi = WaveFunction.basis(model, mode)
-        applied = op.matrix @ psi.values
+    # the basis vector of each mode is its column of the identity
+    for mode, psi in zip(mode_array(model).tolist(), np.eye(model.size).T):
+        applied = op.matrix @ psi
         expected = 0.5 * (mode[1] - 0.5) ** 2
-        err = np.max(np.abs(applied - expected * psi.values))
+        err = np.max(np.abs(applied - expected * psi))
         worst_rel = max(worst_rel, err / abs(expected))
         by_label.setdefault(mode[1], []).append(expected)
     multiplicities_ok = all(len(v) == 17 and len(set(v)) == 1 for v in by_label.values())

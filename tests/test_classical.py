@@ -290,6 +290,13 @@ def test_perturbed_flow_with_an_overflowing_power_raises_non_finite():
         evolve_perturbed(ham, _const_connection(2, 0, 0.45), curve, s0, 50)
 
 
+def test_free_flow_with_an_overflowing_power_raises_non_finite():
+    # the same power as above, in the closed-form free flow
+    ham = ActionPolynomial(2, {(0, 3): 1e5})
+    with pytest.raises(NonFiniteError, match="the flow did not stay bounded"):
+        evolve_free(ham, ClassicalState([1.0, 1e200], [0.0, 0.0]), 1.0)
+
+
 # --- split residual ----------------------------------------------------------
 
 

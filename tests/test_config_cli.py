@@ -666,7 +666,7 @@ def test_cli_holonomy_diagnostics_keys(tmp_path):
 def test_cli_verify_report_keys(tmp_path, monkeypatch):
     from torus_holonomy import verify
 
-    monkeypatch.setattr(verify, "_FULL_BATTERY", (verify.check_diagonality,))
+    monkeypatch.setattr(verify, "_FULL_BATTERY", (verify.check_lambda_shift,))
     out = tmp_path / "out"
     assert main(["--out", str(out), "--quiet", "verify"]) == 0
     assert set(json.loads((out / "verify.json").read_text())) == {"checks", "format", "passed", "seed"}
@@ -777,11 +777,11 @@ def test_run_evolve_lifts_only_the_factorized_route(monkeypatch):
 
 def test_operator_payload_roundtrip():
     # entries are row-major [re, im] pairs under a model echo
-    from torus_holonomy import TorusModel, action_operator
+    from torus_holonomy import AffineObservable, TorusModel, quantize_affine
     from torus_holonomy.serialize import operator_payload
 
     model = TorusModel(1, (0,), (0.25,), 1)
-    payload = operator_payload(action_operator(model, 0))
+    payload = operator_payload(quantize_affine(model, AffineObservable.action(1, 0)))
     assert payload["shape"] == [3, 3]
     assert payload["model"] == {"m": 1, "controlled": [0], "offsets": [0.25], "truncation": 1}
     entries = np.array(payload["entries"]).reshape(3, 3, 2)

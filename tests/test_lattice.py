@@ -1,51 +1,37 @@
 import numpy as np
 import pytest
 
-from torus_holonomy import (
-    DimensionMismatchError,
-    TorusModel,
-    WaveFunction,
-    inner_product,
-    mode_iter,
-)
-from torus_holonomy.lattice import interior_mask, mode_array, mode_position
+from torus_holonomy import TorusModel
+from torus_holonomy.lattice import interior_mask, mode_array
 
 
-def _from_modes(model, amplitudes):
-    """Wavefunction with the given amplitudes on listed modes, zero elsewhere."""
-    values = np.zeros(model.size, dtype=complex)
-    for mode, amplitude in amplitudes.items():
-        values[mode_position(model, mode)] = amplitude
-    return WaveFunction(model, values)
-
-
-def test_mode_iter_m1():
+def test_mode_array_m1():
     model = TorusModel(1, (0,), (0.0,), 1)
-    assert mode_iter(model) == [(-1,), (0,), (1,)]
+    assert mode_array(model).tolist() == [[-1], [0], [1]]
 
 
-def test_mode_iter_m2_order_and_count():
+def test_mode_array_m2_order_and_count():
     model = TorusModel(2, (0,), (0.0, 0.0), 1)
-    modes = mode_iter(model)
+    modes = mode_array(model).tolist()
     assert len(modes) == 9
-    assert modes[0] == (-1, -1)
-    assert modes[-1] == (1, 1)
+    assert modes[0] == [-1, -1]
+    assert modes[-1] == [1, 1]
     assert modes == sorted(modes)
 
 
-def test_mode_iter_box_size_n8():
+def test_mode_array_box_size_n8():
     model = TorusModel(2, (0,), (0.0, 0.0), 8)
-    assert len(mode_iter(model)) == 289
+    assert mode_array(model).shape == (289, 2)
 
 
-def test_mode_iter_stable_and_bijective():
-    model = TorusModel(2, (1,), (0.1, 0.2), 3)
-    first = mode_iter(model)
-    second = mode_iter(model)
-    assert first == second
-    assert len(set(first)) == len(first)
-    for i, mode in enumerate(first):
-        assert mode_position(model, mode) == i
+def test_mode_array_stable_and_linear_in_the_mode():
+    # the layout contract of _shift_scatter and sublattice_index: mode n sits
+    # at position (n + N) . strides, so every mode has one position
+    model = TorusModel(3, (1,), (0.1, 0.2, 0.3), 2)
+    modes = mode_array(model)
+    assert np.array_equal(mode_array(model), modes)
+    strides = model.axis_size ** np.arange(model.m - 1, -1, -1)
+    assert np.array_equal((modes + model.truncation) @ strides, np.arange(model.size))
 
 
 def test_interior_modes_counts():
@@ -85,47 +71,3 @@ def test_dynamic_complement():
     model = TorusModel(3, (1,), (0.0, 0.0, 0.0), 2)
     assert model.dynamic == (0, 2)
     assert model.size == 125
-
-
-def test_basis_orthonormality():
-    model = TorusModel(2, (0,), (0.25, 0.5), 2)
-    modes = mode_iter(model)
-    for n in modes[:5] + modes[-3:]:
-        for k in modes[:5]:
-            val = inner_product(WaveFunction.basis(model, n), WaveFunction.basis(model, k))
-            assert val == (1.0 if n == k else 0.0)
-
-
-def test_inner_product_conjugate_first_slot():
-    # <2 psi_0 + i psi_1 | psi_1> = -i under the documented convention
-    model = TorusModel(1, (0,), (0.0,), 2)
-    s = _from_modes(model, {(0,): 2.0, (1,): 1j})
-    t = WaveFunction.basis(model, (1,))
-    assert inner_product(s, t) == -1j
-    assert inner_product(t, s) == 1j
-
-
-def test_inner_product_conjugate_symmetry():
-    rng = np.random.default_rng(3)
-    model = TorusModel(1, (0,), (0.3,), 3)
-    a = WaveFunction(model, rng.normal(size=7) + 1j * rng.normal(size=7))
-    b = WaveFunction(model, rng.normal(size=7) + 1j * rng.normal(size=7))
-    assert inner_product(a, b) == pytest.approx(np.conj(inner_product(b, a)))
-    assert inner_product(a, a).real == pytest.approx(a.norm() ** 2)
-
-
-def test_inner_product_model_mismatch():
-    a = WaveFunction.zero(TorusModel(1, (0,), (0.0,), 2))
-    b = WaveFunction.zero(TorusModel(1, (0,), (0.0,), 3))
-    with pytest.raises(DimensionMismatchError):
-        inner_product(a, b)
-
-
-def test_wavefunction_lookup_and_immutability():
-    model = TorusModel(2, (0,), (0.0, 0.0), 1)
-    psi = _from_modes(model, {(1, -1): 0.5j})
-    assert psi[(1, -1)] == 0.5j
-    assert psi[(0, 0)] == 0.0
-    with pytest.raises(ValueError):
-        psi.values[0] = 1.0
-

@@ -22,7 +22,6 @@ from torus_holonomy import (
     evolve_full,
     evolve_perturbed,
     holonomy,
-    mode_iter,
     path_invariance_report,
     quantize_affine,
 )
@@ -79,7 +78,7 @@ def test_delta_constant_component_diagonal():
     model = TorusModel(1, (0,), (0.3,), 4)
     kappa, v = 0.7, 1.4
     op = delta_generator(model, _kappa_connection(1, kappa), [0.0], [v])
-    modes = mode_iter(model)
+    modes = mode_array(model).tolist()
     expected = np.diag([(n[0] - 0.3) * kappa * v for n in modes])
     assert np.allclose(op.matrix, expected, atol=1e-15)
 
@@ -91,7 +90,7 @@ def test_delta_cosine_elements():
         1, 1, {(0, 0): {(1,): ParameterPolynomial(1, {(0,): 0.5})}}
     )
     op = delta_generator(model, conn, [0.0], [1.0]).matrix
-    modes = mode_iter(model)
+    modes = mode_array(model).tolist()
     for i, p in enumerate(modes):
         for j, q in enumerate(modes):
             n = q[0]
