@@ -69,7 +69,6 @@ from .propagation import (
     evolve_control,
     evolve_full,
     holonomy,
-    path_invariance_report,
 )
 
 __version__ = "0.1.0"
@@ -112,7 +111,6 @@ __all__ = [
     "holonomy",
     "lambda_shift_equivalence",
     "line_integral",
-    "path_invariance_report",
     "poisson_bracket",
     "quantize_affine",
     "reparameterize",

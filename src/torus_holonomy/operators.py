@@ -593,15 +593,14 @@ def lambda_shift_equivalence(
 def halfform_equivalence(
     model: TorusModel,
     antiperiodic_axes: Iterable[int],
-    hamiltonian: ActionPolynomial | Callable[[np.ndarray], float] | None = None,
+    hamiltonian: ActionPolynomial | Callable[[np.ndarray], float],
 ) -> float:
     """Antiperiodic boundary behavior versus a half-integer offset shift.
 
-    On each antiperiodic axis j the action spectrum is ``n_j - offset_j +
-    1/2`` (half-integer mode labels); that must coincide mode-for-mode with
-    the periodic representation at ``offset_j - 1/2``.  If a Hamiltonian is
-    given its spectra are compared the same way.  Returns the largest
-    deviation.
+    On each antiperiodic axis j the action labels are ``n_j - offset_j +
+    1/2`` (half-integer mode labels); the Hamiltonian's spectrum on them
+    must coincide mode-for-mode with its spectrum in the periodic
+    representation at ``offset_j - 1/2``.  Returns the largest deviation.
     """
     axes = sorted(set(int(a) for a in antiperiodic_axes))
     for a in axes:
@@ -614,14 +613,6 @@ def halfform_equivalence(
         tuple(np.asarray(model.offsets) - half),
         model.truncation,
     )
-    modes = mode_array(model)
-    dev = 0.0
-    for k in range(model.m):
-        anti = modes[:, k] - model.offsets[k] + (0.5 if k in axes else 0.0)
-        periodic = modes[:, k] - shifted_model.offsets[k]
-        dev = max(dev, float(np.max(np.abs(anti - periodic))))
-    if hamiltonian is not None:
-        anti_vals = _spectrum(model, hamiltonian, modes - np.asarray(model.offsets) + half)
-        periodic_vals = hamiltonian_spectrum(shifted_model, hamiltonian)
-        dev = max(dev, float(np.max(np.abs(anti_vals - periodic_vals))))
-    return dev
+    anti_vals = _spectrum(model, hamiltonian, mode_array(model) - np.asarray(model.offsets) + half)
+    periodic_vals = hamiltonian_spectrum(shifted_model, hamiltonian)
+    return float(np.max(np.abs(anti_vals - periodic_vals)))

@@ -8,12 +8,14 @@ propagator
 
 built as an ordered product of per-step exponentials of the midpoint
 generator.  Delta_hat is the quantization of the connection's velocity
-pairing; it acts on the controlled mode factor only, so U2 is computed
-natively on the controlled sublattice (size (2N+1)^l) and lifted to the
-full lattice by a tensor identity when asked for.  That makes commutation
-with the dynamic Hamiltonian and preservation of its eigenspace blocks
-exact by construction.  Unitarity defects are measured and reported, never
-repaired.
+pairing; it acts on the controlled mode factor only, so U2 is one
+(2N+1)^l block on the controlled sublattice, and ``evolve_control`` (with
+``holonomy``, its closed-loop case) returns that block.  On the full
+lattice U2 is the block tensored with the dynamic identity, which
+commutes with the dynamic Hamiltonian and keeps its eigenspace blocks
+exactly, by construction; ``_lift_controlled`` builds that form only for
+``FactorizationReport.operator``.  Unitarity defects are measured and
+reported, never repaired.
 
 The ordered product compiles the connection once per call into a table
 of sigma-polynomial coefficients (``operators.compile_connection``) and
@@ -68,7 +70,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .curves import ParameterCurve, reparameterize, step_intervals
+from .curves import ParameterCurve, step_intervals
 from .errors import DimensionMismatchError, OpenCurveError, SplitViolationError
 from .fields import AffineObservable, ControlConnection, TorusFourierField
 from .classical import compile_controlled, controlled_connection
@@ -252,30 +254,23 @@ def _pairwise_product(stack: np.ndarray, scratch: np.ndarray) -> np.ndarray:
 def evolve_control(
     model: TorusModel, connection: ControlConnection, curve: ParameterCurve, steps: int
 ) -> PropagatorReport:
-    """Control propagator U2 on the full lattice (computed on the block, lifted).
+    """Control propagator U2 along any curve, open or closed, as its controlled block.
 
-    The lift copies the block onto every dynamic label and puts zeros
-    between labels, so the block's unitarity defect is the lifted one.
+    U2 is this (2N+1)^l block tensored with the dynamic identity, so the
+    block, returned on the controlled submodel, acts the same on every
+    eigenspace of the dynamic Hamiltonian, and its unitarity defect is U2's.
     """
-    block, _ = _control_block_product(model, connection, curve, steps)
-    op = OperatorMatrix(model, _lift_controlled(model, block))
-    return PropagatorReport(op, steps, unitarity_defect(block))
+    block, sub_model = _control_block_product(model, connection, curve, steps)
+    return PropagatorReport(OperatorMatrix(sub_model, block), steps, unitarity_defect(block))
 
 
 def holonomy(
     model: TorusModel, connection: ControlConnection, loop: ParameterCurve, steps: int
 ) -> PropagatorReport:
-    """Control propagator of a closed loop, restricted to one eigenspace block.
-
-    Because U2 tensor-factorizes, its action on the eigenspace spanned by
-    the controlled modes at any fixed dynamic index is one and the same
-    (2N+1)^l unitary; that block is returned on the controlled submodel.
-    """
+    """``evolve_control`` of a closed loop: the holonomy block on the controlled submodel."""
     if not loop.is_closed:
         raise OpenCurveError("holonomy requires a closed parameter loop")
-    block, sub_model = _control_block_product(model, connection, loop, steps)
-    op = OperatorMatrix(sub_model, block)
-    return PropagatorReport(op, steps, unitarity_defect(block))
+    return evolve_control(model, connection, loop, steps)
 
 
 def _pairing_terms(
@@ -403,26 +398,3 @@ def evolve_full(
     deviation = float(np.max(np.abs(factorized - reference)))
     return FactorizationReport(model, factorized, reference, steps, unitarity_defect(factorized),
                                unitarity_defect(reference), deviation)
-
-
-def path_invariance_report(
-    model: TorusModel,
-    connection: ControlConnection,
-    curve: ParameterCurve,
-    reparameterizations,
-    steps: int,
-) -> float:
-    """Max pairwise deviation of U2 across clock maps of the same path.
-
-    ``reparameterizations`` holds ``(tau, tau_dot, duration)`` triples
-    applied to ``curve``; each must be smooth, monotone and
-    endpoint-preserving (validated on construction).  The base curve itself
-    is always included.
-    """
-    variants = [curve] + [reparameterize(curve, *clock) for clock in reparameterizations]
-    blocks = [_control_block_product(model, connection, c, steps)[0] for c in variants]
-    worst = 0.0
-    for i in range(len(blocks)):
-        for j in range(i + 1, len(blocks)):
-            worst = max(worst, float(np.max(np.abs(blocks[i] - blocks[j]))))
-    return worst

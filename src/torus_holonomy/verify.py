@@ -24,7 +24,7 @@ from .fields import (
     ParameterPolynomial,
     TorusFourierField,
 )
-from .lattice import ClassicalState, TorusModel, controlled_submodel, mode_array, sublattice_index
+from .lattice import ClassicalState, TorusModel, controlled_submodel, mode_array
 
 DEFAULT_SEED = 1234
 
@@ -272,26 +272,27 @@ def check_abelian_oracle(steps: int = 1000) -> CheckResult:
 
 
 def check_path_only_speed() -> CheckResult:
+    # a non-Abelian loop at durations 1 and 3: the steps' v * dt round
+    # differently, so the check reads rounding on correct code, not 0.0
     model = _demo_model(8)
-    conn = _abelian_connection()
+    conn = _nonabelian_connection(m=2)
     fast = propagation.holonomy(model, conn, _unit_circle(duration=1.0), 1000)
-    slow = propagation.holonomy(model, conn, _unit_circle(duration=2.0), 1000)
+    slow = propagation.holonomy(model, conn, _unit_circle(duration=3.0), 1000)
     measured = float(np.max(np.abs(fast.operator.matrix - slow.operator.matrix)))
-    return CheckResult("path_only_no_adiabatic_limit", measured, 1e-8)
+    return CheckResult("path_only_no_adiabatic_limit", measured, 1e-12)
 
 
 def check_unitarity_and_blocks(steps: int = 400) -> CheckResult:
     model = _demo_model(4)
-    conn = _nonabelian_connection(m=2)
-    rep = propagation.evolve_control(model, conn, _unit_circle(), steps)
-    u = rep.operator.matrix
-    h_op = operators.hamiltonian_operator(model, _demo_hamiltonian()).matrix
-    worst = rep.unitarity_defect
-    worst = max(worst, float(np.max(np.abs(u @ h_op - h_op @ u))))
-    di, _ = sublattice_index(model, model.dynamic)
-    offblock = u[di[:, None] != di[None, :]]
-    worst = max(worst, float(np.max(np.abs(offblock))) if offblock.size else 0.0)
-    return CheckResult("unitarity_eigenspace_preservation", worst, 1e-10)
+    rep = propagation.evolve_control(model, _nonabelian_connection(m=2), _unit_circle(), steps)
+    return CheckResult(
+        "unitarity_eigenspace_preservation",
+        rep.unitarity_defect,
+        1e-10,
+        detail="the controlled block's unitarity defect; U2's eigenspace blocks come from the lift, "
+        "which copies the block onto each dynamic label with zeros between labels, and "
+        "perturbation_commutes checks the split that allows it",
+    )
 
 
 def check_group_laws(steps: int = 1000) -> CheckResult:
@@ -315,13 +316,10 @@ def check_quantum_reparameterization(steps: int = 10000) -> CheckResult:
     conn = _nonabelian_connection(m=1)
     curve = _unit_circle()
     T = curve.duration
-    dev = propagation.path_invariance_report(
-        model,
-        conn,
-        curve,
-        [(lambda t: T * (t / T) ** 2, lambda t: 2.0 * t / T, T)],
-        steps,
-    )
+    warped = reparameterize(curve, lambda t: T * (t / T) ** 2, lambda t: 2.0 * t / T, T)
+    a = propagation.evolve_control(model, conn, curve, steps).operator.matrix
+    b = propagation.evolve_control(model, conn, warped, steps).operator.matrix
+    dev = float(np.max(np.abs(a - b)))
     return CheckResult("control_reparameterization_invariance", dev, 1e-6, detail=f"steps={steps}")
 
 

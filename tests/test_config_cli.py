@@ -759,8 +759,9 @@ def test_cli_evolve_writes_matrix_and_diagnostics(tmp_path):
 
 def test_run_evolve_lifts_only_the_factorized_route(monkeypatch):
     # the payload is the one full-lattice matrix evolve builds; the reference
-    # route stays a stack of controlled blocks
-    from torus_holonomy import harness, propagation
+    # route stays a stack of controlled blocks, and holonomy and the verify
+    # battery work on controlled blocks only
+    from torus_holonomy import harness, propagation, verify
 
     lifted = []
     lift = propagation._lift_controlled
@@ -773,6 +774,11 @@ def test_run_evolve_lifts_only_the_factorized_route(monkeypatch):
     matrix, diagnostics = harness.run_evolve(parse_config(payload))
     assert lifted == [(5, 5, 5)]
     assert matrix["shape"] == [25, 25] and diagnostics["steps"] == 16
+    lifted.clear()
+    block, diagnostics = harness.run_holonomy(parse_config(payload))
+    assert block["shape"] == [5, 5] and diagnostics["steps"] == [16, 8]
+    assert verify.run_battery().passed
+    assert lifted == []
 
 
 def test_operator_payload_roundtrip():

@@ -22,6 +22,7 @@ _REMOVED = (
     "inner_product",
     "mode_iter",
     "action_operator",
+    "path_invariance_report",
 )
 
 # Public although only the tests call it: the split's count of violations,

@@ -487,15 +487,16 @@ def test_lambda_shift_non_integer_detected():
 
 
 def test_halfform_empty_is_identity():
-    model = TorusModel(2, (0,), (0.25, 0.5), 3)
-    assert halfform_equivalence(model, ()) == 0.0
+    # H = I: its spectrum is the action labels
+    model = TorusModel(1, (), (0.25,), 3)
+    assert halfform_equivalence(model, (), ActionPolynomial(1, {(1,): 1.0})) == 0.0
 
 
 def test_halfform_half_integer_spectrum():
-    # antiperiodic axis at zero offset: spectrum {n + 1/2} equals the
-    # periodic representation at offset -1/2
-    model = TorusModel(1, (0,), (0.0,), 8)
-    assert halfform_equivalence(model, (0,)) <= 1e-12
+    # antiperiodic axis at zero offset: the labels {n + 1/2}, read through
+    # H = I, equal the periodic representation at offset -1/2
+    model = TorusModel(1, (), (0.0,), 8)
+    assert halfform_equivalence(model, (0,), ActionPolynomial(1, {(1,): 1.0})) <= 1e-12
 
 
 def test_halfform_with_hamiltonian():

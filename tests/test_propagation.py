@@ -22,8 +22,8 @@ from torus_holonomy import (
     evolve_full,
     evolve_perturbed,
     holonomy,
-    path_invariance_report,
     quantize_affine,
+    reparameterize,
 )
 from scipy.linalg import expm
 
@@ -370,7 +370,7 @@ def test_holonomy_matches_per_step_assembly():
 def test_control_empty_connection_identity():
     model = _demo_model(3)
     rep = evolve_control(model, ControlConnection.empty(2, 2), _unit_circle(), 50)
-    assert np.array_equal(rep.operator.matrix, np.eye(model.size))
+    assert np.array_equal(propagation._lift_controlled(model, rep.operator.matrix), np.eye(model.size))
 
 
 def test_control_abelian_matches_closed_form():
@@ -489,7 +489,8 @@ def test_holonomy_laws_on_random_split_models(case):
     backward = holonomy(model, conn, loop.reverse(), steps).operator.matrix
     fwd = forward.operator.matrix
     assert np.max(np.abs(backward @ fwd - np.eye(fwd.shape[0]))) <= 1e-8
-    full = evolve_control(model, conn, loop, steps).operator.matrix
+    # the shipped full-lattice operator: zeros between dynamic labels
+    full = evolve_full(model, ActionPolynomial.zero(model.m), conn, loop, steps).operator.matrix
     di, _ = sublattice_index(model, model.dynamic)
     assert np.all(full[di[:, None] != di[None, :]] == 0.0)
 
@@ -566,12 +567,32 @@ def test_holonomy_block_independent_of_dynamic_label():
     conn = _nonabelian_connection(m=2)
     loop = _unit_circle()
     block = holonomy(model, conn, loop, 100).operator.matrix
-    full = evolve_control(model, conn, loop, 100).operator.matrix
+    full = evolve_full(model, ActionPolynomial.zero(2), conn, loop, 100).operator.matrix
     di, _ = sublattice_index(model, model.dynamic)
     # dynamic labels -3, 0 and 2 at N = 3
     for label in (0, 3, 5):
         keep = np.flatnonzero(di == label)
         assert np.array_equal(full[np.ix_(keep, keep)], block)
+
+
+def test_control_block_is_the_shipped_operator():
+    # evolve_control returns the block on the controlled submodel; its lift is
+    # the factorized operator that evolve writes at zero Hamiltonian
+    rng = np.random.default_rng(3207)
+    arc = CirclePath.circle((0.1, -0.2), 0.8, 1.0, turns=0.6)
+    assert not arc.is_closed
+    l2 = TorusModel(3, (0, 2), (0.1, 0.25, -0.6), 2)
+    cases = [(_demo_model(3), _nonabelian_connection(m=2)), (l2, _random_split_connection(rng, l2, 2, 1))]
+    for model, conn in cases:
+        rep = evolve_control(model, conn, arc, 30)
+        assert rep.operator.model == propagation.controlled_submodel(model)
+        full = evolve_full(model, ActionPolynomial.zero(model.m), conn, arc, 30).operator.matrix
+        assert np.array_equal(propagation._lift_controlled(model, rep.operator.matrix), full)
+        closed = holonomy(model, conn, _unit_circle(), 30)
+        control = evolve_control(model, conn, _unit_circle(), 30)
+        assert np.array_equal(closed.operator.matrix, control.operator.matrix)
+        assert closed.operator.model == control.operator.model
+        assert closed.unitarity_defect == control.unitarity_defect
 
 
 def test_holonomy_gauge_offset_enters_phases():
@@ -1193,11 +1214,18 @@ def test_control_reversal_inverts():
     assert np.max(np.abs(ur @ u - np.eye(u.shape[0]))) <= 1e-8
 
 
+def _clock_deviation(model, conn, curve, clock, steps):
+    """Largest deviation between the control blocks of ``curve`` and of its clock map."""
+    a = evolve_control(model, conn, curve, steps).operator.matrix
+    b = evolve_control(model, conn, reparameterize(curve, *clock), steps).operator.matrix
+    return float(np.max(np.abs(a - b)))
+
+
 def test_path_invariance_identity_tau_zero():
     model = TorusModel(1, (0,), (0.3,), 4)
     conn = _nonabelian_connection(m=1)
     curve = _unit_circle()
-    dev = path_invariance_report(model, conn, curve, [(lambda t: t, lambda t: 1.0, 1.0)], 200)
+    dev = _clock_deviation(model, conn, curve, (lambda t: t, lambda t: 1.0, 1.0), 200)
     assert dev == 0.0
 
 
@@ -1206,8 +1234,8 @@ def test_path_invariance_quadratic_tau():
     conn = _nonabelian_connection(m=1)
     curve = _unit_circle()
     T = curve.duration
-    dev = path_invariance_report(
-        model, conn, curve, [(lambda t: T * (t / T) ** 2, lambda t: 2.0 * t / T, T)], 4000
+    dev = _clock_deviation(
+        model, conn, curve, (lambda t: T * (t / T) ** 2, lambda t: 2.0 * t / T, T), 4000
     )
     assert dev <= 1e-6
 
@@ -1241,8 +1269,6 @@ def test_path_invariance_abelian_all_match_closed_form():
     ]
     expected = np.diag(abelian_control_phases(model, conn, loop))
     worst = 0.0
-    from torus_holonomy.curves import reparameterize
-
     for tau, tau_dot, duration in taus:
         curve = reparameterize(loop, tau, tau_dot, duration)
         block = holonomy(model, conn, curve, 1500).operator.matrix
@@ -1261,12 +1287,10 @@ def test_path_only_double_duration_identical():
 def test_u2_commutes_with_hamiltonian_and_blocks():
     model = _demo_model(4)
     conn = _nonabelian_connection(m=2)
-    rep = evolve_control(model, conn, _unit_circle(), 200)
+    # the shipped full-lattice operator, exp(-i H T) lifted U2
+    u = evolve_full(model, _demo_hamiltonian(), conn, _unit_circle(), 200).operator.matrix
     h_op = hamiltonian_operator(model, _demo_hamiltonian()).matrix
-    u = rep.operator.matrix
     assert np.max(np.abs(u @ h_op - h_op @ u)) <= 1e-10
-    from torus_holonomy.lattice import sublattice_index
-
     di, _ = sublattice_index(model, model.dynamic)
     off = u[di[:, None] != di[None, :]]
     assert np.max(np.abs(off)) <= 1e-12
