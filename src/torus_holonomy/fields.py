@@ -271,31 +271,34 @@ def poisson_bracket(f: AffineObservable, g: AffineObservable) -> AffineObservabl
     Coefficient arithmetic is exact; nothing is truncated.
 
     The m+1 parts of each observable are padded to one bandwidth C and
-    stacked, so every axis k costs two stacked convolutions, each a loop
-    over the nonzero coefficients of a_k.  The sums run in the order of the
-    field algebra's ``total + a_k(f) * d_k part(g) - a_k(g) * d_k part(f)``,
-    so every coefficient is the one that algebra gives.
+    stacked.  The 2m products ``a_k(f) d_k parts(g)`` and ``a_k(g) d_k
+    parts(f)`` are convolutions of the same shape, so they run as one
+    stack of shape ``(m, 2, m+1) + (4C+1,)*m`` in a single loop over the
+    positions where any a_k(f) or a_k(g) is nonzero.  A position where one factor is zero
+    adds a signed zero to that convolution, which changes no bit, so each
+    convolution still sums its terms from zero in position order.  The
+    results are summed in the order of the field algebra's ``total +
+    a_k(f) * d_k part(g) - a_k(g) * d_k part(f)``, so every coefficient is
+    the one that algebra gives.
     """
     if f.m != g.m:
         raise DimensionMismatchError("observables have different torus dimensions")
     m = f.m
     C = max(f.bandwidth, g.bandwidth)
     width = 2 * C + 1
-
-    def convolve(a: np.ndarray, parts: np.ndarray) -> np.ndarray:
-        """Coefficients of the products of the field ``a`` with each stacked part."""
-        out = np.zeros((m + 1,) + (2 * width - 1,) * m, dtype=complex)
-        for idx in np.argwhere(a):
-            out[(slice(None), *(slice(i, i + width) for i in idx))] += a[tuple(idx)] * parts
-        return out
-
     fp, gp = f.stacked(C), g.stacked(C)
+    # factors[k] = (a_k(f), a_k(g)) and derivatives[k] = (d_k parts(g), d_k parts(f))
+    factors = np.stack([fp[:m], gp[:m]], axis=1)
+    along = np.indices((width,) * m) - C  # along[k]: each position's shift component k
+    derivatives = (np.stack([gp, fp]) * 1j)[None] * along[:, None, None]
+    products = np.zeros((m, 2, m + 1) + (2 * width - 1,) * m, dtype=complex)
+    for idx in np.argwhere(factors.any(axis=(0, 1))):
+        coefficient = factors[(..., *idx)].reshape((m, 2) + (1,) * (m + 1))
+        products[(..., *(slice(i, i + width) for i in idx))] += coefficient * derivatives
     total = np.zeros((m + 1,) + (2 * width - 1,) * m, dtype=complex)
-    shift = np.arange(-C, C + 1)
-    for k in range(m):
-        along = shift.reshape((1,) * (k + 1) + (-1,) + (1,) * (m - k - 1))
-        total += convolve(fp[k], gp * 1j * along)
-        total -= convolve(gp[k], fp * 1j * along)
+    for plus, minus in products:
+        total += plus
+        total -= minus
     parts = [TorusFourierField._from_array(part) for part in total]
     return AffineObservable(tuple(parts[:m]), parts[m])
 

@@ -14,11 +14,14 @@ where A_k, B are the coefficient tables of a_k, b.  The half-shift makes
 the element manifestly Hermitian for real fields, and the formula is locked
 against an independent torus-quadrature oracle in the test suite.  All
 nonzero shifts of an observable are placed by one scatter over the stack
-of shifts, which yields (shift, target, source) for every in-box entry,
-and ``_affine_entries`` turns them into one (rows, cols, values) list.
-``quantize_affine`` fills a dense matrix from that list for its callers;
-``dirac_residual`` stores it by diagonals and multiplies only the interior
-rows and columns, so the check forms no dense matrix of the full box.
+of shifts, which yields (shift, target, source) for every in-box entry
+whose source mode is in a given set, the whole box by default, and
+``_affine_entries`` turns them into one (rows, cols, values) list.
+``quantize_affine`` fills a dense matrix from the whole box's list for
+its callers.  ``dirac_residual`` quantizes only the source modes its
+products read (f's, g's and the bracket's, each at its own depth from the
+boundary), stores them by diagonals and multiplies only the interior rows
+and columns, so the check forms no dense matrix of the full box.
 Shifts that leave the box are dropped; identities involving shift
 operators are therefore asserted on interior modes only.
 
@@ -117,30 +120,35 @@ def hamiltonian_operator(
 
 
 def _shift_scatter(
-    model: TorusModel, shifts: np.ndarray
+    model: TorusModel, shifts: np.ndarray, sources: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Where each mode shift ``n -> n + c_s`` of an (S, m) stack lands in the box.
 
-    Returns ``(which, rows, cols)`` over the in-box entries, ordered by
-    shift and then by mode: the shift index s, and the layout positions of
-    n + c_s and of n.  The layout is linear in n, so n + c_s lies
-    ``c_s . strides`` positions after n.
+    ``sources`` lists, in increasing order, the layout positions of the
+    modes n to shift; the default is the whole box.  Returns ``(which,
+    rows, cols)`` over the in-box entries, ordered by shift and then by
+    mode: the shift index s, and the layout positions of n + c_s and of n.
+    The layout is linear in n, so n + c_s lies ``c_s . strides`` positions
+    after n.
     """
     N = model.truncation
     shifts = np.asarray(shifts, dtype=np.int64).reshape(-1, model.m)
-    inside = np.all(np.abs(mode_array(model) + shifts[:, None, :]) <= N, axis=2)
-    which, cols = np.nonzero(inside)
+    sources = np.arange(model.size) if sources is None else np.asarray(sources)
+    inside = np.all(np.abs(mode_array(model)[sources] + shifts[:, None, :]) <= N, axis=2)
+    which, at = np.nonzero(inside)
+    cols = sources[at]
     strides = model.axis_size ** np.arange(model.m - 1, -1, -1)
     return which, cols + (shifts @ strides)[which], cols
 
 
 def _affine_entries(
-    model: TorusModel, observable: AffineObservable
+    model: TorusModel, observable: AffineObservable, sources: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``(rows, cols, values)`` of the quantized observable, one per in-box element.
 
     The element formula above, placed by one ``_shift_scatter`` over the
-    nonzero shifts; each (row, col) pair occurs at most once.
+    nonzero shifts of the columns of ``sources`` (the whole box by
+    default); each (row, col) pair occurs at most once.
     """
     if observable.m != model.m:
         raise DimensionMismatchError("observable dimension differs from model")
@@ -150,7 +158,7 @@ def _affine_entries(
     parts = observable.stacked(C)
     nonzero = np.argwhere(parts.any(axis=0))
     shifts = nonzero - C
-    which, rows, cols = _shift_scatter(model, shifts)
+    which, rows, cols = _shift_scatter(model, shifts, sources)
     *actions, B = parts[(slice(None), *nonzero.T)][:, which]
     # axes in turn, then B: the summation order of a per-shift build, so the
     # elements stay bit-identical to it
@@ -508,21 +516,29 @@ def dirac_residual(model: TorusModel, f: AffineObservable, g: AffineObservable) 
 
     The commutator of operators with bandwidths C_f, C_g is exact on modes
     deeper than C_f + C_g from the boundary, so rows and columns are
-    restricted there (capped at the truncation).  The three operators are
-    stored by diagonals, straight from their entries (``_diagonals``), and
-    only the interior rows of the left factors and interior columns of the
-    right factors are multiplied.  A diagonal a of A and a diagonal b of B
-    give A B the entries ``A[c + off_b + off_a, c + off_b] B[c + off_b, c]``
-    at ``(c + off_a + off_b, c)``: one elementwise product over the
-    interior columns c per pair, summed per result diagonal.  An interior
-    column lies C_f + C_g deep, or N deep, and both bound C_f and C_g, so
-    ``c + off_b`` stays in the box.  f and g must fit the box; their bracket need not.
+    restricted to the modes D = min(C_f + C_g, N) deep.  The three
+    operators are stored by diagonals, straight from their entries
+    (``_diagonals``), and only the interior rows of the left factors and
+    interior columns of the right factors are multiplied.  A diagonal a of
+    A and a diagonal b of B give A B the entries ``A[c + off_b + off_a, c +
+    off_b] B[c + off_b, c]`` at ``(c + off_a + off_b, c)``: one elementwise
+    product over the interior columns c per pair, summed per result
+    diagonal.  An interior column lies D deep and both C_f and C_g are at
+    most D, so ``c + off_b`` stays in the box.
+
+    The products read f at the columns ``c + off_g``, g at ``c + off_f``
+    and the bracket at c, so only those source modes are quantized: f's
+    columns D - C_g deep, g's D - C_f deep and the bracket's D deep.  Each
+    kept entry is the one a whole-box build gives, bit for bit.  f and g
+    must fit the box; their bracket need not.
     """
     _require_fits(model, f, g)
-    (f_off, f_diag), (g_off, g_diag) = _diagonals(model, f), _diagonals(model, g)
-    b_off, b_diag = _diagonals(model, poisson_bracket(f, g))
-    keep = interior_mask(model, min(f.bandwidth + g.bandwidth, model.truncation))
+    D = min(f.bandwidth + g.bandwidth, model.truncation)
+    keep = interior_mask(model, D)
     inner = np.flatnonzero(keep)
+    f_off, f_diag = _diagonals(model, f, np.flatnonzero(interior_mask(model, D - g.bandwidth)))
+    g_off, g_diag = _diagonals(model, g, np.flatnonzero(interior_mask(model, D - f.bandwidth)))
+    b_off, b_diag = _diagonals(model, poisson_bracket(f, g), inner)
     # the result diagonals: each off_f + off_g, and the bracket's
     offsets = np.unique(np.concatenate([(f_off[:, None] + g_off).ravel(), b_off]))
     residual = np.zeros((offsets.size, inner.size), dtype=complex)
@@ -539,14 +555,17 @@ def dirac_residual(model: TorusModel, f: AffineObservable, g: AffineObservable) 
     return float(np.max(np.abs(residual[inside]), initial=0.0))
 
 
-def _diagonals(model: TorusModel, observable: AffineObservable) -> tuple[np.ndarray, np.ndarray]:
-    """The quantized observable by diagonals: ``(offsets, table)``.
+def _diagonals(
+    model: TorusModel, observable: AffineObservable, sources: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The quantized observable's columns ``sources``, by diagonals: ``(offsets, table)``.
 
-    ``table[s, j]`` is the entry at ``(j + offsets[s], j)``, zero where that
-    row leaves the box.  A (row, col) pair fixes the diagonal, so each entry
-    of ``_affine_entries`` has one place.
+    ``table[s, j]`` is the entry at ``(j + offsets[s], j)`` for j in
+    ``sources``; it is zero where that row leaves the box and in every
+    other column.  A (row, col) pair fixes the diagonal, so each entry of
+    ``_affine_entries`` has one place.
     """
-    rows, cols, values = _affine_entries(model, observable)
+    rows, cols, values = _affine_entries(model, observable, sources)
     offsets, which = np.unique(rows - cols, return_inverse=True)
     table = np.zeros((offsets.size, model.size), dtype=complex)
     table[which, cols] = values

@@ -175,6 +175,35 @@ def test_quantize_hermitian_exactly():
         assert op.hermiticity_defect() == 0.0
 
 
+@st.composite
+def _hermitian_case(draw):
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = int(rng.integers(1, 4))
+    N = int(rng.integers(1, 4 if m == 3 else 6))
+    offsets = tuple(draw(st.lists(st.floats(-2.0, 2.0), min_size=m, max_size=m)))
+    controlled = tuple(k for k in range(m) if rng.random() < 0.5)
+    observable = random_affine(rng, m, int(rng.integers(0, min(2, N) + 1)), scale=float(rng.uniform(0.1, 3.0)))
+    sources = np.flatnonzero(rng.random((2 * N + 1) ** m) < 0.5)
+    return TorusModel(m, controlled, offsets, N), observable, sources
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(_hermitian_case())
+def test_quantize_random_real_observable_is_hermitian(case):
+    from torus_holonomy.operators import _affine_entries
+
+    model, observable, sources = case
+    op = quantize_affine(model, observable)
+    assert op.hermiticity_defect() <= 1e-12
+    # an explicit source set places the whole-box entries of those columns, bit for bit
+    rows, cols, values = _affine_entries(model, observable, sources)
+    placed = np.zeros_like(op.matrix)
+    placed[rows, cols] = values
+    assert np.isin(cols, sources).all()
+    assert np.array_equal(placed[:, sources], op.matrix[:, sources])
+    assert not placed[:, np.setdiff1d(np.arange(model.size), sources)].any()
+
+
 def test_quantize_bandwidth_rejected():
     model = TorusModel(1, (0,), (0.0,), 2)
     wide = TorusFourierField.from_half_spectrum(1, {(3,): 1.0})
@@ -432,6 +461,56 @@ def test_dirac_residual_matches_dense_products(case):
     with mock.patch.object(operators, "poisson_bracket", lambda f, g: AffineObservable.zero(f.m)):
         alone = dirac_residual(model, f, g)
     assert abs(alone - np.max(np.abs(fg_minus_gf))) <= 1e-12 * max(1.0, alone)
+
+
+def _whole_box_dirac_residual(model, f, g) -> float:
+    """``dirac_residual``'s loop over the three operators' whole-box diagonal tables."""
+    from torus_holonomy.operators import _diagonals
+
+    box = np.arange(model.size)
+    (f_off, f_diag), (g_off, g_diag) = _diagonals(model, f, box), _diagonals(model, g, box)
+    b_off, b_diag = _diagonals(model, poisson_bracket(f, g), box)
+    keep = interior_mask(model, min(f.bandwidth + g.bandwidth, model.truncation))
+    inner = np.flatnonzero(keep)
+    offsets = np.unique(np.concatenate([(f_off[:, None] + g_off).ravel(), b_off]))
+    residual = np.zeros((offsets.size, inner.size), dtype=complex)
+    targets = np.searchsorted(offsets, g_off[:, None] + f_off)
+    f_inner, f_columns = f_diag[:, inner], inner + f_off[:, None]
+    for t, off_t in enumerate(g_off.tolist()):
+        residual[targets[t]] += f_diag[:, inner + off_t] * g_diag[t, inner] - g_diag[t, f_columns] * f_inner
+    residual[np.searchsorted(offsets, b_off)] += 1j * b_diag[:, inner]
+    rows = offsets[:, None] + inner
+    inside = (rows >= 0) & (rows < model.size)
+    inside[inside] = keep[rows[inside]]
+    return float(np.max(np.abs(residual[inside]), initial=0.0))
+
+
+# 200 examples: 99 with C_f + C_g > N, 43 of them with a bracket wider than
+# the box, and 29 with a zero observable, in about 1.5 s
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(_dirac_case())
+def test_dirac_residual_quantizes_only_the_sources_it_reads(case):
+    from torus_holonomy import operators
+
+    model, f, g = case
+    affine_entries, placed = operators._affine_entries, []
+
+    def spy(model, observable, sources=None):
+        entries = affine_entries(model, observable, sources)
+        placed.append((observable, entries[1]))
+        return entries
+
+    with mock.patch.object(operators, "_affine_entries", spy):
+        restricted = dirac_residual(model, f, g)
+    # the restricted build changes no bit of the residual
+    assert restricted == _whole_box_dirac_residual(model, f, g)
+    D = min(f.bandwidth + g.bandwidth, model.truncation)
+    guards = {id(f): D - g.bandwidth, id(g): D - f.bandwidth}
+    assert len(placed) == 3
+    for observable, cols in placed:
+        # f and g at the columns the products read; the bracket at interior modes only
+        assert interior_mask(model, guards.get(id(observable), D))[cols].all()
+    assert placed[2][0] is not f and placed[2][0] is not g
 
 
 def test_dirac_residual_refuses_factors_wider_than_the_box():

@@ -138,6 +138,14 @@ _CAUGHT = [
         id="quantize-scalar-conjugated",
     ),
     pytest.param(
+        Fault(operators, "dirac_residual", "D - g.bandwidth", "D", (verify.check_dirac,)),
+        id="dirac-f-sources-only-interior",
+    ),
+    pytest.param(
+        Fault(operators, "poisson_bracket", "total -= minus", "total += minus", (verify.check_dirac,)),
+        id="bracket-second-convolution-added",
+    ),
+    pytest.param(
         Fault(propagation, "quantized_basis", "n[:, k] + 0.5 * c[k] - offsets[k]", "n[:, k] - offsets[k]",
               (verify.check_unitarity_and_blocks, verify.check_factorization)),
         id="kernel-halfform-dropped",
