@@ -12,16 +12,13 @@ c of each coefficient gives the closed-form matrix element
 
 where A_k, B are the coefficient tables of a_k, b.  The half-shift makes
 the element manifestly Hermitian for real fields, and the formula is locked
-against an independent torus-quadrature oracle in the test suite.  All
-nonzero shifts of an observable are placed by one scatter over the stack
-of shifts, which yields (shift, target, source) for every in-box entry
-whose source mode is in a given set, the whole box by default, and
-``_affine_entries`` turns them into one (rows, cols, values) list.
-``quantize_affine`` fills a dense matrix from the whole box's list for
-its callers.  ``dirac_residual`` quantizes only the source modes its
-products read (f's, g's and the bracket's, each at its own depth from the
-boundary), stores them by diagonals and multiplies only the interior rows
-and columns, so the check forms no dense matrix of the full box.
+against an independent torus-quadrature oracle in the test suite.
+``_elements`` alone writes it, as a dense (nonzero shift, source mode)
+table beside the in-box mask of ``_landing``.  ``quantize_affine`` places
+the in-box entries of the whole box's table; ``dirac_residual`` takes the
+rows as diagonals for only the source modes its products read (f's, g's
+and the bracket's, each at its own depth from the boundary) and multiplies
+only interior rows and columns, so the check forms no dense matrix.
 Shifts that leave the box are dropped; identities involving shift
 operators are therefore asserted on interior modes only.
 
@@ -119,54 +116,53 @@ def hamiltonian_operator(
     return OperatorMatrix(model, np.diag(hamiltonian_spectrum(model, hamiltonian).astype(complex)))
 
 
-def _shift_scatter(
-    model: TorusModel, shifts: np.ndarray, sources: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Where each mode shift ``n -> n + c_s`` of an (S, m) stack lands in the box.
+def _landing(model: TorusModel, shifts, modes: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Where each mode shift ``n -> n + c_s`` of an (S, m) stack lands: ``(steps, inside)``.
 
-    ``sources`` lists, in increasing order, the layout positions of the
-    modes n to shift; the default is the whole box.  Returns ``(which,
-    rows, cols)`` over the in-box entries, ordered by shift and then by
-    mode: the shift index s, and the layout positions of n + c_s and of n.
-    The layout is linear in n, so n + c_s lies ``c_s . strides`` positions
-    after n.
+    ``inside[s, j]`` tells whether n_j + c_s is in the box, for the rows n_j
+    of ``modes`` (the whole box by default).  The layout is linear in n, so
+    n + c_s lies ``steps[s] = c_s . strides`` positions after n.
     """
-    N = model.truncation
     shifts = np.asarray(shifts, dtype=np.int64).reshape(-1, model.m)
-    sources = np.arange(model.size) if sources is None else np.asarray(sources)
-    inside = np.all(np.abs(mode_array(model)[sources] + shifts[:, None, :]) <= N, axis=2)
-    which, at = np.nonzero(inside)
-    cols = sources[at]
+    modes = mode_array(model) if modes is None else modes
+    inside = np.ones((len(shifts), len(modes)), dtype=bool)
+    for n, c in zip(modes.T, shifts.T):  # an axis at a time: np.all over m is slow
+        inside &= np.abs(n + c[:, None]) <= model.truncation
     strides = model.axis_size ** np.arange(model.m - 1, -1, -1)
-    return which, cols + (shifts @ strides)[which], cols
+    return shifts @ strides, inside
 
 
-def _affine_entries(
+def _shift_scatter(steps: np.ndarray, inside: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(which, rows, cols)`` of the in-box entries of a whole-box ``_landing``: s, n + c_s and n."""
+    which, cols = np.nonzero(inside)
+    return which, cols + steps[which], cols
+
+
+def _elements(
     model: TorusModel, observable: AffineObservable, sources: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(rows, cols, values)`` of the quantized observable, one per in-box element.
+    """The element formula at each nonzero shift and source mode: ``(steps, values, inside)``.
 
-    The element formula above, placed by one ``_shift_scatter`` over the
-    nonzero shifts of the columns of ``sources`` (the whole box by
-    default); each (row, col) pair occurs at most once.
+    ``values[s, j]`` is the element at ``(n_j + c_s, n_j)``, in the box or
+    not, for the s-th nonzero shift c_s and the j-th of ``sources`` (the
+    whole box by default); ``steps`` and ``inside`` are their ``_landing``.
     """
     if observable.m != model.m:
         raise DimensionMismatchError("observable dimension differs from model")
     C = observable.bandwidth
-    modes = mode_array(model)
-    offsets = np.asarray(model.offsets)
+    modes = mode_array(model) if sources is None else mode_array(model)[sources]
     parts = observable.stacked(C)
     nonzero = np.argwhere(parts.any(axis=0))
     shifts = nonzero - C
-    which, rows, cols = _shift_scatter(model, shifts, sources)
-    *actions, B = parts[(slice(None), *nonzero.T)][:, which]
+    steps, inside = _landing(model, shifts, modes)
+    *actions, B = parts[(slice(None), *nonzero.T)]
     # axes in turn, then B: the summation order of a per-shift build, so the
     # elements stay bit-identical to it
-    values = np.zeros(rows.size, dtype=complex)
+    values = np.zeros(inside.shape, dtype=complex)
     for k, A in enumerate(actions):
-        values += A * (modes[cols, k] + 0.5 * shifts[which, k] - offsets[k])
-    values += B
-    return rows, cols, values
+        values += A[:, None] * (modes[:, k] + 0.5 * shifts[:, k, None] - model.offsets[k])
+    values += B[:, None]
+    return steps, values, inside
 
 
 def _require_fits(model: TorusModel, *observables: AffineObservable) -> None:
@@ -175,11 +171,12 @@ def _require_fits(model: TorusModel, *observables: AffineObservable) -> None:
 
 
 def quantize_affine(model: TorusModel, observable: AffineObservable) -> OperatorMatrix:
-    """Matrix of the quantized affine observable via the element formula above."""
+    """Matrix of the quantized affine observable: the in-box ``_elements`` of the whole box."""
     _require_fits(model, observable)
-    rows, cols, values = _affine_entries(model, observable)
+    steps, values, inside = _elements(model, observable)
+    _, rows, cols = _shift_scatter(steps, inside)
     matrix = np.zeros((model.size, model.size), dtype=complex)
-    matrix[rows, cols] = values
+    matrix[rows, cols] = values[inside]
     return OperatorMatrix(model, matrix)
 
 
@@ -341,7 +338,7 @@ def shift_basis(
     if compiled.shifts.shape[1] != model.m:
         raise DimensionMismatchError("connection dimension differs from model")
     unique = list(dict.fromkeys(map(tuple, compiled.shifts)))
-    which, rows, cols = _shift_scatter(model, unique)
+    which, rows, cols = _shift_scatter(*_landing(model, unique))
     modes = mode_array(model)
     basis = np.zeros((len(compiled.axes), rows.size))
     for K, (axis, c) in enumerate(zip(compiled.axes, compiled.shifts)):
@@ -545,9 +542,9 @@ def dirac_residual(model: TorusModel, f: AffineObservable, g: AffineObservable) 
     # one diagonal t of g at a time: F G and G F both put its pairs with every
     # diagonal of f on the diagonals off_f + off_t, which are distinct
     targets = np.searchsorted(offsets, g_off[:, None] + f_off)
-    f_inner, f_columns = f_diag[:, inner], inner + f_off[:, None]
+    f_inner, f_columns, g_inner = f_diag[:, inner], inner + f_off[:, None], g_diag[:, inner]
     for t, off_t in enumerate(g_off.tolist()):
-        residual[targets[t]] += f_diag[:, inner + off_t] * g_diag[t, inner] - g_diag[t, f_columns] * f_inner
+        residual[targets[t]] += f_diag[:, inner + off_t] * g_inner[t] - g_diag[t][f_columns] * f_inner
     residual[np.searchsorted(offsets, b_off)] += 1j * b_diag[:, inner]
     rows = offsets[:, None] + inner
     inside = (rows >= 0) & (rows < model.size)
@@ -561,15 +558,18 @@ def _diagonals(
     """The quantized observable's columns ``sources``, by diagonals: ``(offsets, table)``.
 
     ``table[s, j]`` is the entry at ``(j + offsets[s], j)`` for j in
-    ``sources``; it is zero where that row leaves the box and in every
-    other column.  A (row, col) pair fixes the diagonal, so each entry of
-    ``_affine_entries`` has one place.
+    ``sources`` and zero elsewhere: the ``_elements`` rows with an in-box
+    entry, by step.  Shifts share a step only if some |c_k| > N, and then
+    no mode lands in the box under both, so their rows add up to one.
     """
-    rows, cols, values = _affine_entries(model, observable, sources)
-    offsets, which = np.unique(rows - cols, return_inverse=True)
-    table = np.zeros((offsets.size, model.size), dtype=complex)
-    table[which, cols] = values
-    return offsets, table
+    steps, values, inside = _elements(model, observable, sources)
+    values[~inside] = 0.0
+    hit = np.flatnonzero(inside.any(axis=1))
+    order = hit[np.argsort(steps[hit])]
+    first = np.flatnonzero(np.diff(steps[order], prepend=-model.size))  # an in-box step exceeds -size
+    table = np.zeros((first.size, model.size), dtype=complex)
+    table[:, sources] = np.add.reduceat(values[order], first, axis=0)
+    return steps[order[first]], table
 
 
 def lambda_shift_equivalence(
@@ -604,7 +604,7 @@ def lambda_shift_equivalence(
     base = hamiltonian_spectrum(model, hamiltonian)
     moved = hamiltonian_spectrum(shifted_model, hamiltonian)
     if integer:
-        _, rows, cols = _shift_scatter(model, [shift.astype(int)])
+        _, rows, cols = _shift_scatter(*_landing(model, [shift.astype(int)]))
         return float(np.max(np.abs(base[cols] - moved[rows])))
     return float(np.max(np.abs(np.sort(base) - np.sort(moved))))
 

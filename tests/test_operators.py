@@ -12,6 +12,7 @@ from torus_holonomy import (
     ActionPolynomial,
     AffineObservable,
     BandwidthError,
+    DimensionMismatchError,
     SplitViolationError,
     TorusFourierField,
     TorusModel,
@@ -28,6 +29,7 @@ from torus_holonomy.operators import (
     _THETA16,
     _TAYLOR8,
     ShiftBasis,
+    _landing,
     _shift_scatter,
     commutator,
     exp_stack,
@@ -190,16 +192,16 @@ def _hermitian_case(draw):
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(_hermitian_case())
 def test_quantize_random_real_observable_is_hermitian(case):
-    from torus_holonomy.operators import _affine_entries
+    from torus_holonomy.operators import _elements
 
     model, observable, sources = case
     op = quantize_affine(model, observable)
     assert op.hermiticity_defect() <= 1e-12
-    # an explicit source set places the whole-box entries of those columns, bit for bit
-    rows, cols, values = _affine_entries(model, observable, sources)
+    # an explicit source set gives the whole-box elements of those columns, bit for bit
+    steps, values, inside = _elements(model, observable, sources)
+    which, at = np.nonzero(inside)
     placed = np.zeros_like(op.matrix)
-    placed[rows, cols] = values
-    assert np.isin(cols, sources).all()
+    placed[sources[at] + steps[which], sources[at]] = values[inside]
     assert np.array_equal(placed[:, sources], op.matrix[:, sources])
     assert not placed[:, np.setdiff1d(np.arange(model.size), sources)].any()
 
@@ -209,6 +211,19 @@ def test_quantize_bandwidth_rejected():
     wide = TorusFourierField.from_half_spectrum(1, {(3,): 1.0})
     with pytest.raises(BandwidthError):
         quantize_affine(model, AffineObservable.from_parts(1, scalar=wide))
+
+
+def test_quantize_and_dirac_refuse_an_observable_of_another_dimension():
+    rng = np.random.default_rng(8)
+    model = TorusModel(2, (0,), (0.25, 0.5), 3)
+    right = random_affine(rng, 2, 1)
+    for m in (1, 3):
+        wrong = random_affine(rng, m, 1)
+        with pytest.raises(DimensionMismatchError, match="observable dimension differs from model"):
+            quantize_affine(model, wrong)
+        for f, g in ((wrong, right), (right, wrong)):
+            with pytest.raises(DimensionMismatchError, match="observable dimension differs from model"):
+                dirac_residual(model, f, g)
 
 
 def _single_shift_scatter(model, c):
@@ -265,7 +280,7 @@ def test_stacked_scatter_matches_per_shift_scatter(case):
     )
     assert np.array_equal(quantize_affine(model, obs).matrix, _quantize_per_shift(model, obs))
 
-    which, rows, cols = _shift_scatter(model, [shift])
+    which, rows, cols = _shift_scatter(*_landing(model, [shift]))
     want_rows, want_cols, ok = _single_shift_scatter(model, shift)
     assert not which.any()
     assert np.array_equal(rows, want_rows) and np.array_equal(cols, want_cols)
@@ -493,24 +508,95 @@ def test_dirac_residual_quantizes_only_the_sources_it_reads(case):
     from torus_holonomy import operators
 
     model, f, g = case
-    affine_entries, placed = operators._affine_entries, []
+    elements, placed = operators._elements, []
 
     def spy(model, observable, sources=None):
-        entries = affine_entries(model, observable, sources)
-        placed.append((observable, entries[1]))
-        return entries
+        table = elements(model, observable, sources)
+        placed.append((observable, sources))
+        return table
 
-    with mock.patch.object(operators, "_affine_entries", spy):
+    with mock.patch.object(operators, "_elements", spy):
         restricted = dirac_residual(model, f, g)
     # the restricted build changes no bit of the residual
     assert restricted == _whole_box_dirac_residual(model, f, g)
     D = min(f.bandwidth + g.bandwidth, model.truncation)
     guards = {id(f): D - g.bandwidth, id(g): D - f.bandwidth}
     assert len(placed) == 3
-    for observable, cols in placed:
+    for observable, sources in placed:
         # f and g at the columns the products read; the bracket at interior modes only
-        assert interior_mask(model, guards.get(id(observable), D))[cols].all()
+        assert sources is not None
+        assert interior_mask(model, guards.get(id(observable), D))[sources].all()
     assert placed[2][0] is not f and placed[2][0] is not g
+
+
+def _oracle_diagonals(model, observable, sources):
+    """``_diagonals``' contract, read off ``_quantize_per_shift``.
+
+    One diagonal per distinct flat step ``c . strides`` of the nonzero
+    shifts c that take some source mode into the box.
+    """
+    C = observable.bandwidth
+    strides = model.axis_size ** np.arange(model.m - 1, -1, -1)
+    steps = [
+        int((idx - C) @ strides)
+        for idx in np.argwhere(observable.stacked(C).any(axis=0))
+        if _single_shift_scatter(model, idx - C)[2][sources].any()
+    ]
+    offsets = np.unique(np.array(steps, dtype=np.int64))
+    matrix = _quantize_per_shift(model, observable)
+    table = np.zeros((offsets.size, model.size), dtype=complex)
+    for s, off in enumerate(offsets):
+        rows = sources + off
+        ok = (rows >= 0) & (rows < model.size)
+        table[s, sources[ok]] = matrix[rows[ok], sources[ok]]
+    # every entry of the source columns lies on one of the diagonals
+    rows, cols = np.nonzero(matrix[:, sources])
+    assert np.isin(rows - sources[cols], offsets).all()
+    return offsets, table
+
+
+@st.composite
+def _diagonals_case(draw):
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = draw(st.integers(1, 3))
+    N = draw(st.sampled_from([1, 2, 3]))
+    offsets = tuple(draw(st.lists(st.floats(-1.0, 1.0), min_size=m, max_size=m)))
+    f, g = (_box_affine(rng, m, [int(rng.integers(0, N + 1)) for _ in range(m)], 0.3) for _ in range(2))
+    sources = np.flatnonzero(rng.random((2 * N + 1) ** m) < draw(st.sampled_from([0.3, 0.7, 1.0])))
+    return TorusModel(m, (0,), offsets, N), f, poisson_bracket(f, g), sources
+
+
+# 150 examples, each an observable that fits the box and its bracket with
+# another: 51 brackets wider than N, 16 of them with two shifts of one flat
+# step that both place entries in the source columns, in about 2.5 s
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(_diagonals_case())
+def test_diagonals_match_the_per_shift_oracle(case):
+    from torus_holonomy.operators import _diagonals
+
+    model, f, bracket, sources = case
+    for observable in (f, bracket):
+        offsets, table = _diagonals(model, observable, sources)
+        want_offsets, want_table = _oracle_diagonals(model, observable, sources)
+        assert np.array_equal(offsets, want_offsets)
+        assert table.tobytes() == want_table.tobytes()
+
+
+def test_diagonals_sum_the_rows_of_shifts_that_share_a_step():
+    # on m=2, N=2 the shifts (0, 3) and (1, -2) are both 3 positions on: the
+    # first takes the 10 modes with n_1 < 0 into the box, the second the 12
+    # with n_0 < 2 and n_1 >= 0, and that diagonal holds all 22 entries
+    from torus_holonomy.operators import _diagonals
+
+    model = TorusModel(2, (0,), (0.25, -0.5), 2)
+    scalar = TorusFourierField.from_half_spectrum(2, {(0, 3): 0.7 - 0.2j, (1, -2): -0.4 + 0.9j})
+    observable = AffineObservable.from_parts(2, {1: scalar}, scalar)
+    box = np.arange(model.size)
+    offsets, table = _diagonals(model, observable, box)
+    want_offsets, want_table = _oracle_diagonals(model, observable, box)
+    assert np.array_equal(offsets, want_offsets)
+    assert table.tobytes() == want_table.tobytes()
+    assert np.count_nonzero(table[offsets.tolist().index(3)]) == 22
 
 
 def test_dirac_residual_refuses_factors_wider_than_the_box():
@@ -537,6 +623,33 @@ def test_dirac_residual_builds_no_dense_operator(monkeypatch):
 
 
 # --- gauge equivalences ---------------------------------------------------------------
+
+
+@st.composite
+def _gauge_case(draw):
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = draw(st.integers(1, 3))
+    N = draw(st.integers(1, 3 if m == 3 else 5))
+    # multiples of 1/64, so that o + k is exact and the law holds bit for bit
+    offsets = tuple(x / 64 for x in draw(st.lists(st.integers(-128, 128), min_size=m, max_size=m)))
+    shift = tuple(draw(st.lists(st.integers(-2 * N, 2 * N), min_size=m, max_size=m)))
+    observable = random_affine(rng, m, int(rng.integers(0, N + 1)), scale=float(rng.uniform(0.1, 3.0)))
+    return TorusModel(m, (0,), offsets, N), shift, observable
+
+
+# 150 examples, 95 of them with k != 0, in about 0.5 s
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(_gauge_case())
+def test_quantize_integer_offset_shift_is_a_reindexing(case):
+    # <n + c| f_hat |n> at offsets o equals <n + k + c| f_hat |n + k> at
+    # offsets o + k: on the modes n with n + k in the box, the two matrices
+    # are one another re-indexed
+    model, shift, observable = case
+    moved_model = TorusModel(model.m, model.controlled, tuple(np.add(model.offsets, shift)), model.truncation)
+    rows, cols, _ = _single_shift_scatter(model, shift)
+    base = quantize_affine(model, observable).matrix[np.ix_(cols, cols)]
+    moved = quantize_affine(moved_model, observable).matrix[np.ix_(rows, rows)]
+    assert base.tobytes() == moved.tobytes()
 
 
 def test_lambda_shift_zero():

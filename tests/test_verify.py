@@ -120,21 +120,23 @@ class Fault(NamedTuple):
 
 _CAUGHT = [
     pytest.param(
-        Fault(operators, "_affine_entries", "modes[cols, k] + 0.5 * shifts[which, k] - offsets[k]",
-              "modes[cols, k] - offsets[k]", (verify.check_hermiticity, verify.check_factorization)),
+        Fault(operators, "_elements", "modes[:, k] + 0.5 * shifts[:, k, None] - model.offsets[k]",
+              "modes[:, k] - model.offsets[k]", (verify.check_hermiticity, verify.check_factorization)),
         id="quantize-halfform-dropped",
     ),
     pytest.param(
-        Fault(operators, "_affine_entries", "0.5 * shifts[which, k]", "shifts[which, k]",
+        Fault(operators, "_elements", "0.5 * shifts[:, k, None]", "shifts[:, k, None]",
               (verify.check_hermiticity, verify.check_factorization)),
         id="quantize-halfform-doubled",
     ),
     pytest.param(
-        Fault(operators, "_affine_entries", "- offsets[k])", "+ offsets[k])", (verify.check_factorization,)),
+        Fault(operators, "_elements", "- model.offsets[k])", "+ model.offsets[k])",
+              (verify.check_factorization,)),
         id="quantize-offset-sign",
     ),
     pytest.param(
-        Fault(operators, "_affine_entries", "values += B", "values += B.conj()", (verify.check_dirac,)),
+        Fault(operators, "_elements", "values += B[:, None]", "values += B[:, None].conj()",
+              (verify.check_dirac,)),
         id="quantize-scalar-conjugated",
     ),
     pytest.param(
