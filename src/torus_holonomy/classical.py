@@ -20,7 +20,8 @@ every grid time and stage midpoint, each step on the curve segment of its
 midpoint; the mode transport's product reads its midpoints from that
 table, and the action transport samples its own.  Each RK4 stage of
 the perturbed flow evaluates the connection's waves once
-(``CompiledConnection.flow``) for both the action rate and the drift; the
+(``CompiledConnection.flow``) for both the action rate and the drift, one
+wave per mirror pair of the real connection's ``terms``; the
 controlled-angle history reads the drift alone.  The RK4 steps work on lists
 of Python floats: their states hold a few numbers, where numpy's per-call
 overhead would cost more than the arithmetic.  The two ordered products walk

@@ -193,9 +193,13 @@ class CompiledConnection:
     No model or controlled/dynamic split is assumed.
 
     ``drift`` and ``flow`` evaluate one weight row for the RK4 stages: plain
-    loops over ``terms``, which holds each term's axis and the nonzero
-    ``(axis, c_K[axis])`` components of its shift as Python numbers.  On the
-    few terms of a connection numpy's per-call overhead would cost more than
+    loops over ``terms``, one entry per mirror pair, the member K with
+    ``c_K >= -c_K`` (``fields._real_pairs``' convention): its column in the
+    weight row, its axis and the nonzero ``(axis, c_K[axis])`` components of
+    its shift, as Python numbers.  A connection is real, so
+    ``w_{-c} = conj(w_c)`` and a pair adds ``2 Re(w_K exp(i c_K . phi))``;
+    a ``c = 0`` term adds ``Re w_K`` and takes no exponential.  On the few
+    terms of a connection numpy's per-call overhead would cost more than
     the arithmetic.  ``coupling`` takes whole stacks of rows and stays an
     array expression; ``by_axis`` is stored as float so that its ``@`` does
     not cast it per call.
@@ -206,7 +210,7 @@ class CompiledConnection:
     table: np.ndarray  # (K, d, E) sigma-polynomial coefficients
     exponents: np.ndarray  # (E, d) monomial exponents
     by_axis: np.ndarray  # (K, m) float one-hot of each term's axis
-    terms: tuple  # (axis, ((axis, shift component), ...)) of each term, Python numbers
+    terms: tuple  # (K, axis, ((axis, shift component), ...)) of each mirror pair, Python numbers
 
     def weights(self, sigmas: np.ndarray, velocities: np.ndarray) -> np.ndarray:
         """Term weights at S parameter points, shape (S, K).
@@ -232,11 +236,12 @@ class CompiledConnection:
     def drift(self, weights: Sequence[complex], phi: Sequence[float]) -> list[float]:
         """``L_k(sigma, phi) . v`` for every axis k, at one weight row."""
         drift = [0.0] * len(phi)
-        for w, (axis, components) in zip(weights, self.terms):
+        for K, axis, components in self.terms:
             angle = 0.0
             for a, c in components:
                 angle += phi[a] * c
-            drift[axis] += (w * cmath.exp(1j * angle)).real
+            wave = 2.0 * weights[K] * cmath.exp(1j * angle) if components else weights[K]
+            drift[axis] += wave.real
         return drift
 
     def coupling(self, weights: np.ndarray, phi: np.ndarray) -> np.ndarray:
@@ -250,18 +255,18 @@ class CompiledConnection:
     def flow(
         self, weights: Sequence[complex], phi: Sequence[float], actions: Sequence[float]
     ) -> tuple[list[float], list[float]]:
-        """The action rate ``-G @ actions`` and the drift, from one wave per term.
+        """The action rate ``-G @ actions`` and the drift, from one wave per mirror pair.
 
         ``Re(i z) = -Im z``, so ``-G[a, k] I_k`` sums ``Im(wave_K) c_K[a] I_k``
-        over the terms K of axis k.
+        over the pairs K of axis k.
         """
         rate = [0.0] * len(phi)
         drift = [0.0] * len(phi)
-        for w, (axis, components) in zip(weights, self.terms):
+        for K, axis, components in self.terms:
             angle = 0.0
             for a, c in components:
                 angle += phi[a] * c
-            wave = w * cmath.exp(1j * angle)
+            wave = 2.0 * weights[K] * cmath.exp(1j * angle) if components else weights[K]
             drift[axis] += wave.real
             pull = wave.imag * actions[axis]
             for a, c in components:
@@ -287,7 +292,8 @@ def compile_connection(connection: ControlConnection) -> CompiledConnection:
         table,
         np.array(exponents, dtype=np.int64).reshape(len(exponents), d),
         (axes[:, None] == np.arange(connection.m)).astype(float),
-        tuple((axis, tuple((a, float(x)) for a, x in enumerate(c) if x)) for c, axis in terms),
+        tuple((K, axis, tuple((a, float(x)) for a, x in enumerate(c) if x))
+              for K, (c, axis) in enumerate(terms) if c >= tuple(-x for x in c)),
     )
 
 

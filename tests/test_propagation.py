@@ -27,7 +27,7 @@ from torus_holonomy import (
 )
 from scipy.linalg import expm
 
-from torus_holonomy import BandwidthError, DimensionMismatchError, concatenate, propagation, step_intervals
+from torus_holonomy import BandwidthError, DimensionMismatchError, concatenate, operators, propagation, step_intervals
 from torus_holonomy.classical import _mode_basis
 from torus_holonomy.curves import segment_edges
 from torus_holonomy.lattice import mode_array, sublattice_index
@@ -325,6 +325,70 @@ def test_compiled_empty_connection():
     assert np.array_equal(generator, np.zeros((25, 25)))
     rate, drift = compiled.flow(weights[0], np.array([0.3, -1.1]), np.array([1.5, 0.7]))
     assert np.array_equal(rate, np.zeros(2)) and np.array_equal(drift, np.zeros(2))
+
+
+def _full_spectrum_rhs(compiled, w, phi, actions):
+    """The action rate and the drift summed over all K columns, mirrors included."""
+    waves = w * np.exp(1j * (compiled.shifts @ phi))
+    return compiled.shifts.T @ (waves.imag * actions[compiled.axes]), compiled.by_axis.T @ waves.real
+
+
+def _assert_pairs_match_full_spectrum(compiled, rng):
+    d = compiled.table.shape[1]
+    for w in compiled.weights(rng.uniform(-1.0, 1.0, size=(5, d)), rng.uniform(-1.0, 1.0, size=(5, d))):
+        phi, actions = rng.uniform(-np.pi, np.pi, size=2), rng.uniform(-2.0, 2.0, size=2)
+        rate, drift = compiled.flow(w.tolist(), phi.tolist(), actions.tolist())
+        expected_rate, expected_drift = _full_spectrum_rhs(compiled, w, phi, actions)
+        ulp = 4 * np.finfo(float).eps * np.sum(np.abs(w))
+        np.testing.assert_allclose(drift, expected_drift, rtol=0, atol=ulp)
+        np.testing.assert_allclose(compiled.drift(w.tolist(), phi.tolist()), drift, rtol=0, atol=0)
+        np.testing.assert_allclose(rate, expected_rate, rtol=0, atol=2 * ulp * np.max(np.abs(actions)))
+
+
+def test_compiled_terms_hold_one_member_per_mirror_pair():
+    def poly(*v):
+        return ParameterPolynomial(2, {(0, 0): v[0], (1, 0): v[1], (0, 1): v[2]})
+
+    half = {
+        (0, 0): {(0, 0): poly(0.3, -0.2, 0.1), (1, -1): poly(0.2 + 0.1j, 0.4j, -0.3), (0, 1): poly(0.5j, 0.1, 0.2)},
+        (1, 1): {(0, 0): poly(-0.4, 0.3, 0.2), (0, 1): poly(0.1 - 0.3j, 0.2, 0.6j), (2, 0): poly(0.7, -0.1j, 0.2)},
+    }
+    compiled = compile_connection(ControlConnection.from_half_spectrum(2, 2, half))
+    members = sorted((c, axis) for (axis, _), fourier in half.items() for c in fourier)
+    assert len(compiled.axes) == 10
+    assert [(tuple(compiled.shifts[K].tolist()), axis) for K, axis, _ in compiled.terms] == members
+    for K, axis, components in compiled.terms:
+        assert compiled.axes[K] == axis
+        assert components == tuple((a, float(x)) for a, x in enumerate(compiled.shifts[K]) if x)
+    _assert_pairs_match_full_spectrum(compiled, np.random.default_rng(5))
+
+
+def test_compiled_zero_shift_terms_take_no_exponential(monkeypatch):
+    compiled = compile_connection(_abelian_connection())
+    assert compiled.terms == ((0, 0, ()),)
+    monkeypatch.setattr(operators, "cmath", None)  # a call to cmath.exp would raise
+    _assert_pairs_match_full_spectrum(compiled, np.random.default_rng(6))
+    w = compiled.weights(np.array([[0.4, -0.3]]), np.array([[1.2, 0.5]]))[0]
+    rate, drift = compiled.flow(w.tolist(), [0.3, 1.1], [1.5, -0.7])
+    assert rate == [0.0, 0.0] and drift == [w[0].real, 0.0]
+    assert compile_connection(ControlConnection.empty(2, 3)).terms == ()
+
+
+@settings(derandomize=True, max_examples=50, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_compiled_weights_of_mirror_terms_are_exact_conjugates(seed):
+    # the mirror-pair terms of drift and flow rely on w_{-c} == conj(w_c) bit for bit
+    rng = np.random.default_rng(seed)
+    model = _random_split_model(rng)
+    d = int(rng.integers(1, 4))
+    conn = _random_split_connection(rng, model, d, int(rng.integers(0, 3)), int(rng.integers(1, 17)))
+    compiled = compile_connection(conn)
+    w = compiled.weights(rng.uniform(-2.0, 2.0, size=(7, d)), rng.uniform(-2.0, 2.0, size=(7, d)))
+    keys = zip(map(tuple, compiled.shifts.tolist()), compiled.axes.tolist())
+    column = {key: K for K, key in enumerate(keys)}
+    assert len(compiled.terms) == sum(c >= tuple(-x for x in c) for c, _ in column)
+    for (c, axis), K in column.items():
+        assert np.array_equal(w[:, column[tuple(-x for x in c), axis]], np.conj(w[:, K]))
 
 
 def test_compiled_rejects_bandwidth_over_truncation():
